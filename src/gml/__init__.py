@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     ExhaustedRetries,
     GmlError,
+    GmlInputError,
     HorizonExceeded,
     ModelParseError,
     NonPositiveEpsilon,

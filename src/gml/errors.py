@@ -5,6 +5,11 @@ class GmlError(Exception):
     """Base class for every error raised by this package."""
 
 
+class GmlInputError(GmlError, ValueError):
+    """An argument or input value is invalid: the caller's mistake, not a
+    failure of the mathematics.  The CLI reports it with exit code 2."""
+
+
 class DimensionMismatch(GmlError):
     """Operands live in incompatible dimensions."""
 

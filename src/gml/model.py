@@ -30,6 +30,7 @@ from .errors import (
     BetaOutsideSubalgebra,
     DependentBasis,
     ExhaustedRetries,
+    GmlInputError,
     NonPositiveEpsilon,
 )
 from .hull import Polytope
@@ -39,8 +40,10 @@ from .spectral import Subspace, _canonical_sign_columns
 SUPP_TOL = 1e-13
 
 
-def _level_tol(values: np.ndarray) -> float:
-    return 1e-12 * max(1.0, float(np.abs(values).max()) if values.size else 0.0)
+def _level_tol(values: np.ndarray, axis: int | None = None):
+    """Tie tolerance 1e-12 * max(1, |values|): over all values, or per row
+    with ``axis=1``."""
+    return 1e-12 * np.maximum(1.0, np.abs(values).max(axis=axis, initial=0.0))
 
 
 class ProjPoint:
@@ -56,22 +59,22 @@ class ProjPoint:
     def __init__(self, vec, supp_tol: float = SUPP_TOL):
         x = np.array(vec, dtype=float).ravel()
         if x.size < 2:
-            raise ValueError("a projective point needs at least two homogeneous coordinates")
-        nrm = float(np.linalg.norm(x))
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise ValueError("cannot normalize a zero or non-finite vector")
+            raise GmlInputError("a projective point needs at least two homogeneous coordinates")
+        nrm = math.sqrt(x.dot(x))  # bit for bit np.linalg.norm(x), without its overhead
+        if not math.isfinite(nrm) or nrm == 0.0:
+            raise GmlInputError("cannot normalize a zero or non-finite vector")
         x = x / nrm
         x[np.abs(x) <= supp_tol] = 0.0
-        nrm = float(np.linalg.norm(x))
+        nrm = math.sqrt(x.dot(x))
         if nrm == 0.0:
-            raise ValueError("vector has no support above supp_tol")
+            raise GmlInputError("vector has no support above supp_tol")
         x = x / nrm
-        supp = np.flatnonzero(x)
+        supp = x.nonzero()[0]
         if x[supp[0]] < 0:
             x = -x
         x.flags.writeable = False
         object.__setattr__(self, "coords", x)
-        object.__setattr__(self, "support", tuple(int(i) for i in supp))
+        object.__setattr__(self, "support", tuple(supp.tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -79,6 +82,10 @@ class ProjPoint:
     @property
     def dim(self) -> int:
         return self.coords.size
+
+    @property
+    def support_mask(self) -> np.ndarray:
+        return self.coords != 0.0
 
     def same_as(self, other: "ProjPoint", tol: float = 1e-12) -> bool:
         """Equality as projective points: identical support, coords within tol."""
@@ -177,14 +184,37 @@ class WeightedModel:
         """Partition of coordinates by equal projected weight vectors."""
         return _vector_partition(self.projected_weights)
 
+    @cached_property
+    def joint_labels(self) -> np.ndarray:
+        """Index of each coordinate's class in ``joint_partition``."""
+        labels = np.empty(self.num_coords, dtype=int)
+        for c, group in enumerate(self.joint_partition):
+            labels[list(group)] = c
+        labels.flags.writeable = False
+        return labels
+
+    @cached_property
+    def moment_polytope(self) -> Polytope:
+        """Convex hull of the projected weights, built once per model."""
+        return Polytope(self.projected_weights)
+
+    def require_point(self, x: ProjPoint) -> ProjPoint:
+        """Return x after checking it has one coordinate per weight."""
+        if x.dim != self.num_coords:
+            raise GmlInputError(
+                f"point has {x.dim} coordinates, expected {self.num_coords}")
+        return x
+
     def validate_direction(self, beta) -> np.ndarray:
         """Return beta as an array after checking it lies in the subalgebra."""
         b = np.asarray(beta, dtype=float).ravel()
         if b.size != self.torus_dim:
             raise BetaOutsideSubalgebra(f"direction has length {b.size}, expected {self.torus_dim}")
-        proj = self.ortho_basis.T @ (self.ortho_basis @ b)
-        residual = float(np.linalg.norm(b - proj))
-        if residual > 1e-9 * max(1.0, float(np.linalg.norm(b))):
+        if self.subalgebra_dim == self.torus_dim:
+            return b  # the subalgebra is the whole torus algebra
+        r = b - self.ortho_basis.T @ (self.ortho_basis @ b)
+        residual = math.sqrt(r.dot(r))  # np.linalg.norm, without its overhead
+        if residual > 1e-9 * max(1.0, math.sqrt(b.dot(b))):
             raise BetaOutsideSubalgebra(
                 f"direction lies outside the subalgebra: residual {residual:.3e}")
         return b
@@ -203,37 +233,89 @@ class WeightedModel:
         if a.shape[0] != self.subalgebra_dim:
             raise DependentBasis(
                 f"expected {self.subalgebra_dim} basis directions, got {a.shape[0]}")
-        svals = np.linalg.svd(a, compute_uv=False)
-        if svals[-1] <= self.rank_tol * max(1.0, svals[0]):
-            raise DependentBasis("directions are linearly dependent")
+        if a is not self.subalgebra:  # the stored rows were checked on construction
+            svals = np.linalg.svd(a, compute_uv=False)
+            if svals[-1] <= self.rank_tol * max(1.0, svals[0]):
+                raise DependentBasis("directions are linearly dependent")
         return a
 
 
 def _vector_partition(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Canonical partition of row indices by (near-)equal rows."""
+    """Canonical partition of row indices by (near-)equal rows.
+
+    Each row joins the class of the first representative (lowest index)
+    it matches within the tolerance, so near-equal rows stay together
+    however a lexicographic sort would interleave other rows between them.
+    """
     tol = _level_tol(rows)
-    order = np.lexsort(np.flipud(rows.T))
-    groups: list[list[int]] = [[int(order[0])]]
-    for prev, cur in zip(order, order[1:]):
-        if np.abs(rows[cur] - rows[prev]).max() > tol:
-            groups.append([int(cur)])
-        else:
-            groups[-1].append(int(cur))
-    return tuple(sorted(tuple(sorted(g)) for g in groups))
+    close = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2) <= tol
+    label = np.full(rows.shape[0], -1)
+    for i in range(rows.shape[0]):
+        if label[i] < 0:
+            label[close[i] & (label < 0)] = i
+    return tuple(tuple(int(j) for j in np.flatnonzero(label == c)) for c in np.unique(label))
 
 
-def _level_classes(values: np.ndarray, tol: float | None = None) -> list[list[int]]:
+def _level_chains(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (N, n) speeds: coordinates ordered by speed descending
+    (stable), and which consecutive gaps in that order exceed the row's
+    level tolerance.  Runs without such a gap are the speed classes."""
+    order = np.argsort(-levels, axis=1, kind="stable")
+    ranked = np.take_along_axis(levels, order, axis=1)
+    return order, ranked[:, :-1] - ranked[:, 1:] > _level_tol(levels, axis=1)[:, None]
+
+
+def _level_classes(values: np.ndarray) -> list[list[int]]:
     """Indices grouped by level, ordered by level descending."""
-    if tol is None:
-        tol = _level_tol(values)
-    order = np.argsort(-values, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for prev, cur in zip(order, order[1:]):
-        if values[prev] - values[cur] > tol:
-            groups.append([int(cur)])
-        else:
-            groups[-1].append(int(cur))
-    return [sorted(g) for g in groups]
+    order, breaks = _level_chains(values[None, :])
+    return [sorted(int(i) for i in g) for g in np.split(order[0], np.flatnonzero(breaks[0]) + 1)]
+
+
+def limit_support(levels: np.ndarray, supp: np.ndarray) -> np.ndarray:
+    """Flow-limit kernel: per row, the argmax-level part of the support.
+
+    ``levels`` (N, n) holds each row's speeds of all coordinates (or one
+    (1, n) row shared by all) and ``supp`` (N, n) each row's nonempty
+    support mask.  Speeds within the level tolerance of the row's full
+    level vector tie, so ties keep the whole argmax class.  Inputs are
+    trusted: the public wrappers validate them.
+    """
+    top = np.where(supp, levels, -np.inf).max(axis=1)
+    return supp & (levels >= (top - _level_tol(levels, axis=1))[:, None])
+
+
+def certify_levels(model: WeightedModel, levels: np.ndarray) -> np.ndarray:
+    """Certificate kernel: per row of (N, n) speeds, does the speed
+    partition equal the joint partition?
+
+    Speed classes chain consecutive sorted speeds within the level
+    tolerance.  They equal the joint classes iff no speed class mixes two
+    joint classes and both partitions have the same number of classes.
+    """
+    order, breaks = _level_chains(levels)
+    labels = model.joint_labels[order]
+    mixed = ~breaks & (labels[:, :-1] != labels[:, 1:])
+    return ~mixed.any(axis=1) & (breaks.sum(axis=1) + 1 == len(model.joint_partition))
+
+
+def gradient_rows(model: WeightedModel, z: np.ndarray) -> np.ndarray:
+    """Gradient-map images of the points with unit (N, n) representatives z."""
+    return (z * z) @ model.projected_weights
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def flow_rows(levels: np.ndarray, t: float, z: np.ndarray) -> np.ndarray:
+    """Flow kernel: unnormalized representatives of exp(t*B)z for each row
+    of (N, n) speeds, from representatives z ((N, n) or one (n,) row).
+    Each row is shifted by its top speed on the support of z, so nothing
+    overflows."""
+    supp = z != 0.0
+    tl = t * levels
+    top = np.where(supp, tl, -np.inf).max(axis=1, keepdims=True)
+    return z * np.exp(np.where(supp, tl - top, 0.0))
 
 
 def gradient_map(model: WeightedModel, x: ProjPoint) -> np.ndarray:
@@ -244,17 +326,13 @@ def gradient_map(model: WeightedModel, x: ProjPoint) -> np.ndarray:
     center a fixed point at the origin; that shift is a plain translation
     and not a separate operation here.
     """
-    return model.projected_weights.T @ (x.coords ** 2)
-
-
-def mu_along(model: WeightedModel, beta, x_coords: np.ndarray) -> float:
-    """Value of <mu(x), beta> = sum_i x_i^2 <lambda_i, beta> on raw coords."""
-    return float((model.weights @ np.asarray(beta, float)) @ (x_coords ** 2))
+    return gradient_rows(model, model.require_point(x).coords[None, :])[0]
 
 
 def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
     """Infinitesimal action field beta_X(x) = Bx - <x, Bx> x."""
     b = model.levels(beta)
+    model.require_point(x)
     bx = b * x.coords
     return bx - float(x.coords @ bx) * x.coords
 
@@ -262,23 +340,17 @@ def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
 def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
     """Normalized linear flow exp(t*B)x, overflow-safe via max-level shift."""
     if not np.isfinite(t):
-        raise ValueError("flow time must be finite")
+        raise GmlInputError("flow time must be finite")
     b = model.levels(beta)
-    supp = np.array(x.support)
-    shift = float((t * b[supp]).max())
-    y = np.zeros_like(x.coords)
-    y[supp] = x.coords[supp] * np.exp(t * b[supp] - shift)
-    return ProjPoint(y)
+    return ProjPoint(flow_rows(b[None, :], t, model.require_point(x).coords)[0])
 
 
 def flow_limit(model: WeightedModel, beta, x: ProjPoint) -> ProjPoint:
     """Limit of the flow: restriction of x to the argmax-level part of
     its support (ties keep the whole argmax class)."""
     b = model.levels(beta)
-    supp = np.array(x.support)
-    vals = b[supp]
-    keep = supp[vals >= vals.max() - _level_tol(b)]
-    return x.restricted(keep)
+    keep = limit_support(b[None, :], model.require_point(x).support_mask[None, :])[0]
+    return ProjPoint(np.where(keep, x.coords, 0.0))
 
 
 def composed_limit(model: WeightedModel, alphas, x: ProjPoint) -> ProjPoint:
@@ -299,7 +371,7 @@ def perturbed_limit(model: WeightedModel, alphas, eps, x: ProjPoint) -> ProjPoin
     a = model.require_basis(alphas)
     e = np.asarray(eps, dtype=float).ravel()
     if e.size != a.shape[0] - 1:
-        raise ValueError(f"expected {a.shape[0] - 1} step sizes, got {e.size}")
+        raise GmlInputError(f"expected {a.shape[0] - 1} step sizes, got {e.size}")
     if e.size and not (e > 0).all():
         raise NonPositiveEpsilon("all step sizes must be strictly positive")
     beta = a[0] + (e @ a[1:] if e.size else 0.0)
@@ -413,7 +485,7 @@ def stabilizer_algebra(model: WeightedModel, x: ProjPoint) -> Subspace:
     """Directions (in orthonormalized subalgebra coordinates) whose flow
     fixes x: the null space of the support's projected weight differences."""
     d = model.subalgebra_dim
-    supp = list(x.support)
+    supp = list(model.require_point(x).support)
     if len(supp) == 1:
         return Subspace.full(d)
     rows = model.projected_weights[supp[1:]] - model.projected_weights[supp[0]]
@@ -427,9 +499,7 @@ def stabilizer_algebra(model: WeightedModel, x: ProjPoint) -> Subspace:
 def direction_certificate(model: WeightedModel, beta) -> bool:
     """True iff the speed partition of beta equals the joint partition,
     i.e. beta separates exactly what the whole subalgebra separates."""
-    b = model.levels(beta)
-    classes = _level_classes(b)
-    return tuple(sorted(tuple(g) for g in classes)) == model.joint_partition
+    return bool(certify_levels(model, model.levels(beta)[None, :])[0])
 
 
 def generic_direction(model: WeightedModel, seed: int, max_retries: int = 64):
@@ -467,8 +537,8 @@ def unstable_component(model: WeightedModel, beta, x: ProjPoint) -> FixedCompone
 
 
 def moment_polytope(model: WeightedModel) -> Polytope:
-    """Convex hull of the projected weights."""
-    return Polytope(model.projected_weights)
+    """Convex hull of the projected weights (cached on the model)."""
+    return model.moment_polytope
 
 
 def moment_polytope_check(model: WeightedModel, sample_count: int, seed: int,
@@ -479,19 +549,17 @@ def moment_polytope_check(model: WeightedModel, sample_count: int, seed: int,
     the projected weights, and that each hull vertex is attained exactly
     by the corresponding coordinate point.
     """
-    poly = moment_polytope(model)
+    poly = model.moment_polytope
     rng = substream(seed, 0)
-    holds = True
-    for _ in range(sample_count):
-        x = ProjPoint(rng.standard_normal(model.num_coords))
-        if not poly.contains(gradient_map(model, x), tol=hull_tol):
-            holds = False
-    for v in poly.vertices:
-        dists = np.abs(model.projected_weights - v).max(axis=1)
-        i = int(np.argmin(dists))
-        e_i = ProjPoint.coordinate(i, model.num_coords)
-        if float(np.abs(gradient_map(model, e_i) - v).max()) > 1e-12:
-            holds = False
+    n = model.num_coords
+    z = np.reshape([rng.standard_normal(n) for _ in range(sample_count)], (-1, n))
+    holds = bool(poly.contains_batch(gradient_rows(model, _unit_rows(z)), tol=hull_tol).all())
+    # the image of coordinate point e_i is projected weight i itself
+    pw = model.projected_weights
+    verts = poly.vertices
+    nearest = np.abs(pw[None, :, :] - verts[:, None, :]).max(axis=2).argmin(axis=1)
+    if float(np.abs(pw[nearest] - verts).max()) > 1e-12:
+        holds = False
     return poly, holds
 
 
@@ -502,46 +570,44 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int, seed
     (a) gradient-map images of flowed points stay in the relative
     interior of the predicted hull for sampled directions, and (b) flow
     limits along supporting and sampled integer directions attain every
-    vertex of the predicted hull.
+    vertex of the predicted hull.  Each part draws its samples first and
+    then evaluates them all at once.
     """
-    supp = list(x.support)
-    pts = model.projected_weights[supp]
-    poly = Polytope(pts)
+    model.require_point(x)
+    supp = x.support_mask
+    poly = Polytope(model.projected_weights[supp])
     rng = substream(seed, 0)
     d = model.subalgebra_dim
+
+    def speeds(draws) -> np.ndarray:
+        return np.reshape(draws, (-1, d)) @ model.ortho_basis @ model.weights.T
+
+    def limit_images(lv: np.ndarray) -> np.ndarray:
+        lim = np.where(limit_support(lv, supp[None, :]), x.coords, 0.0)
+        return gradient_rows(model, _unit_rows(lim))
+
     # (a) interior: moderate |beta| keeps images resolvably off the boundary
-    for _ in range(sample_count):
-        u = unit_vector(rng, d) * rng.uniform(0.0, 0.75)
-        beta = model.ortho_basis.T @ u
-        y = flow(model, beta, 1.0, x)
-        if not poly.strictly_inside(gradient_map(model, y), tol=hull_tol):
-            return False
+    lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
+    flowed = flow_rows(lv, 1.0, x.coords)
+    if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed)),
+                                      tol=hull_tol).all():
+        return False
     # (b) vertex attainment along supporting directions, with perturbed retries
     centroid = poly.vertices.mean(axis=0)
+    cands = []
     for vi, v in enumerate(poly.vertices):
-        attained = False
-        candidates = [poly.supporting_direction(vi), v - centroid]
-        candidates += [poly.supporting_direction(vi) + 1e-3 * unit_vector(rng, d) for _ in range(8)]
-        for u in candidates:
-            if float(np.linalg.norm(u)) < 1e-12:
-                u = np.ones(d)  # 0-dimensional hull: any direction works
-            beta = model.ortho_basis.T @ u
-            lim = flow_limit(model, beta, x)
-            if float(np.abs(gradient_map(model, lim) - v).max()) <= hull_tol:
-                attained = True
-                break
-        if not attained:
-            return False
-    # sampled integer directions must land inside the predicted hull
-    for _ in range(sample_count):
-        u = rng.integers(-9, 10, size=d).astype(float)
-        if not u.any():
-            continue
-        beta = model.ortho_basis.T @ u
-        lim = flow_limit(model, beta, x)
-        if not poly.contains(gradient_map(model, lim), tol=hull_tol):
-            return False
-    return True
+        sd = poly.supporting_direction(vi)
+        cands += [sd, v - centroid] + [sd + 1e-3 * unit_vector(rng, d) for _ in range(8)]
+    us = np.array(cands)
+    us[np.linalg.norm(us, axis=1) < 1e-12] = 1.0  # 0-dimensional hull: any direction works
+    miss = np.abs(limit_images(speeds(us)) - np.repeat(poly.vertices, 10, axis=0)).max(axis=1)
+    if not (miss <= hull_tol).reshape(-1, 10).any(axis=1).all():
+        return False
+    # sampled integer directions (zero draws skipped) must land inside the predicted hull
+    us = np.reshape([rng.integers(-9, 10, size=d).astype(float) for _ in range(sample_count)],
+                    (-1, d))
+    lv = speeds(us[us.any(axis=1)])
+    return bool(poly.contains_batch(limit_images(lv), tol=hull_tol).all())
 
 
 def certified_fraction(model: WeightedModel, trials: int, seed: int) -> float:
@@ -554,19 +620,8 @@ def certified_fraction(model: WeightedModel, trials: int, seed: int) -> float:
     rng = substream(seed, 0)
     u = rng.standard_normal((trials, model.subalgebra_dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    betas = u @ model.ortho_basis  # (trials, m)
-    levels = model.weights @ betas.T  # (n+1, trials)
-    tol = 1e-12 * np.maximum(1.0, np.abs(levels).max(axis=0))
-    classes = model.joint_partition
-    ok = np.ones(trials, dtype=bool)
-    reps = [g[0] for g in classes]
-    for g in classes:  # within-class speeds must agree
-        for i in g[1:]:
-            ok &= np.abs(levels[i] - levels[g[0]]) <= tol
-    for a in range(len(reps)):  # across classes they must separate
-        for b in range(a + 1, len(reps)):
-            ok &= np.abs(levels[reps[a]] - levels[reps[b]]) > tol
-    return float(np.count_nonzero(ok)) / trials
+    levels = (u @ model.ortho_basis) @ model.weights.T  # (trials, n+1)
+    return float(np.count_nonzero(certify_levels(model, levels))) / trials
 
 
 def random_weighted_model(rng: np.random.Generator, max_coords: int = 10,

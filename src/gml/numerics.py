@@ -239,11 +239,6 @@ class Linearization:
     matrix: np.ndarray       # (n, n) symmetric
     eigenvalues: np.ndarray  # ascending
 
-    def eigenvector_ambient(self, k: int) -> np.ndarray:
-        """Eigenvector number k lifted back to ambient coordinates."""
-        _, vecs = np.linalg.eigh(self.matrix)
-        return vecs[:, k] @ self.frame
-
 
 def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 1e-6,
                      fix_tol: float = FIX_TOL_DEFAULT, sym_tol: float = 1e-5) -> Linearization:

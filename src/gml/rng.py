@@ -8,22 +8,50 @@ failed trial needs only its ``(seed, trial_index)`` pair.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
+def _key(seed: int, trial_index: int) -> np.ndarray:
+    """Philox key of one trial's stream."""
+    return np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
+
+
 def substream(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent generator for one trial, keyed by (seed, trial_index)."""
-    key = np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, trial_index)))
+
+
+def trial_streams(seed: int, n: int):
+    """Yield ``(k, generator)`` for k = 0..n-1, drawing exactly as
+    ``substream(seed, k)`` would.
+
+    One private Philox generator is re-keyed to ``[seed, k]`` through its
+    ``state`` (counter 0, empty buffer) instead of being constructed
+    anew, which is several times cheaper.  The yielded generator is only
+    valid until the next iteration: the next step re-keys it, so keep
+    draws, never the generator.
+    """
+    bitgen = np.random.Philox(key=_key(seed, 0))
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    inner = {"counter": zeros}
+    state = {"bit_generator": "Philox", "state": inner,
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k in range(n):
+        inner["key"] = _key(seed, k)
+        bitgen.state = state  # the setter copies the values
+        yield k, gen
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Uniform draw from the unit sphere in R^dim."""
     while True:
         v = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(v.dot(v))  # bit for bit np.linalg.norm(v), without its overhead
         if nrm > 1e-12:
             return v / nrm
 

@@ -4,6 +4,15 @@ import json
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # derandomized and deadline-free, so every run replays the same examples
+    settings.register_profile("tier1", derandomize=True, deadline=None)
+    settings.load_profile("tier1")
+
 from gml import WeightedModel, random_weighted_model
 from gml.rng import substream
 from gml.serialization import save_model

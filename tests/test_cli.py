@@ -4,8 +4,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from gml import WeightedModel
 from gml.cli import main
+from gml.serialization import save_model
 
 
 def run_cli(capsys, *argv):
@@ -143,3 +146,66 @@ def test_malformed_model_exits_two(malformed_file, capsys):
     code, _, err = run_cli(capsys, "describe", str(malformed_file))
     assert code == 2
     assert "line" in err
+
+
+# ------------------------------------------------- input errors exit 2, one line
+
+
+def assert_input_error(code, err):
+    """Exit 2 with a single 'error: ...' line and no traceback."""
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_run_zero_trials_exits_two(square_file, capsys):
+    code, _, err = run_cli(capsys, "run", "--campaign", "theorem1",
+                           "--model", str(square_file), "--trials", "0")
+    assert_input_error(code, err)
+
+
+def test_run_negative_seed_exits_two(square_file, capsys):
+    code, _, err = run_cli(capsys, "run", "--campaign", "theorem1",
+                           "--model", str(square_file), "--seed=-1")
+    assert_input_error(code, err)
+
+
+def test_limit_nan_point_exits_two(square_file, capsys):
+    code, _, err = run_cli(capsys, "limit", "--model", str(square_file),
+                           "--beta", "1,0", "--point", "1,nan,1,1")
+    assert_input_error(code, err)
+
+
+def test_limit_zero_point_exits_two(square_file, capsys):
+    code, _, err = run_cli(capsys, "limit", "--model", str(square_file),
+                           "--beta", "1,0", "--point", "0,0,0,0")
+    assert_input_error(code, err)
+
+
+def test_flow_infinite_time_exits_two(square_file, capsys):
+    code, _, err = run_cli(capsys, "flow", "--model", str(square_file),
+                           "--beta", "1,0", "--point", "1,1,1,1", "--t", "inf")
+    assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("point", ["1,1", "1,1,1,1,1,1"])
+def test_limit_wrong_length_point_exits_two(square_file, capsys, point):
+    code, out, err = run_cli(capsys, "limit", "--model", str(square_file),
+                             "--beta", "1,0", "--point", point)
+    assert_input_error(code, err)
+    assert out == ""
+    assert "expected 4" in err
+
+
+def test_theorem2_without_uniform_box_exits_two(tmp_path, capsys):
+    # the pair (0, 1) leads in the second basis slot with an opposing third
+    # slot, so no uniform step-size box exists for the stored basis
+    model = WeightedModel(name="no-box", weights=[[0, 0, 0], [0, 1, -1], [1, 0, 0]],
+                          subalgebra=np.eye(3))
+    path = tmp_path / "no-box.json"
+    save_model(model, path)
+    code, _, err = run_cli(capsys, "run", "--campaign", "theorem2",
+                           "--model", str(path), "--trials", "5")
+    assert_input_error(code, err)
+    assert "uniform step-size box" in err

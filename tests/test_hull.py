@@ -1,8 +1,14 @@
 """Low-dimensional convex hulls with degenerate (point/segment) cases."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gml
 from gml.hull import Polytope
 from gml.rng import substream
 
@@ -87,3 +93,17 @@ def test_supporting_direction_maximized_at_its_vertex():
         vals = poly.vertices @ u
         assert np.argmax(vals) == k
         assert vals[k] > np.max(np.delete(vals, k)) + 1e-9
+
+
+def test_scipy_spatial_imported_only_at_first_qhull_build():
+    # scipy.spatial dominates import time; commands that build no hull
+    # should not pay for it
+    src = str(Path(gml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, gml.cli\n"
+            "print('scipy.spatial' in sys.modules)\n"
+            "gml.hull.Polytope([[0, 0], [1, 0], [0, 1]])\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["False", "True"]

@@ -28,13 +28,15 @@ from gml import (
     stabilizer_algebra,
     unstable_component,
 )
+from gml.campaigns import run_campaign_model
 from gml.errors import (
     BetaOutsideSubalgebra,
     DependentBasis,
     ExhaustedRetries,
+    GmlInputError,
     NonPositiveEpsilon,
 )
-from gml.model import model_chain_threshold_witness
+from gml.model import _vector_partition, certify_levels, model_chain_threshold_witness
 from gml.rng import substream
 
 from _oracles import lex_argmax_support
@@ -240,6 +242,19 @@ def test_composed_limit_reversed_basis(square_model):
 def test_composed_limit_fixes_joint_fixed_points(square_model):
     x = P(0, 0, 1, 0)
     assert composed_limit(square_model, None, x).same_as(x)
+
+
+def test_composed_limit_renormalizes_after_each_basis_row():
+    # the support shrinks to {0,1,2,3} along e1, then to {1,2} along e2;
+    # each step renormalizes, and one restriction straight to {1,2} would
+    # round the first coordinate differently
+    model = WeightedModel(name="shrink", weights=[[1, 0], [1, 1], [1, 1], [1, 0], [0, 5]],
+                          subalgebra=np.eye(2))
+    x = P(0.58, 0.07, 0.61, 0.09, 0.53)
+    lim = composed_limit(model, None, x)
+    assert lim.support == (1, 2)
+    assert lim.coords.tolist() == [0.0, 0.11400590984727986, 0.9934800715262959, 0.0, 0.0]
+    assert not np.array_equal(lim.coords, x.restricted([1, 2]).coords)
 
 
 def test_composed_limit_rejects_dependent_directions(square_model):
@@ -530,3 +545,72 @@ def test_random_models_have_positive_threshold(model_pool):
         assert model.num_coords <= 10
         assert model.torus_dim <= 4
         assert np.allclose(model.weights, np.round(model.weights))
+
+
+# ------------------------------------------------------------ joint partition
+
+
+def test_vector_partition_groups_rows_a_sort_interleaves():
+    # rows 0 and 2 agree to 1 ulp-scale noise (8.9e-16) in the first column;
+    # row 1 shares row 0's first column exactly, so a lexicographic sort puts
+    # it between them and a neighbour-only comparison splits the class
+    a = 0.70710678118654702
+    rows = np.array([[a, 2.0], [a, 3.0], [a + 8.9e-16, 2.0]])
+    assert np.lexsort(np.flipud(rows.T)).tolist() == [0, 1, 2]
+    assert _vector_partition(rows) == ((0, 2), (1,))
+
+
+def test_interleaved_joint_class_is_certified():
+    # coordinates 5 and 6 project to the same weight only up to 8.9e-16, and
+    # coordinate 2 sorts between them; every generic direction is certified
+    model = WeightedModel(
+        name="interleaved",
+        weights=[[1, 3, 2], [-3, 3, 3], [3, -3, 2], [-3, -2, 0], [2, 0, 2],
+                 [3, -2, 2], [-2, -2, -3], [2, -1, 1], [2, -1, -3], [-2, 2, 0]],
+        subalgebra=[[1, 0, -1], [0, -2, 0]])
+    assert (5, 6) in model.joint_partition
+    assert len(model.joint_partition) == 9
+    assert certified_fraction(model, 2000, seed=1) == 1.0
+    rep = run_campaign_model(model, "theorem1", trials=50, seed=103)
+    assert rep.passes == 50
+
+
+# ------------------------------------------------ kernels and their wrappers
+
+
+def test_certify_levels_matches_scalar_certificate(model_pool):
+    for model in model_pool[:12]:
+        rng = substream(31, 0)
+        u = rng.standard_normal((40, model.subalgebra_dim))
+        u[:5] = 0.0
+        u[:5, 0] = 1.0  # basis directions: often not certified
+        betas = u @ model.ortho_basis
+        batch = certify_levels(model, betas @ model.weights.T)
+        assert batch.tolist() == [direction_certificate(model, b) for b in betas]
+
+
+def test_certify_levels_rejects_split_joint_class(segment_model):
+    # coordinates 0 and 1 share a weight; speeds that separate them (not
+    # from any subalgebra direction) refine the joint partition
+    levels = np.array([[1.0, 0.5, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    assert certify_levels(segment_model, levels).tolist() == [False, True, False]
+
+
+def test_moment_polytope_is_cached(square_model):
+    assert moment_polytope(square_model) is moment_polytope(square_model)
+
+
+def test_model_entry_points_check_point_length(square_model):
+    short = P(1, 1)
+    with pytest.raises(GmlInputError):
+        flow_limit(square_model, [1, 0], short)
+    with pytest.raises(GmlInputError):
+        composed_limit(square_model, None, short)
+    with pytest.raises(GmlInputError):
+        perturbed_limit(square_model, None, [0.5], short)
+    with pytest.raises(GmlInputError):
+        flow(square_model, [1, 0], 1.0, short)
+    with pytest.raises(GmlInputError):
+        gradient_map(square_model, short)
+    with pytest.raises(GmlInputError):
+        stabilizer_algebra(square_model, short)

@@ -1,0 +1,119 @@
+"""Property tests: batched kernels against their scalar wrappers and the
+independent oracles in ``_oracles``."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from gml import ProjPoint, WeightedModel, composed_limit, flow_limit, perturbed_limit  # noqa: E402
+from gml.hull import Polytope  # noqa: E402
+from gml.model import limit_support  # noqa: E402
+from gml.rng import substream, trial_streams  # noqa: E402
+
+from _oracles import in_hull_lp, lex_argmax_support  # noqa: E402
+
+
+@st.composite
+def models_and_points(draw):
+    """Integer-weight model with the identity basis, plus a batch of points."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                                     min_size=n, max_size=n)), dtype=float)
+    model = WeightedModel(name="prop", weights=weights, subalgebra=np.eye(m))
+    rows = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
+                          .filter(any), min_size=rows, max_size=rows))
+    vals = draw(st.lists(st.lists(st.integers(1, 9), min_size=n, max_size=n),
+                         min_size=rows, max_size=rows))
+    coords = np.where(masks, vals, 0).astype(float)
+    return model, [ProjPoint(c) for c in coords]
+
+
+def _mask(points):
+    return np.array([x.support_mask for x in points])
+
+
+@given(models_and_points(), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+def test_flow_limit_kernel_agrees_with_wrapper_and_oracle(case, direction):
+    model, points = case
+    beta = np.array(direction[:model.torus_dim], dtype=float)
+    batch = limit_support((model.weights @ beta)[None, :], _mask(points))
+    for row, x in zip(batch, points):
+        support = tuple(np.flatnonzero(row).tolist())
+        assert flow_limit(model, beta, x).support == support
+        assert lex_argmax_support(model.weights, [beta], x.support) == support
+
+
+@given(models_and_points())
+def test_composed_kernel_agrees_with_wrapper_and_oracle(case):
+    model, points = case
+    batch = _mask(points)
+    for a in model.subalgebra:
+        batch = limit_support((model.weights @ a)[None, :], batch)
+    for row, x in zip(batch, points):
+        support = tuple(np.flatnonzero(row).tolist())
+        assert composed_limit(model, None, x).support == support
+        assert lex_argmax_support(model.weights, model.subalgebra, x.support) == support
+
+
+@given(models_and_points(), st.lists(st.floats(1e-3, 0.05), min_size=6, max_size=6))
+def test_perturbed_kernel_agrees_with_wrapper_and_composed(case, steps):
+    # weight differences are integers of size at most 6 per slot, so nested
+    # steps s, s^2, ... with s <= 0.05 keep every lexicographic sign; each
+    # point gets its own s, so every row has its own level vector
+    model, points = case
+    powers = np.arange(1.0, model.subalgebra_dim)
+    eps = np.array(steps[:len(points)])[:, None] ** powers
+    betas = model.subalgebra[0] + eps @ model.subalgebra[1:]
+    batch = limit_support(betas @ model.weights.T, _mask(points))
+    for row, x, e in zip(batch, points, eps):
+        support = tuple(np.flatnonzero(row).tolist())
+        assert perturbed_limit(model, None, e, x).support == support
+        assert lex_argmax_support(model.weights, model.subalgebra, x.support) == support
+
+
+@st.composite
+def hulls_and_queries(draw):
+    """Integer point sets of every affine rank in R^2 or R^3, and queries on
+    a quarter grid: each query lies on a face or clearly off it."""
+    d = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                        min_size=1, max_size=6))
+    queries = draw(st.lists(st.lists(st.integers(-12, 12), min_size=d, max_size=d),
+                            min_size=1, max_size=8))
+    return np.array(pts, dtype=float), np.array(queries, dtype=float) / 4.0
+
+
+@given(hulls_and_queries())
+def test_batched_hull_queries_agree_with_lp_and_scalar(case):
+    pts, queries = case
+    poly = Polytope(pts)
+    inside = poly.contains_batch(queries)
+    strict = poly.strictly_inside_batch(queries)
+    assert inside.tolist() == [in_hull_lp(pts, q) for q in queries]
+    assert inside.tolist() == [poly.contains(q) for q in queries]
+    assert strict.tolist() == [poly.strictly_inside(q) for q in queries]
+    assert not (strict & ~inside).any()
+
+
+DRAWS = {
+    "standard_normal": lambda g, size: g.standard_normal(size),
+    "random": lambda g, size: g.random(size),
+    "integers": lambda g, size: g.integers(-9, 10, size=size),
+    "uniform": lambda g, size: g.uniform(0.0, 0.75, size=size),
+    # 32-bit draws leave half of a 64-bit word buffered in the generator
+    "random32": lambda g, size: g.random(size, dtype=np.float32),
+}
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 5),
+       st.lists(st.tuples(st.sampled_from(sorted(DRAWS)), st.integers(1, 5)),
+                min_size=1, max_size=6))
+def test_trial_streams_draw_as_substreams(seed, n, plan):
+    for k, gen in trial_streams(seed, n):
+        ref = substream(seed, k)
+        for kind, size in plan:
+            assert np.array_equal(DRAWS[kind](gen, size), DRAWS[kind](ref, size))
