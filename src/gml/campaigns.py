@@ -24,7 +24,7 @@ from .rng import open_uniform, substream, trial_streams, unit_vector
 from .serialization import jsonify, load_model
 from .spectral import (
     delta_threshold_witness,
-    perturbed_kernel_equality,
+    kernel_equality_rows,
     random_commuting_family,
 )
 
@@ -176,37 +176,33 @@ def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
 
 def _campaign_lemma(model, trials, seed, tols, probe_tightness):
     # operator-level campaign; the model only scopes the report
+    n_eps = 10
     passes, failures = 0, []
-    for k in range(trials):
-        rng = substream(seed, k)
+    for k, rng in trial_streams(seed, trials):
         dim = int(rng.integers(2, 13))
         fam = random_commuting_family(rng, dim, members=2)
         alpha, beta = fam.members
         delta, witnesses = delta_threshold_witness(alpha, beta)
         cap = (delta * (1.0 - 1e-9)) if math.isfinite(delta) else 10.0
-        ok = True
+        eps = [open_uniform(rng, 0.0, cap) for _ in range(n_eps)]
+        # tightness probe: at eps = delta the kernel must strictly jump
+        probe = math.isfinite(delta) and any(a * b < 0 for a, b in witnesses)
+        rows = eps + [delta] if probe else eps
+        holds, dims, _ = kernel_equality_rows(alpha, beta, rows, tol=tols["holds_tol"])
         detail = None
-        for _ in range(10):
-            eps = open_uniform(rng, 0.0, cap)
-            rep = perturbed_kernel_equality(alpha, beta, eps, tol=tols["holds_tol"])
-            if not rep.holds:
-                ok = False
-                detail = {"eps": eps, "dims": rep.dims}
-                break
-        if ok and math.isfinite(delta) and any(a * b < 0 for a, b in witnesses):
-            # tightness probe: at eps = delta the kernel must strictly jump
-            rep = perturbed_kernel_equality(alpha, beta, delta, tol=tols["holds_tol"])
-            if not rep.dims[0] > rep.dims[1]:
-                ok = False
-                detail = {"eps": delta, "dims": rep.dims, "probe": True}
-        if ok:
+        if not holds[:n_eps].all():
+            i = int(np.argmin(holds[:n_eps]))  # the first failing eps
+            detail = {"eps": eps[i], "dims": dims[i]}
+        elif probe and not dims[n_eps, 0] > dims[n_eps, 1]:
+            detail = {"eps": delta, "dims": dims[n_eps], "probe": True}
+        if detail is None:
             passes += 1
         else:
             failures.append(_failure(seed, k,
                                      {"alpha": alpha.entries, "beta": beta.entries,
-                                      "delta": delta, **(detail or {})},
-                                     {"holds": True}, {"holds": False, **(detail or {})}))
-    thresholds = {"holds_tol": tols["holds_tol"], "eps_count": 10}
+                                      "delta": delta, **detail},
+                                     {"holds": True}, {"holds": False, **detail}))
+    thresholds = {"holds_tol": tols["holds_tol"], "eps_count": n_eps}
     return passes, failures, thresholds, trials
 
 

@@ -16,12 +16,15 @@ from .errors import (
     CommutationViolation,
     ConvergenceFailure,
     DimensionMismatch,
+    GmlInputError,
     NonPositiveEpsilon,
 )
 
 # Fixed seed for the random mixing combination inside joint_diagonalize,
 # so repeated calls on the same family give bit-identical output.
 _MIX_SEED = 0x5EEDED
+# Principal angles below this (as 1 - cosine) count as zero in intersections.
+_ANGLE_TOL = 1e-9
 
 
 def _entry_scale(entries: np.ndarray) -> float:
@@ -43,6 +46,26 @@ def _canonical_sign_columns(cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetrized(m: np.ndarray, sym_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Check a stack ``(..., n, n)`` of nonempty matrices for finite entries
+    and a symmetry defect within tolerance, then symmetrize each.
+
+    The default tolerance of a matrix is ``1e-10 * max(1, max |entry|)``.
+    Returns the symmetrized stack and the per-matrix tolerances.
+    """
+    if not np.all(np.isfinite(m)):
+        raise GmlInputError("matrix entries must be finite")
+    flipped = np.swapaxes(m, -1, -2)
+    tol = sym_tol if sym_tol is not None else 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    defect, tol = np.broadcast_arrays(np.abs(m - flipped).max(axis=(-2, -1)), tol)
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        i = bad[0]
+        raise GmlInputError(f"matrix is not symmetric: max asymmetry {defect.flat[i]:.3e} "
+                            f"> tol {tol.flat[i]:.3e}")
+    return (m + flipped) / 2.0, tol
+
+
 @dataclass(frozen=True, eq=False)
 class SymMat:
     """Dense real symmetric matrix with a validated symmetry defect."""
@@ -53,17 +76,11 @@ class SymMat:
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        tol = self.sym_tol if self.sym_tol is not None else 1e-10 * max(1.0, _entry_scale(m))
-        defect = float(np.abs(m - m.T).max())
-        if defect > tol:
-            raise ValueError(f"matrix is not symmetric: max asymmetry {defect:.3e} > tol {tol:.3e}")
-        m = (m + m.T) / 2.0
+            raise GmlInputError(f"expected a nonempty square matrix, got shape {m.shape}")
+        m, tol = _symmetrized(m, self.sym_tol)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "sym_tol", tol)
+        object.__setattr__(self, "sym_tol", float(tol))
 
     @property
     def dim(self) -> int:
@@ -72,12 +89,6 @@ class SymMat:
     @classmethod
     def diag(cls, values) -> "SymMat":
         return cls(np.diag(np.asarray(values, dtype=float)))
-
-    def shifted(self, eps: float, other: "SymMat") -> "SymMat":
-        """The symmetric matrix ``self + eps * other``."""
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"cannot combine {self.dim}x{self.dim} with {other.dim}x{other.dim}")
-        return SymMat(self.entries + eps * other.entries)
 
 
 def commutator_norm(a: SymMat, b: SymMat) -> float:
@@ -232,12 +243,7 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     output deterministic.  Raises ConvergenceFailure when some member is
     not reconstructed within ``tol`` (relative to its Frobenius norm).
     """
-    arrays = [m.entries for m in fam.members]
-    for i in range(len(arrays)):
-        for j in range(i + 1, len(arrays)):
-            tol_ij = fam.comm_tol if fam.comm_tol is not None else _pair_comm_tol(fam.members[i], fam.members[j])
-            if commutator_norm(fam.members[i], fam.members[j]) > tol_ij:
-                raise CommutationViolation(f"members {i} and {j} do not commute")
+    arrays = [m.entries for m in fam.members]  # commutation was checked on construction
     n = fam.dim
     rng = np.random.default_rng(_MIX_SEED)
     coeffs = rng.standard_normal(len(arrays))
@@ -259,27 +265,36 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     return JointSpectrum(basis=q, levels=levels)
 
 
+def _zero_eigenspace(w: np.ndarray, v: np.ndarray, tol: float) -> Subspace:
+    """Span of the eigenvectors (columns of v) whose |eigenvalue| is <= tol."""
+    return Subspace(v.shape[0], _canonical_sign_columns(v[:, np.abs(w) <= tol]))
+
+
 def kernel(a: SymMat, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the eigenspace with |eigenvalue| <= tol."""
     if tol is None:
         tol = _zero_tol(a.entries)
     w, v = np.linalg.eigh(a.entries)
-    cols = v[:, np.abs(w) <= tol]
-    return Subspace(a.dim, _canonical_sign_columns(cols))
+    return _zero_eigenspace(w, v, tol)
 
 
-def subspace_intersection(u: Subspace, v: Subspace, tol: float = 1e-9) -> Subspace:
+def _zero_angles(u: Subspace, v: Subspace, tol: float) -> tuple[np.ndarray, int]:
+    """Left singular vectors of ``U^T V``, and how many principal angles
+    between u and v are zero (cosine >= 1 - tol)."""
+    if u.dim == 0 or v.dim == 0:
+        return np.zeros((u.dim, 0)), 0
+    w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
+    return w, int(np.count_nonzero(s >= 1.0 - tol))
+
+
+def subspace_intersection(u: Subspace, v: Subspace, tol: float = _ANGLE_TOL) -> Subspace:
     """Intersection computed from principal angles (singular values of U^T V)."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}")
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.empty(u.ambient_dim)
-    w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
-    count = int(np.count_nonzero(s >= 1.0 - tol))
+    w, count = _zero_angles(u, v, tol)
     if count == 0:
         return Subspace.empty(u.ambient_dim)
-    cols = u.basis @ w[:, :count]
-    q, _ = np.linalg.qr(cols)
+    q, _ = np.linalg.qr(u.basis @ w[:, :count])
     return Subspace(u.ambient_dim, _canonical_sign_columns(q))
 
 
@@ -291,7 +306,6 @@ def _check_pair(alpha: SymMat, beta: SymMat, comm_tol: float | None) -> None:
 
 
 def _pair_levels(alpha: SymMat, beta: SymMat, comm_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    _check_pair(alpha, beta, comm_tol)
     spectrum = joint_diagonalize(CommutingFamily((alpha, beta), comm_tol=comm_tol))
     return spectrum.levels[0], spectrum.levels[1]
 
@@ -339,28 +353,47 @@ class KernelEqualityReport:
     projector_distance: float
 
 
+def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
+                         kernel_tol: float | None = None, comm_tol: float | None = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at each of
+    the step sizes ``eps (m,)``.
+
+    Commutation, ``Ker alpha ∩ Ker beta`` and its projector are computed
+    once; the m shifted matrices are validated and eigendecomposed as one
+    ``(m, n, n)`` stack.  Returns ``holds (m,)``, ``dims (m, 3)`` as in
+    ``KernelEqualityReport``, and the projector distances ``(m,)``.
+    """
+    eps = np.asarray(eps, dtype=float)
+    bad = np.flatnonzero(~(eps > 0))
+    if bad.size:
+        raise NonPositiveEpsilon(f"eps must be strictly positive, got {eps[bad[0]]}")
+    _check_pair(alpha, beta, comm_tol)
+    k_int = subspace_intersection(kernel(alpha, tol=kernel_tol), kernel(beta, tol=kernel_tol))
+    p_int = k_int.projector()
+    shifted, _ = _symmetrized(alpha.entries + eps[:, None, None] * beta.entries)
+    # A shifted matrix can be numerically zero (exact cancellation at the
+    # threshold step size), so its own entry scale is useless as a zero
+    # threshold; floor it by the scale of the inputs instead.
+    if kernel_tol is None:
+        shift_tol = 1e-12 * np.maximum(_entry_scale(alpha.entries), eps * _entry_scale(beta.entries))
+    else:
+        shift_tol = np.full(eps.shape, kernel_tol)
+    w, v = np.linalg.eigh(shifted)
+    k_pert = [_zero_eigenspace(*row) for row in zip(w, v, shift_tol)]
+    dist = np.linalg.norm(np.array([k.projector() for k in k_pert]) - p_int, 2, axis=(1, 2))
+    dims = np.array([(k.dim, k_int.dim, _zero_angles(k, k_int, _ANGLE_TOL)[1]) for k in k_pert])
+    return dist <= tol, dims, dist
+
+
 def perturbed_kernel_equality(alpha: SymMat, beta: SymMat, eps: float,
                               tol: float = 1e-8, kernel_tol: float | None = None,
                               comm_tol: float | None = None) -> KernelEqualityReport:
     """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at one eps."""
-    if not eps > 0:
-        raise NonPositiveEpsilon(f"eps must be strictly positive, got {eps}")
-    _check_pair(alpha, beta, comm_tol)
-    shifted = alpha.shifted(eps, beta)
-    # The shifted matrix can be numerically zero (exact cancellation at the
-    # threshold step size), so its own entry scale is useless as a zero
-    # threshold; floor it by the scale of the inputs instead.
-    shift_tol = kernel_tol
-    if shift_tol is None:
-        shift_tol = 1e-12 * max(_entry_scale(alpha.entries),
-                                eps * _entry_scale(beta.entries))
-    k_pert = kernel(shifted, tol=shift_tol)
-    k_int = subspace_intersection(kernel(alpha, tol=kernel_tol), kernel(beta, tol=kernel_tol))
-    overlap = subspace_intersection(k_pert, k_int)
-    dist = float(np.linalg.norm(k_pert.projector() - k_int.projector(), 2))
-    holds = dist <= tol
-    return KernelEqualityReport(holds=holds, dims=(k_pert.dim, k_int.dim, overlap.dim),
-                                projector_distance=dist)
+    holds, dims, dist = kernel_equality_rows(alpha, beta, [eps], tol=tol,
+                                             kernel_tol=kernel_tol, comm_tol=comm_tol)
+    return KernelEqualityReport(holds=bool(holds[0]), dims=tuple(dims[0].tolist()),
+                                projector_distance=float(dist[0]))
 
 
 def chain_threshold(fam: CommutingFamily, tol: float | None = None) -> float:

@@ -209,3 +209,11 @@ def test_theorem2_without_uniform_box_exits_two(tmp_path, capsys):
                            "--model", str(path), "--trials", "5")
     assert_input_error(code, err)
     assert "uniform step-size box" in err
+
+
+@pytest.mark.parametrize("alpha", ["[[1,2],[0,1]]", "[[1,2]]", "diag:1,nan"],
+                         ids=["non-symmetric", "non-square", "non-finite"])
+def test_delta_bad_matrix_exits_two(capsys, alpha):
+    code, out, err = run_cli(capsys, "delta", "--alpha", alpha, "--beta", "diag:1,1")
+    assert_input_error(code, err)
+    assert out == ""

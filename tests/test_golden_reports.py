@@ -3,12 +3,19 @@
 The goldens in ``tests/data/golden_reports.json`` pin replay of the
 theorem1, theorem2 (with tightness probes, so failure records are
 pinned too) and convexity campaigns on the two canonical models and two
-acceptance-pool models.  Regenerate them only when a report is meant to
-change, with ``PYTHONPATH=src python tests/test_golden_reports.py``.
+acceptance-pool models.  They also pin the lemma-linearization campaign,
+which draws its own operator pairs: once with the default tolerances,
+once with ``holds_tol = 0`` (failing eps rows are recorded), and once
+with ``holds_tol = 0`` and every threshold halved (each ``eps = delta``
+tightness probe then sits inside the safe range and fails, and is
+recorded only for trials whose eps rows all hold).  Regenerate
+them only when a report is meant to change, with
+``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -16,9 +23,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import POOL_SEED, make_segment_model, make_square_model  # noqa: E402
-from gml import random_weighted_model  # noqa: E402
+from gml import campaigns, random_weighted_model  # noqa: E402
 from gml.campaigns import run_campaign_model  # noqa: E402
 from gml.rng import substream  # noqa: E402
+from gml.spectral import delta_threshold_witness  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 POOL_PICKS = ("random-11", "random-14")
@@ -28,6 +36,12 @@ RUNS = (
     ("theorem1", 120, 11, False),
     ("theorem2", 60, 12, True),
     ("convexity", 3, 13, False),
+)
+# (case id, trials, seed, tolerance overrides, halve every threshold)
+LEMMA_RUNS = (
+    ("lemma-linearization/unit-square", 30, 14, None, False),
+    ("lemma-linearization/holds_tol=0", 10, 15, {"holds_tol": 0.0}, False),
+    ("lemma-linearization/halved-delta", 10, 17, {"holds_tol": 0.0}, True),
 )
 
 
@@ -45,16 +59,38 @@ def _case_id(model_name: str, campaign: str) -> str:
     return f"{campaign}/{model_name}"
 
 
-def _report_text(model, campaign, trials, seed, probe) -> str:
-    obj = run_campaign_model(model, campaign, trials, seed, probe_tightness=probe).to_obj()
+def _report_text(model, campaign, trials, seed, probe, tolerances=None) -> str:
+    obj = run_campaign_model(model, campaign, trials, seed, tolerances=tolerances,
+                             probe_tightness=probe).to_obj()
     obj.pop("wall_time")
     return json.dumps(obj, indent=2) + "\n"
 
 
+@contextmanager
+def _halved_thresholds():
+    """Let the lemma campaign see every threshold halved, witnesses unchanged."""
+    def halved(alpha, beta):
+        delta, witnesses = delta_threshold_witness(alpha, beta)
+        return delta / 2.0, witnesses
+    campaigns.delta_threshold_witness = halved
+    try:
+        yield
+    finally:
+        campaigns.delta_threshold_witness = delta_threshold_witness
+
+
+def _lemma_text(trials, seed, tolerances, halve) -> str:
+    with _halved_thresholds() if halve else nullcontext():
+        return _report_text(make_square_model(), "lemma-linearization", trials, seed, False,
+                            tolerances)
+
+
 def _all_reports() -> dict:
     models = _models()
-    return {_case_id(name, campaign): _report_text(models[name], campaign, trials, seed, probe)
-            for name in MODEL_NAMES for campaign, trials, seed, probe in RUNS}
+    reports = {_case_id(name, campaign): _report_text(models[name], campaign, trials, seed, probe)
+               for name in MODEL_NAMES for campaign, trials, seed, probe in RUNS}
+    reports.update({case: _lemma_text(*run) for case, *run in LEMMA_RUNS})
+    return reports
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +110,28 @@ def test_report_matches_golden(goldens, models, model_name, campaign, trials, se
     assert got == goldens[_case_id(model_name, campaign)]
 
 
+@pytest.mark.parametrize("case,trials,seed,tolerances,halve", LEMMA_RUNS,
+                         ids=[r[0].split("/")[1] for r in LEMMA_RUNS])
+def test_lemma_report_matches_golden(goldens, case, trials, seed, tolerances, halve):
+    assert _lemma_text(trials, seed, tolerances, halve) == goldens[case]
+
+
 def test_goldens_pin_failure_records(goldens):
     """The probe runs leave failure records in the pinned set."""
     failures = [json.loads(text)["failures"] for key, text in goldens.items()
                 if key.startswith("theorem2/")]
     assert any(f and f[-1]["trial_index"] == -1 for f in failures)
+
+
+def test_goldens_pin_lemma_failure_records(goldens):
+    """Failing eps rows and failing tightness probes are both pinned."""
+    def failures(case):
+        return [f["actual"] for f in json.loads(goldens[case])["failures"]]
+    assert not failures("lemma-linearization/unit-square")
+    eps_rows = failures("lemma-linearization/holds_tol=0")
+    assert eps_rows and all("probe" not in f and len(f["dims"]) == 3 for f in eps_rows)
+    halved = failures("lemma-linearization/halved-delta")
+    assert any("probe" in f for f in halved) and any("probe" not in f for f in halved)
 
 
 if __name__ == "__main__":

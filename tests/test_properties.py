@@ -1,6 +1,8 @@
 """Property tests: batched kernels against their scalar wrappers and the
 independent oracles in ``_oracles``."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,15 @@ from gml import ProjPoint, WeightedModel, composed_limit, flow_limit, perturbed_
 from gml.hull import Polytope  # noqa: E402
 from gml.model import limit_support  # noqa: E402
 from gml.rng import substream, trial_streams  # noqa: E402
+from gml.spectral import (  # noqa: E402
+    SymMat,
+    delta_threshold,
+    delta_threshold_witness,
+    kernel_equality_rows,
+    perturbed_kernel_equality,
+)
 
-from _oracles import in_hull_lp, lex_argmax_support  # noqa: E402
+from _oracles import eps_grid_kernel_equality, in_hull_lp, lex_argmax_support  # noqa: E402
 
 
 @st.composite
@@ -117,3 +126,46 @@ def test_trial_streams_draw_as_substreams(seed, n, plan):
         ref = substream(seed, k)
         for kind, size in plan:
             assert np.array_equal(DRAWS[kind](gen, size), DRAWS[kind](ref, size))
+
+
+@st.composite
+def commuting_pairs(draw):
+    """Q diag(a) Q^T and Q diag(b) Q^T with integer levels in [-5, 5] and
+    one random orthogonal Q, in dimension 2 to 12."""
+    n = draw(st.integers(2, 12))
+    levels = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    q, _ = np.linalg.qr(substream(draw(st.integers(0, 2**32)), 0).standard_normal((n, n)))
+    return tuple(SymMat((q * np.array(draw(levels), dtype=float)) @ q.T) for _ in range(2))
+
+
+@given(commuting_pairs(), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+       st.sampled_from([None, 1e-9]))
+def test_kernel_equality_rows_agree_with_scalar_checks(pair, steps, kernel_tol):
+    # steps are multiples of delta, so rows fall on both sides of it;
+    # eps = delta itself is the last row whenever delta is finite
+    alpha, beta = pair
+    delta = delta_threshold(alpha, beta)
+    eps = [s * delta for s in steps] + [delta] if math.isfinite(delta) else steps
+    holds, dims, dist = kernel_equality_rows(alpha, beta, eps, kernel_tol=kernel_tol)
+    assert holds.shape == dist.shape == (len(eps),) and dims.shape == (len(eps), 3)
+    for e, row_holds, row_dims, row_dist in zip(eps, holds, dims, dist):
+        rep = perturbed_kernel_equality(alpha, beta, e, kernel_tol=kernel_tol)
+        assert row_holds == rep.holds
+        assert tuple(row_dims) == rep.dims
+        assert row_dist.tobytes() == np.float64(rep.projector_distance).tobytes()
+
+
+@given(commuting_pairs())
+def test_delta_threshold_agrees_with_grid_oracle(pair):
+    """Kernel equality holds on a grid below delta, and a threshold witnessed
+    by levels of opposite sign is tight: the kernel jumps at eps = delta."""
+    alpha, beta = pair
+    delta = delta_threshold(alpha, beta)
+    if not math.isfinite(delta):
+        assert all(eps_grid_kernel_equality(alpha.entries, beta.entries, [0.01, 1.0, 100.0]))
+        return
+    grid = [f * delta for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
+    assert all(eps_grid_kernel_equality(alpha.entries, beta.entries, grid))
+    _, witnesses = delta_threshold_witness(alpha, beta)
+    if any(a * b < 0 for a, b in witnesses):
+        assert eps_grid_kernel_equality(alpha.entries, beta.entries, [delta]) == [False]

@@ -21,10 +21,11 @@ from gml.errors import (
     CommutationViolation,
     ConvergenceFailure,
     DimensionMismatch,
+    GmlInputError,
     NonPositiveEpsilon,
 )
 from gml.rng import substream
-from gml.spectral import Subspace, delta_threshold_witness
+from gml.spectral import Subspace, delta_threshold_witness, kernel_equality_rows
 
 from _oracles import (
     chain_grid_kernel_equality,
@@ -273,6 +274,16 @@ def test_perturbed_equality_rejects_nonpositive_eps():
         perturbed_kernel_equality(a, a, 0.0)
     with pytest.raises(NonPositiveEpsilon):
         perturbed_kernel_equality(a, a, -0.5)
+
+
+def test_kernel_equality_rows_reject_any_bad_step():
+    a, b = SymMat.diag([1, 0]), SymMat.diag([0, 2])
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(NonPositiveEpsilon):
+            kernel_equality_rows(a, b, [0.5, bad, 0.25])
+    # 2 * 1e308 overflows: the shifted stack fails SymMat's finiteness check
+    with pytest.raises(GmlInputError), np.errstate(over="ignore"):
+        kernel_equality_rows(a, b, [0.5, 1e308])
 
 
 def test_perturbed_kernel_dim_never_below_joint_dim():
