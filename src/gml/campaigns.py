@@ -134,7 +134,7 @@ def _campaign_theorem1(model, trials, seed, tols, probe_tightness):
 
 def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
     alphas = model.subalgebra
-    delta = mdl.model_chain_threshold(model, alphas)
+    delta, probe_pairs = mdl.model_chain_threshold_witness(model, alphas)
     if delta == 0.0:
         raise GmlInputError("model admits no uniform step-size box for its stored basis")
     cap = min(delta, tols["eps_cap"]) * (1.0 - 1e-9)
@@ -154,8 +154,7 @@ def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
                 {"support": expected.support, "coords": expected.coords},
                 {"support": actual.support, "coords": actual.coords}))
     total = trials
-    if probe_tightness and n_eps >= 1:
-        _, probe_pairs = mdl.model_chain_threshold_witness(model, alphas)
+    if probe_tightness:
         for i, j in probe_pairs:
             total += 1
             z = np.zeros(model.num_coords)

@@ -18,20 +18,27 @@ import numpy as np
 
 from . import model as mdl
 from .campaigns import CAMPAIGNS, CampaignConfig, describe_model, run_campaign
-from .errors import GmlError
+from .errors import GmlError, GmlInputError
 from .serialization import jsonify, load_model, matrix_from_obj
 from .spectral import delta_threshold
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.replace(" ", "").split(",") if p], dtype=float)
+        vec = np.array([float(p) for p in text.replace(" ", "").split(",") if p], dtype=float)
     except ValueError:
-        raise GmlError(f"cannot parse vector '{text}'; expected comma-separated numbers") from None
+        raise GmlInputError(
+            f"cannot parse vector '{text}'; expected comma-separated numbers") from None
+    if not np.isfinite(vec).all():
+        raise GmlInputError(f"vector '{text}' has a non-finite entry")
+    return vec
 
 
 def _parse_vectors(text: str) -> np.ndarray:
-    return np.array([_parse_vector(part) for part in text.split(";") if part.strip()])
+    rows = [_parse_vector(part) for part in text.split(";") if part.strip()]
+    if len({row.size for row in rows}) > 1:
+        raise GmlInputError(f"vectors '{text}' have unequal lengths")
+    return np.array(rows)
 
 
 def _parse_matrix(text: str):

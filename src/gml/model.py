@@ -35,7 +35,7 @@ from .errors import (
 )
 from .hull import Polytope
 from .rng import substream, unit_vector
-from .spectral import Subspace, _canonical_sign_columns
+from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
 
@@ -144,6 +144,8 @@ class WeightedModel:
             raise ValueError(f"weights ({w.shape}) and subalgebra ({s.shape}) disagree on torus dimension")
         if not (1 <= s.shape[0] <= s.shape[1]):
             raise ValueError(f"subalgebra must have between 1 and {s.shape[1]} basis vectors")
+        if not (np.isfinite(w).all() and np.isfinite(s).all()):
+            raise GmlInputError("weights and subalgebra entries must be finite")
         svals = np.linalg.svd(s, compute_uv=False)
         if svals[-1] <= self.rank_tol * max(1.0, svals[0]):
             raise ValueError("subalgebra basis is rank deficient")
@@ -214,7 +216,7 @@ class WeightedModel:
             return b  # the subalgebra is the whole torus algebra
         r = b - self.ortho_basis.T @ (self.ortho_basis @ b)
         residual = math.sqrt(r.dot(r))  # np.linalg.norm, without its overhead
-        if residual > 1e-9 * max(1.0, math.sqrt(b.dot(b))):
+        if not residual <= 1e-9 * max(1.0, math.sqrt(b.dot(b))):  # NaN fails too
             raise BetaOutsideSubalgebra(
                 f"direction lies outside the subalgebra: residual {residual:.3e}")
         return b
@@ -378,38 +380,6 @@ def perturbed_limit(model: WeightedModel, alphas, eps, x: ProjPoint) -> ProjPoin
     return flow_limit(model, beta, x)
 
 
-def _pair_bounds(model: WeightedModel, a: np.ndarray):
-    """Per coordinate pair (i, j): bound on the uniform step-size box.
-
-    Yields (i, j, d, bound) with d the vector of speeds of lambda_i -
-    lambda_j along the basis rows; bound is +inf when the pair does not
-    constrain and 0.0 when no uniform box exists for it.
-    """
-    n1 = model.num_coords
-    diffs = []
-    pairs = []
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            pairs.append((i, j))
-            diffs.append(model.weights[i] - model.weights[j])
-    d_all = np.asarray(diffs) @ a.T  # (P, k)
-    tol = _level_tol(d_all)
-    for (i, j), d in zip(pairs, d_all):
-        sig = np.abs(d) > tol
-        if not sig.any():
-            continue
-        lead = int(np.argmax(sig))
-        tail = [k for k in range(lead + 1, d.size) if sig[k]]
-        if not tail:
-            yield i, j, d, math.inf
-        elif lead == 0:
-            yield i, j, d, float(abs(d[0]) / np.sum(np.abs(d[tail])))
-        elif any(np.sign(d[k]) != np.sign(d[lead]) for k in tail):
-            yield i, j, d, 0.0
-        else:
-            yield i, j, d, math.inf  # same-signed tail never flips the sign
-
-
 def model_chain_threshold(model: WeightedModel, alphas=None) -> float:
     """Largest uniform box radius delta for the ordered basis ``alphas``.
 
@@ -417,52 +387,26 @@ def model_chain_threshold(model: WeightedModel, alphas=None) -> float:
     ``d · (1, eps_2, ..., eps_k)`` matches the lexicographic sign of d
     for every weight-difference speed vector d, so the perturbed limit
     along ``alphas[0] + sum eps_k alphas[k]`` equals the composed limit.
-    Conservative per-pair bound ``|d_lead| / sum of later |d_k|`` at a
-    leading first slot; +infinity when no pair constrains; 0.0 when some
-    pair admits no uniform box (its leading slot is a later basis vector
-    and the entries after it carry mixed signs, so cancellation happens
-    at matched step sizes and only nested step choices work).
+    The bound is ``spectral.box_radius`` over the pair speeds: +infinity
+    when no pair constrains, 0.0 when some pair admits no uniform box
+    (only nested step choices work for it).
     """
-    a = model.require_basis(alphas)
-    if a.shape[0] == 1:
-        return math.inf
-    best = math.inf
-    for _, _, _, bound in _pair_bounds(model, a):
-        if bound == 0.0:
-            return 0.0
-        best = min(best, bound)
-    return best
+    return model_chain_threshold_witness(model, alphas)[0]
 
 
 def model_chain_threshold_witness(model: WeightedModel, alphas=None):
     """Threshold plus the binding pairs usable for tie probes.
 
-    Returns ``(delta, pairs)`` where each pair (i, j) attains the finite
-    threshold with every significant later entry opposing the leading
-    sign, so setting every step size exactly to delta produces an exact
-    speed tie between coordinates i and j.
+    Returns ``(delta, pairs)`` where each pair (i, j), i < j, attains the
+    finite threshold with every significant later entry opposing the
+    leading sign, so setting every step size exactly to delta produces an
+    exact speed tie between coordinates i and j.
     """
     a = model.require_basis(alphas)
-    if a.shape[0] == 1:
-        return math.inf, []
-    bounds = list(_pair_bounds(model, a))
-    if any(b == 0.0 for *_, b in bounds):
-        return 0.0, []
-    finite = [b for *_, b in bounds if math.isfinite(b)]
-    if not finite:
-        return math.inf, []
-    delta = min(finite)
-    probes = []
-    tol = 1e-9
-    for i, j, d, bound in bounds:
-        if not math.isfinite(bound) or bound > delta * (1 + tol):
-            continue
-        sig = np.abs(d) > _level_tol(d)
-        lead = int(np.argmax(sig))
-        tail = [k for k in range(lead + 1, d.size) if sig[k]]
-        if tail and all(np.sign(d[k]) == -np.sign(d[lead]) for k in tail):
-            probes.append((i, j))
-    return delta, probes
+    i, j = np.triu_indices(model.num_coords, k=1)
+    speeds = (model.weights[i] - model.weights[j]) @ a.T  # (P, k)
+    delta, _, ties = box_radius(speeds, _level_tol(speeds))
+    return delta, list(zip(i[ties].tolist(), j[ties].tolist()))
 
 
 def fixed_components(model: WeightedModel, beta) -> list[FixedComponent]:

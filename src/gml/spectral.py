@@ -298,16 +298,35 @@ def subspace_intersection(u: Subspace, v: Subspace, tol: float = _ANGLE_TOL) -> 
     return Subspace(u.ambient_dim, _canonical_sign_columns(q))
 
 
-def _check_pair(alpha: SymMat, beta: SymMat, comm_tol: float | None) -> None:
-    tol = comm_tol if comm_tol is not None else _pair_comm_tol(alpha, beta)
-    nrm = commutator_norm(alpha, beta)
-    if nrm > tol:
-        raise CommutationViolation(f"operators do not commute: |[A,B]| = {nrm:.3e} > tol {tol:.3e}")
+def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
+    """Box kernel: the largest delta such that every row l of ``levels
+    (P, k)`` keeps the sign of its leading entry along ``l · (1, eps_2,
+    ..., eps_k)`` for all step sizes in ``(0, delta)^(k-1)``.
 
-
-def _pair_levels(alpha: SymMat, beta: SymMat, comm_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    spectrum = joint_diagonalize(CommutingFamily((alpha, beta), comm_tol=comm_tol))
-    return spectrum.levels[0], spectrum.levels[1]
+    Entries with ``|l| <= tol`` (a scalar, or one per slot) do not count.
+    The first significant slot is the lead and the significant slots after
+    it are the tail.  A lead in slot 0 bounds delta by ``|l_0| / sum |tail|``;
+    a later lead with some tail entry of opposite sign admits no box at all
+    (0.0), since matched step sizes cancel; a tail that shares the lead's
+    sign constrains nothing.  Returns delta (+infinity when no row
+    constrains), ``binding (P,)``, the rows whose bound is within 1e-9
+    relative of delta, and ``ties (P,)``, the binding slot-0 rows whose
+    whole tail opposes the lead: with every step size at delta they vanish.
+    """
+    levels = np.asarray(levels, dtype=float)
+    mag = np.abs(levels)
+    sig = mag > tol
+    lead = sig.argmax(axis=1)
+    tail = sig & (np.arange(levels.shape[1]) > lead[:, None])
+    pos = levels > 0
+    opposed = tail & (pos != pos[np.arange(len(pos)), lead][:, None])
+    span = (mag * tail).sum(axis=1)
+    first = (lead == 0) & (span > 0)
+    bound = np.divide(mag[:, 0], span, where=first,
+                      out=np.where(opposed.any(axis=1), 0.0, math.inf))
+    delta = float(bound.min(initial=math.inf))
+    binding = (bound <= delta * (1.0 + 1e-9)) & (bound < math.inf)
+    return delta, binding, binding & first & (opposed == tail).all(axis=1)
 
 
 def delta_threshold(alpha: SymMat, beta: SymMat, tol: float | None = None,
@@ -326,17 +345,10 @@ def delta_threshold(alpha: SymMat, beta: SymMat, tol: float | None = None,
 def delta_threshold_witness(alpha: SymMat, beta: SymMat, tol: float | None = None,
                             comm_tol: float | None = None) -> tuple[float, list[tuple[float, float]]]:
     """Threshold plus the joint eigenvalue pairs (a_i, b_i) attaining it."""
-    a, b = _pair_levels(alpha, beta, comm_tol)
-    tol_a = tol if tol is not None else _zero_tol(alpha.entries)
-    tol_b = tol if tol is not None else _zero_tol(beta.entries)
-    mask = (np.abs(a) > tol_a) & (np.abs(b) > tol_b)
-    if not mask.any():
-        return math.inf, []
-    ratios = np.abs(a[mask]) / np.abs(b[mask])
-    delta = float(ratios.min())
-    at_min = ratios <= delta * (1.0 + 1e-9)
-    pairs = [(float(x), float(y)) for x, y in zip(a[mask][at_min], b[mask][at_min])]
-    return delta, pairs
+    levels = joint_diagonalize(CommutingFamily((alpha, beta), comm_tol)).levels.T
+    tols = [tol if tol is not None else _zero_tol(m.entries) for m in (alpha, beta)]
+    delta, binding, _ = box_radius(levels, np.array(tols))
+    return delta, [(float(x), float(y)) for x, y in levels[binding]]
 
 
 @dataclass(frozen=True)
@@ -368,7 +380,7 @@ def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
     bad = np.flatnonzero(~(eps > 0))
     if bad.size:
         raise NonPositiveEpsilon(f"eps must be strictly positive, got {eps[bad[0]]}")
-    _check_pair(alpha, beta, comm_tol)
+    CommutingFamily((alpha, beta), comm_tol)  # raises CommutationViolation
     k_int = subspace_intersection(kernel(alpha, tol=kernel_tol), kernel(beta, tol=kernel_tol))
     p_int = k_int.projector()
     shifted, _ = _symmetrized(alpha.entries + eps[:, None, None] * beta.entries)
@@ -402,33 +414,12 @@ def chain_threshold(fam: CommutingFamily, tol: float | None = None) -> float:
     Returns a delta such that for every choice of step sizes
     eps_2, ..., eps_n in (0, delta), the kernel of
     ``members[0] + sum_k eps_k * members[k]`` equals the joint kernel of
-    the whole family.  Per joint eigenvector with level column l, the
-    leading nonzero slot L yields the conservative bound
-    ``|l[L]| / sum_{k>L} |l[k]|`` when L is the first member; later-slot
-    columns constrain nothing when their tail shares one sign, and admit
-    no uniform box at all when tail signs are mixed (cancellation occurs
-    at matched step sizes), in which case 0.0 is returned.  Families of
-    one member return +infinity.
+    the whole family.  The bound is ``box_radius`` over the joint level
+    vectors, one per joint eigenvector: 0.0 when no uniform box exists,
+    +infinity when nothing constrains (always for one member).
     """
-    if len(fam) == 1:
-        return math.inf
-    spectrum = joint_diagonalize(fam)
     tols = [tol if tol is not None else _zero_tol(m.entries) for m in fam.members]
-    best = math.inf
-    for col in spectrum.levels.T:
-        sig = np.abs(col) > np.asarray(tols)
-        if not sig.any():
-            continue
-        lead = int(np.argmax(sig))
-        tail = [k for k in range(lead + 1, col.size) if sig[k]]
-        if not tail:
-            continue
-        if lead == 0:
-            best = min(best, float(abs(col[0]) / np.sum(np.abs(col[tail]))))
-        elif any(np.sign(col[k]) != np.sign(col[lead]) for k in tail):
-            return 0.0
-        # same-signed tails with positive step sizes can never cancel: no constraint
-    return best
+    return box_radius(joint_diagonalize(fam).levels.T, np.array(tols))[0]
 
 
 def random_commuting_family(rng: np.random.Generator, dim: int, members: int = 2,

@@ -2,8 +2,8 @@
 
 Every function here avoids the code paths of the package proper:
 kernel dimensions come from SVD ranks, hull membership from linear
-programming, and limit supports from direct combinatorics on the
-weight table.
+programming, and limit supports and speed signs from direct
+combinatorics on the weight table.
 """
 
 import numpy as np
@@ -88,3 +88,41 @@ def direct_flow(weights, beta, t, coords):
     levels = weights @ np.asarray(beta, dtype=float)
     y = np.exp(t * levels) * np.asarray(coords, dtype=float)
     return y / np.linalg.norm(y)
+
+
+def pair_speeds(weights, alphas) -> dict:
+    """Speed vector ``((w_i - w_j) . a for a in alphas)`` of every
+    coordinate pair i < j, by plain loops over the weight table."""
+    w = np.asarray(weights, dtype=float)
+    a = np.atleast_2d(np.asarray(alphas, dtype=float))
+    return {(i, j): np.array([float(np.dot(w[i] - w[j], row)) for row in a])
+            for i in range(len(w)) for j in range(i + 1, len(w))}
+
+
+def leading_sign(d, tol: float) -> int:
+    """Sign of the first entry of d with |entry| > tol; 0 when there is none."""
+    for x in d:
+        if abs(x) > tol:
+            return 1 if x > 0 else -1
+    return 0
+
+
+def box_radius_loop(levels, tol):
+    """The lead-slot/tail-sign box rule row by row: per row a bound
+    ``|l_0| / sum |tail|`` (lead in slot 0), 0.0 (later lead, some tail
+    entry opposing it) or +inf.  Returns (delta, binding rows, tie rows)."""
+    rows = np.asarray(levels, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), rows.shape[1:])
+    bounds, opposed = [], []
+    for row in rows:
+        sig = [k for k in range(row.size) if abs(row[k]) > tol[k]]
+        tail = sig[1:]
+        flips = [np.sign(row[k]) != np.sign(row[sig[0]]) for k in tail]
+        if tail and sig[0] == 0:
+            bounds.append(abs(row[0]) / sum(abs(row[k]) for k in tail))
+        else:
+            bounds.append(0.0 if any(flips) else float("inf"))
+        opposed.append(bool(tail) and sig[0] == 0 and all(flips))
+    delta = min(bounds, default=float("inf"))
+    binding = [p for p, b in enumerate(bounds) if b < float("inf") and b <= delta * (1 + 1e-9)]
+    return delta, binding, [p for p in binding if opposed[p]]

@@ -217,3 +217,27 @@ def test_delta_bad_matrix_exits_two(capsys, alpha):
     code, out, err = run_cli(capsys, "delta", "--alpha", alpha, "--beta", "diag:1,1")
     assert_input_error(code, err)
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("chain-threshold", "--alphas", "1,0;0"),
+    ("components", "--beta", "nan,0"),
+    ("components", "--beta", "inf,0"),
+    ("chain-threshold", "--alphas", "1,inf;0,1"),
+    ("chain-threshold", "--alphas", "1,nan;0,1"),
+], ids=["ragged-alphas", "nan-beta", "inf-beta", "inf-alphas", "nan-alphas"])
+def test_bad_numbers_exit_two(square_file, capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--model", str(square_file), *argv[1:])
+    assert_input_error(code, err)
+    assert out == ""
+
+
+def test_describe_infinite_weight_exits_two(square_file, capsys):
+    # JSON readers accept the bare token Infinity as a number
+    text = square_file.read_text().replace("1.0", "Infinity", 1)
+    assert "Infinity" in text
+    square_file.write_text(text)
+    code, out, err = run_cli(capsys, "describe", str(square_file))
+    assert_input_error(code, err)
+    assert out == ""
+    assert "must be finite" in err

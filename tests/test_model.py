@@ -140,6 +140,18 @@ def test_field_rejects_directions_outside_subalgebra():
                           subalgebra=[[1, 0]])
     with pytest.raises(BetaOutsideSubalgebra):
         fundamental_field(model, [0, 1], P(1, 1, 1))
+    # a NaN residual must not pass the residual test
+    with pytest.raises(BetaOutsideSubalgebra):
+        model.validate_direction([1.0, math.nan])
+
+
+@pytest.mark.parametrize("weights,subalgebra", [
+    ([[0, 0], [math.inf, 0]], [[1, 0]]),
+    ([[0, 0], [1, 0]], [[math.nan, 1]]),
+], ids=["inf-weight", "nan-subalgebra"])
+def test_model_rejects_non_finite_entries(weights, subalgebra):
+    with pytest.raises(GmlInputError, match="must be finite"):
+        WeightedModel(name="bad", weights=weights, subalgebra=subalgebra)
 
 
 # ----------------------------------------------------------------------- flow

@@ -11,17 +11,29 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from gml import ProjPoint, WeightedModel, composed_limit, flow_limit, perturbed_limit  # noqa: E402
 from gml.hull import Polytope  # noqa: E402
-from gml.model import limit_support  # noqa: E402
+from gml.model import (  # noqa: E402
+    limit_support,
+    model_chain_threshold_witness,
+    random_weighted_model,
+)
 from gml.rng import substream, trial_streams  # noqa: E402
 from gml.spectral import (  # noqa: E402
     SymMat,
+    box_radius,
     delta_threshold,
     delta_threshold_witness,
     kernel_equality_rows,
     perturbed_kernel_equality,
 )
 
-from _oracles import eps_grid_kernel_equality, in_hull_lp, lex_argmax_support  # noqa: E402
+from _oracles import (  # noqa: E402
+    box_radius_loop,
+    eps_grid_kernel_equality,
+    in_hull_lp,
+    leading_sign,
+    lex_argmax_support,
+    pair_speeds,
+)
 
 
 @st.composite
@@ -169,3 +181,56 @@ def test_delta_threshold_agrees_with_grid_oracle(pair):
     _, witnesses = delta_threshold_witness(alpha, beta)
     if any(a * b < 0 for a, b in witnesses):
         assert eps_grid_kernel_equality(alpha.entries, beta.entries, [delta]) == [False]
+
+
+@given(st.integers(0, 2**32), st.booleans(),
+       st.lists(st.floats(1e-3, 0.999), min_size=3, max_size=3))
+def test_model_chain_threshold_keeps_every_pair_sign(seed, stored, fractions):
+    """Inside the box every pair speed keeps the sign of its leading
+    significant entry, and at eps = delta every probe pair ties."""
+    model = random_weighted_model(substream(seed, 0), max_coords=7)
+    d = model.subalgebra_dim
+    alphas = model.subalgebra
+    if not stored:
+        alphas = substream(seed, 1).standard_normal((d, d)) @ alphas
+    svals = np.linalg.svd(alphas, compute_uv=False)
+    if svals[-1] <= 1e-6 * svals[0]:
+        return  # an ill-conditioned mix is not a basis worth checking
+    delta, probes = model_chain_threshold_witness(model, alphas)
+    if delta == 0.0:
+        return  # no uniform box for this basis: nothing to sample
+    speeds = pair_speeds(model.weights, alphas)
+    tol = 1e-12 * max(1.0, max(float(np.abs(v).max()) for v in speeds.values()))
+    eps = np.array(fractions[:d - 1]) * min(delta, 1.0)
+    for v in speeds.values():
+        lead = leading_sign(v, tol)
+        if lead:
+            assert np.sign(v[0] + eps @ v[1:]) == lead
+    for pair in probes:
+        v = speeds[pair]
+        assert abs(v[0] + delta * v[1:].sum()) <= 1e-9 * np.abs(v).max()
+
+
+@st.composite
+def level_tables(draw):
+    """(P, k) level table of small integers, optionally scaled per slot to
+    non-integers, with a scalar or per-slot tolerance."""
+    p, k = draw(st.integers(0, 8)), draw(st.integers(1, 5))
+    rows = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                                  min_size=p, max_size=p)), dtype=float).reshape(p, k)
+    if draw(st.booleans()):
+        rows = rows * np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)))
+    tol = draw(st.one_of(st.sampled_from([0.0, 1e-12, 0.5, 1.5]),
+                         st.lists(st.sampled_from([0.0, 0.5, 2.5]), min_size=k, max_size=k)
+                         .map(np.array)))
+    return rows, tol
+
+
+@given(level_tables())
+def test_box_radius_agrees_with_row_loop(case):
+    levels, tol = case
+    delta, binding, ties = box_radius(levels, tol)
+    want_delta, want_binding, want_ties = box_radius_loop(levels, tol)
+    assert delta == want_delta
+    assert np.flatnonzero(binding).tolist() == want_binding
+    assert np.flatnonzero(ties).tolist() == want_ties

@@ -25,7 +25,7 @@ from gml.errors import (
     NonPositiveEpsilon,
 )
 from gml.rng import substream
-from gml.spectral import Subspace, delta_threshold_witness, kernel_equality_rows
+from gml.spectral import Subspace, box_radius, delta_threshold_witness, kernel_equality_rows
 
 from _oracles import (
     chain_grid_kernel_equality,
@@ -286,6 +286,11 @@ def test_kernel_equality_rows_reject_any_bad_step():
         kernel_equality_rows(a, b, [0.5, 1e308])
 
 
+def test_kernel_equality_rows_rejects_noncommuting_pair():
+    with pytest.raises(CommutationViolation, match="members 0 and 1 do not commute"):
+        kernel_equality_rows(SymMat.diag([1, 0]), SymMat([[0, 1], [1, 0]]), [0.5])
+
+
 def test_perturbed_kernel_dim_never_below_joint_dim():
     for trial in range(30):
         rng = substream(105, trial)
@@ -300,13 +305,21 @@ def test_perturbed_kernel_dim_never_below_joint_dim():
 # ------------------------------------------------------------ chain threshold
 
 
+def box(rows, tol=0.0):
+    """box_radius on hand rows, with the masks as plain lists."""
+    delta, binding, ties = box_radius(np.array(rows, dtype=float), tol)
+    return delta, binding.tolist(), ties.tolist()
+
+
 def test_chain_threshold_single_member_infinite():
     assert chain_threshold(CommutingFamily((SymMat.diag([1, 2]),))) == math.inf
+    assert box([[1], [2]]) == (math.inf, [False, False], [False, False])
 
 
 def test_chain_threshold_disjoint_supports_infinite():
     fam = CommutingFamily((SymMat.diag([0, 0, 1]), SymMat.diag([0, 1, 0])))
     assert chain_threshold(fam) == math.inf
+    assert box([[0, 0], [0, 1], [1, 0]]) == (math.inf, [False] * 3, [False] * 3)
     grid = [(e2,) for e2 in np.linspace(0.1, 8.0, 12)]
     assert all(chain_grid_kernel_equality([m.entries for m in fam.members], grid))
 
@@ -314,6 +327,11 @@ def test_chain_threshold_disjoint_supports_infinite():
 def test_chain_threshold_two_members_reduces_to_pairwise():
     fam = CommutingFamily((SymMat.diag([2, 0, 1]), SymMat.diag([1, 3, -1])))
     assert chain_threshold(fam) == pytest.approx(1.0, abs=1e-12)
+    # rows (2, 1) and (1, -1) bound at 2 and 1; only the opposed one ties
+    assert box([[2, 1], [0, 3], [1, -1]]) == (1.0, [False, False, True], [False, False, True])
+    assert box([[2, 2], [1, -1], [-3, 3]]) == (1.0, [True, True, True], [False, True, True])
+    # per-slot tolerances: the tail entry 0.5 does not count against 0.6
+    assert box([[2, 0.5], [1, 4]], tol=np.array([0.0, 0.6])) == (0.25, [False, True], [False, False])
 
 
 def test_chain_threshold_three_members_uniform_box():
@@ -322,6 +340,9 @@ def test_chain_threshold_three_members_uniform_box():
     fam = CommutingFamily((SymMat.diag([1.0]), SymMat.diag([-10.0]), SymMat.diag([-1.0])))
     delta = chain_threshold(fam)
     assert delta == pytest.approx(1 / 11, abs=1e-12)
+    assert box([[1, -10, -1]]) == (1 / 11, [True], [True])
+    # a tail that partly agrees with the lead binds but cannot tie
+    assert box([[1, -10, 1]]) == (1 / 11, [True], [False])
     mats = [m.entries for m in fam.members]
     inside = [(e2, e3)
               for e2 in np.linspace(delta * 0.05, delta * 0.95, 7)
@@ -336,6 +357,11 @@ def test_chain_threshold_zero_when_later_members_can_cancel():
     # step sizes cancel, so no uniform box exists
     fam = CommutingFamily((SymMat.diag([0.0]), SymMat.diag([1.0]), SymMat.diag([-1.0])))
     assert chain_threshold(fam) == 0.0
+    # no box at all, whatever the slot-0 rows allow; nothing ties
+    assert box([[0, 1, -1], [1, 1, 1]]) == (0.0, [True, False], [False, False])
+    # the zero slot counts as significant once the tolerance is below it
+    assert box([[1e-13, 1, -1]], tol=1e-12)[0] == 0.0
+    assert box([[1e-13, 1, -1]], tol=1e-14)[0] == pytest.approx(5e-14)
     mats = [m.entries for m in fam.members]
     assert not all(chain_grid_kernel_equality(mats, [(0.25, 0.25)]))
 
@@ -343,6 +369,8 @@ def test_chain_threshold_zero_when_later_members_can_cancel():
 def test_chain_threshold_same_sign_tail_unconstrained():
     fam = CommutingFamily((SymMat.diag([0.0]), SymMat.diag([1.0]), SymMat.diag([1.0])))
     assert chain_threshold(fam) == math.inf
+    assert box([[0, 1, 1], [0, -2, -1], [0, 0, 0]]) == (math.inf, [False] * 3, [False] * 3)
+    assert box(np.zeros((0, 3))) == (math.inf, [], [])
 
 
 def test_chain_threshold_random_families_certified_by_grid():
