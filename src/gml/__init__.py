@@ -37,6 +37,7 @@ from .model import (
     flow,
     flow_limit,
     fundamental_field,
+    gapped_direction,
     generic_direction,
     gradient_map,
     model_chain_threshold,

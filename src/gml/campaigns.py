@@ -20,6 +20,7 @@ import numpy as np
 from . import model as mdl
 from . import numerics as num
 from .errors import GmlInputError, ReportIoError, UnknownCampaign
+from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
 from .rng import open_uniform, substream, trial_streams, unit_vector
 from .serialization import jsonify, load_model
 from .spectral import (
@@ -222,17 +223,6 @@ def _campaign_convexity(model, trials, seed, tols, probe_tightness):
                                      {"polytope": mp_ok, "orbit": orbit_ok}))
     thresholds = {"hull_tol": tols["hull_tol"]}
     return passes, failures, thresholds, trials
-
-
-def _gapped_direction(model, rng, min_gap=0.05, attempts=50):
-    """Direction whose distinct speeds are separated by at least min_gap."""
-    for _ in range(attempts):
-        beta = model.ortho_basis.T @ unit_vector(rng, model.subalgebra_dim)
-        lv = np.sort(model.levels(beta))
-        gaps = np.diff(lv)
-        if not gaps.size or gaps[gaps > 1e-9].size == 0 or gaps[gaps > 1e-9].min() >= min_gap:
-            return beta
-    return None
 
 
 def _campaign_numerics(model, trials, seed, tols, probe_tightness):

@@ -119,7 +119,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _dispatch(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # keep errors to one line
+            return _dispatch(args)
     except GmlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

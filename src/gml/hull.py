@@ -13,14 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def _dedupe(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drop near-duplicate rows; returns (unique points, index into input)."""
+def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
+    """Drop near-duplicate rows, keeping the first of each."""
     keep: list[int] = []
     for i, p in enumerate(points):
         if all(np.abs(points[j] - p).max() > tol for j in keep):
             keep.append(i)
-    idx = np.array(keep, dtype=int)
-    return points[idx], idx
+    return points[keep]
 
 
 class Polytope:
@@ -35,7 +34,7 @@ class Polytope:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("a polytope needs at least one point")
-        uniq, _ = _dedupe(pts, tol)
+        uniq = _dedupe(pts, tol)
         self._origin = uniq.mean(axis=0)
         centered = uniq - self._origin
         scale = max(1.0, float(np.abs(centered).max()))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -258,19 +258,14 @@ def _vector_partition(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(j) for j in np.flatnonzero(label == c)) for c in np.unique(label))
 
 
-def _level_chains(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _level_chains(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of (N, n) speeds: coordinates ordered by speed descending
-    (stable), and which consecutive gaps in that order exceed the row's
-    level tolerance.  Runs without such a gap are the speed classes."""
+    (stable), the consecutive gaps in that order, and which gaps exceed the
+    row's level tolerance.  Runs without such a gap are the speed classes."""
     order = np.argsort(-levels, axis=1, kind="stable")
     ranked = np.take_along_axis(levels, order, axis=1)
-    return order, ranked[:, :-1] - ranked[:, 1:] > _level_tol(levels, axis=1)[:, None]
-
-
-def _level_classes(values: np.ndarray) -> list[list[int]]:
-    """Indices grouped by level, ordered by level descending."""
-    order, breaks = _level_chains(values[None, :])
-    return [sorted(int(i) for i in g) for g in np.split(order[0], np.flatnonzero(breaks[0]) + 1)]
+    gaps = ranked[:, :-1] - ranked[:, 1:]
+    return order, gaps, gaps > _level_tol(levels, axis=1)[:, None]
 
 
 def limit_support(levels: np.ndarray, supp: np.ndarray) -> np.ndarray:
@@ -294,7 +289,7 @@ def certify_levels(model: WeightedModel, levels: np.ndarray) -> np.ndarray:
     tolerance.  They equal the joint classes iff no speed class mixes two
     joint classes and both partitions have the same number of classes.
     """
-    order, breaks = _level_chains(levels)
+    order, _, breaks = _level_chains(levels)
     labels = model.joint_labels[order]
     mixed = ~breaks & (labels[:, :-1] != labels[:, 1:])
     return ~mixed.any(axis=1) & (breaks.sum(axis=1) + 1 == len(model.joint_partition))
@@ -331,12 +326,15 @@ def gradient_map(model: WeightedModel, x: ProjPoint) -> np.ndarray:
     return gradient_rows(model, model.require_point(x).coords[None, :])[0]
 
 
+def action_field(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Field kernel: Bx - <x, Bx> x for speeds (n,) and a unit representative x (n,)."""
+    bx = levels * x
+    return bx - (x @ bx) * x
+
+
 def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
     """Infinitesimal action field beta_X(x) = Bx - <x, Bx> x."""
-    b = model.levels(beta)
-    model.require_point(x)
-    bx = b * x.coords
-    return bx - float(x.coords @ bx) * x.coords
+    return action_field(model.levels(beta), model.require_point(x).coords)
 
 
 def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
@@ -413,8 +411,11 @@ def fixed_components(model: WeightedModel, beta) -> list[FixedComponent]:
     """Fixed components of one direction: coordinate classes of equal speed,
     ordered by speed descending."""
     b = model.levels(beta)
-    return [FixedComponent(indices=tuple(g), level=float(b[g[0]]))
-            for g in _level_classes(b)]
+    if not np.isfinite(b).all():
+        raise GmlInputError("direction is too large: a speed overflows")
+    order, _, breaks = _level_chains(b[None, :])
+    classes = [sorted(g.tolist()) for g in np.split(order[0], np.flatnonzero(breaks[0]) + 1)]
+    return [FixedComponent(indices=tuple(g), level=float(b[g[0]])) for g in classes]
 
 
 def fixed_set_subalgebra(model: WeightedModel) -> list[FixedComponent]:
@@ -446,16 +447,45 @@ def direction_certificate(model: WeightedModel, beta) -> bool:
     return bool(certify_levels(model, model.levels(beta)[None, :])[0])
 
 
+def _first_direction(model: WeightedModel, rng: np.random.Generator, attempts: int, accept):
+    """First of ``attempts`` random unit directions in the subalgebra that the row
+    kernel ``accept(levels (A, n)) -> (A,) bool`` passes, or None.  One block decides
+    all draws; the direction and the generator's position after it are those of a loop
+    of ``unit_vector`` draws, as the draws up to the accepted one are replayed."""
+    d = model.subalgebra_dim
+    state = rng.bit_generator.state
+    v, nrm = np.empty((0, d)), np.empty(0)
+    while np.count_nonzero(nrm > 1e-12) < attempts:  # unit_vector redraws null rows
+        v = np.concatenate([v, rng.standard_normal((attempts - np.count_nonzero(nrm > 1e-12), d))])
+        nrm = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+    rows = np.flatnonzero(nrm > 1e-12)
+    # stacked products evaluate each row as v.dot(v) and B.T @ u do, bit for bit
+    beta = (model.ortho_basis.T @ (v[rows] / nrm[rows, None])[:, :, None])[:, :, 0]
+    hits = np.flatnonzero(accept((model.weights @ beta[:, :, None])[:, :, 0]))
+    if not hits.size:
+        return None
+    rng.bit_generator.state = state
+    rng.standard_normal((rows[hits[0]] + 1, d))
+    return beta[hits[0]]
+
+
+def gapped_direction(model: WeightedModel, rng, min_gap: float = 0.05, attempts: int = 50):
+    """Random unit direction in the subalgebra whose speed classes (ties within
+    the level tolerance) sit at least ``min_gap`` apart, so that a numerical
+    flow tells its fixed components apart; None if ``attempts`` draws fail."""
+    def gapped(levels):
+        _, gaps, breaks = _level_chains(levels)
+        return ~(breaks & (gaps < min_gap)).any(axis=1)
+    return _first_direction(model, rng, attempts, gapped)
+
+
 def generic_direction(model: WeightedModel, seed: int, max_retries: int = 64):
     """Random unit direction in the subalgebra whose flow has the joint
     fixed set; retries up to ``max_retries`` draws, then gives up."""
-    rng = substream(seed, 0)
-    for _ in range(max_retries):
-        u = unit_vector(rng, model.subalgebra_dim)
-        beta = model.ortho_basis.T @ u
-        if direction_certificate(model, beta):
-            return beta, True
-    raise ExhaustedRetries(f"no certified direction found in {max_retries} draws")
+    beta = _first_direction(model, substream(seed, 0), max_retries, partial(certify_levels, model))
+    if beta is None:
+        raise ExhaustedRetries(f"no certified direction found in {max_retries} draws")
+    return beta, True
 
 
 def deterministic_generic_direction(model: WeightedModel, alphas=None):

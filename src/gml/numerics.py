@@ -11,7 +11,6 @@ divided by 2, matching the model's metric convention (see
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -19,30 +18,23 @@ import numpy as np
 
 from .errors import HorizonExceeded, NotAFixedPoint, StepTooLarge
 from .model import (
-    FixedComponent,
     ProjPoint,
     WeightedModel,
+    action_field,
     fixed_components,
-    fundamental_field,
 )
 
 DT_DEFAULT = 1e-2
 T_MAX_DEFAULT = 1e4
 FIX_TOL_DEFAULT = 1e-10
-GAP_TOL_DEFAULT = 1e-9
 _RENORM_LIMIT = 0.1  # reject a step when renormalization moves the point >10%
 
 
-def _field_raw(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    bx = levels * x
-    return bx - (x @ bx) * x
-
-
 def _rk4_step(levels: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _field_raw(levels, x)
-    k2 = _field_raw(levels, x + (0.5 * dt) * k1)
-    k3 = _field_raw(levels, x + (0.5 * dt) * k2)
-    k4 = _field_raw(levels, x + dt * k3)
+    k1 = action_field(levels, x)
+    k2 = action_field(levels, x + (0.5 * dt) * k1)
+    k3 = action_field(levels, x + (0.5 * dt) * k2)
+    k4 = action_field(levels, x + dt * k3)
     y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     nrm = float(np.linalg.norm(y))
     if abs(nrm - 1.0) > _RENORM_LIMIT:
@@ -71,7 +63,7 @@ class Trajectory:
 
     def field_norms(self) -> np.ndarray:
         levels = self.model.levels(self.beta)
-        return np.array([float(np.linalg.norm(_field_raw(levels, p.coords))) for p in self.points])
+        return np.array([float(np.linalg.norm(action_field(levels, p.coords))) for p in self.points])
 
     def to_csv(self, path_or_buf) -> None:
         """Write rows (t, x_0..x_n, mu_beta, field_norm)."""
@@ -129,7 +121,7 @@ def numeric_limit_details(model: WeightedModel, beta, x0: ProjPoint, tol: float 
     x = x0.coords.copy()
     t = 0.0
     horizon = 1.0
-    residual = float(np.linalg.norm(_field_raw(levels, x)))
+    residual = float(np.linalg.norm(action_field(levels, x)))
     while residual >= tol:
         if t >= t_max:
             raise HorizonExceeded(
@@ -146,7 +138,7 @@ def numeric_limit_details(model: WeightedModel, beta, x0: ProjPoint, tol: float 
             for _ in range(nsteps):
                 x = _rk4_step(levels, x, h)
             t = target
-        residual = float(np.linalg.norm(_field_raw(levels, x)))
+        residual = float(np.linalg.norm(action_field(levels, x)))
         horizon *= 2.0
     comps = fixed_components(model, beta)
     masses = [float(np.linalg.norm(x[list(c.indices)])) for c in comps]
@@ -202,7 +194,7 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
         fp = float(levels @ ((ch * x.coords + sh * u) ** 2))
         fm = float(levels @ ((ch * x.coords - sh * u) ** 2))
         grad += ((fp - fm) / (2.0 * h)) * u
-    residual = grad / 2.0 - fundamental_field(model, beta, x)
+    residual = grad / 2.0 - action_field(levels, x.coords)
     return float(np.linalg.norm(residual))
 
 
@@ -249,7 +241,7 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 
     """
     levels = model.levels(beta)
     base = x_fixed.coords
-    res = float(np.linalg.norm(_field_raw(levels, base)))
+    res = float(np.linalg.norm(action_field(levels, base)))
     if res > fix_tol:
         raise NotAFixedPoint(f"field norm {res:.3e} exceeds fix_tol {fix_tol:.3e}")
     frame = _tangent_frame(base)
@@ -259,7 +251,7 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 
     for b in range(n):
         yp = ch * base + sh * frame[b]
         ym = ch * base - sh * frame[b]
-        df = (_field_raw(levels, yp) - _field_raw(levels, ym)) / (2.0 * h)
+        df = (action_field(levels, yp) - action_field(levels, ym)) / (2.0 * h)
         jac[:, b] = frame @ df
     defect = float(np.abs(jac - jac.T).max())
     if defect > sym_tol * max(1.0, float(np.abs(jac).max())):

@@ -63,7 +63,7 @@ def _symmetrized(m: np.ndarray, sym_tol: float | None = None) -> tuple[np.ndarra
         i = bad[0]
         raise GmlInputError(f"matrix is not symmetric: max asymmetry {defect.flat[i]:.3e} "
                             f"> tol {tol.flat[i]:.3e}")
-    return (m + flipped) / 2.0, tol
+    return m / 2.0 + flipped / 2.0, tol  # (m + flipped) / 2 without its overflow
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +123,15 @@ class CommutingFamily:
             for j in range(i + 1, len(members)):
                 tol = self.comm_tol if self.comm_tol is not None else _pair_comm_tol(members[i], members[j])
                 nrm = commutator_norm(members[i], members[j])
-                if nrm > tol:
-                    raise CommutationViolation(
-                        f"members {i} and {j} do not commute: |[A,B]| = {nrm:.3e} > tol {tol:.3e}"
-                    )
+                if not nrm <= tol:  # an overflowing product gives NaN, which fails too
+                    raise CommutationViolation(f"members {i} and {j} " + (
+                        f"do not commute: |[A,B]| = {nrm:.3e} > tol {tol:.3e}"
+                        if math.isfinite(nrm) else "give an overflowing |[A,B]|; rescale them"))
         object.__setattr__(self, "members", members)
 
     @property
     def dim(self) -> int:
         return self.members[0].dim
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +192,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim))
 
-    @classmethod
-    def from_span(cls, vectors, ambient_dim: int | None = None, tol: float = 1e-10) -> "Subspace":
-        """Orthonormalize a (possibly dependent) spanning set."""
-        arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-        amb = ambient_dim if ambient_dim is not None else arr.shape[1]
-        if arr.size == 0:
-            return cls.empty(amb)
-        u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
-        rank = int(np.count_nonzero(s > tol * max(1.0, s[0] if s.size else 0.0)))
-        return cls(amb, _canonical_sign_columns(u[:, :rank]))
-
 
 def _eig_clusters(eigvals: np.ndarray, tol: float) -> list[list[int]]:
     """Split an ascending eigenvalue list at gaps larger than tol."""
@@ -258,7 +244,7 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     for k, a in enumerate(arrays):
         recon = (q * levels[k]) @ q.T
         residual = float(np.linalg.norm(a - recon, "fro"))
-        if residual > tol * max(1.0, float(np.linalg.norm(a, "fro"))):
+        if not residual <= tol * max(1.0, float(np.linalg.norm(a, "fro"))):  # NaN fails too
             raise ConvergenceFailure(
                 f"member {k} not reconstructed: residual {residual:.3e} exceeds tol"
             )

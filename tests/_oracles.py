@@ -6,6 +6,8 @@ programming, and limit supports and speed signs from direct
 combinatorics on the weight table.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -126,3 +128,28 @@ def box_radius_loop(levels, tol):
     delta = min(bounds, default=float("inf"))
     binding = [p for p, b in enumerate(bounds) if b < float("inf") and b <= delta * (1 + 1e-9)]
     return delta, binding, [p for p in binding if opposed[p]]
+
+
+def first_accepted_loop(model, rng, attempts: int, accept):
+    """Direction sampling one draw at a time: up to ``attempts`` uniform
+    unit draws (a draw of norm <= 1e-12 is redrawn), each mapped into the
+    subalgebra and tested by ``accept(beta)``.  Returns the first accepted
+    direction, or None."""
+    for _ in range(attempts):
+        while True:
+            v = rng.standard_normal(model.subalgebra_dim)
+            nrm = math.sqrt(v.dot(v))
+            if nrm > 1e-12:
+                break
+        beta = model.ortho_basis.T @ (v / nrm)
+        if accept(beta):
+            return beta
+    return None
+
+
+def speeds_separated(weights, beta, min_gap: float) -> bool:
+    """Do the distinct speeds (sorted gaps above 1e-9) sit at least
+    min_gap apart?"""
+    gaps = np.diff(np.sort(np.asarray(weights, dtype=float) @ beta))
+    gaps = gaps[gaps > 1e-9]
+    return not gaps.size or bool(gaps.min() >= min_gap)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gml
 from gml import WeightedModel
 from gml.cli import main
 from gml.serialization import save_model
@@ -241,3 +246,23 @@ def test_describe_infinite_weight_exits_two(square_file, capsys):
     assert_input_error(code, err)
     assert out == ""
     assert "must be finite" in err
+
+
+def test_delta_overflowing_pair_exits_two():
+    # alpha = beta has threshold 1, but |AB - BA| overflows: the pair cannot
+    # be checked, so the command must not print an answer.  Run as a process
+    # so numpy's overflow warnings would show on stderr too.
+    src = str(Path(gml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "gml.cli", "delta", "--alpha", "diag:1e308,1",
+                          "--beta", "diag:1e308,1"], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert_input_error(out.returncode, out.stderr)
+    assert out.stdout == ""
+
+
+def test_components_overflowing_speed_exits_two(square_file, capsys):
+    code, out, err = run_cli(capsys, "components", "--model", str(square_file),
+                             "--beta", "1e308,1e308")
+    assert_input_error(code, err)
+    assert out == ""

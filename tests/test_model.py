@@ -17,6 +17,7 @@ from gml import (
     flow,
     flow_limit,
     fundamental_field,
+    gapped_direction,
     generic_direction,
     gradient_map,
     model_chain_threshold,
@@ -38,6 +39,8 @@ from gml.errors import (
 )
 from gml.model import _vector_partition, certify_levels, model_chain_threshold_witness
 from gml.rng import substream
+
+from _oracles import first_accepted_loop, speeds_separated
 
 from _oracles import lex_argmax_support
 
@@ -467,6 +470,76 @@ def test_random_direction_certified(square_model, segment_model):
         parts = [c.indices for c in fixed_components(model, beta)]
         joint = [c.indices for c in fixed_set_subalgebra(model)]
         assert sorted(parts) == sorted(joint)
+
+
+def _same_draw_after(rng_a, rng_b) -> bool:
+    return (rng_a.standard_normal(3).tobytes() == rng_b.standard_normal(3).tobytes()
+            and rng_a.random() == rng_b.random())
+
+
+@pytest.mark.parametrize("min_gap,attempts,seeds", [
+    (0.05, 50, 20), (0.3, 400, 20), (0.75, 400, 5), (0.75, 3, 20), (1.5, 20, 20), (0.05, 0, 5)])
+def test_gapped_direction_matches_one_draw_at_a_time(model_pool, min_gap, attempts, seeds):
+    outcomes = []
+    for m, model in enumerate(model_pool):
+        for seed in range(seeds):
+            rng, ref = substream(seed, m), substream(seed, m)
+            got = gapped_direction(model, rng, min_gap=min_gap, attempts=attempts)
+            want = first_accepted_loop(model, ref, attempts,
+                                       lambda b: speeds_separated(model.weights, b, min_gap))
+            assert (got is None) == (want is None), (model.name, seed)
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), (model.name, seed)
+            assert _same_draw_after(rng, ref), (model.name, seed)
+            outcomes.append(want is not None)
+    assert any(outcomes) == (attempts > 0)
+    if min_gap >= 0.75:  # some pool models have no such direction, or rarely draw one
+        assert not all(outcomes)
+
+
+class _ScriptedNormals:
+    """Generator stand-in that hands out a fixed list of normals in order;
+    its state is the read position."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.bit_generator = self
+        self.state = 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out = self.values[self.state:self.state + n]
+        self.state += n
+        return out.reshape(shape)
+
+
+def test_gapped_direction_redraws_null_rows_like_unit_vector(segment_model):
+    # unit_vector redraws a draw of norm <= 1e-12, so it is no attempt
+    rows = substream(5, 0).standard_normal((60, 2))
+    rows[[0, 3, 4, 9]] = 0.0
+    outcomes = []
+    for min_gap in (0.05, 0.95, 2.0):
+        for attempts in (1, 2, 5, 20):
+            rng, ref = _ScriptedNormals(rows.ravel()), _ScriptedNormals(rows.ravel())
+            got = gapped_direction(segment_model, rng, min_gap=min_gap, attempts=attempts)
+            want = first_accepted_loop(
+                segment_model, ref, attempts,
+                lambda b: speeds_separated(segment_model.weights, b, min_gap))
+            assert (got is None) == (want is None) and rng.state == ref.state
+            assert want is None or got.tobytes() == want.tobytes()
+            outcomes.append((want is not None, ref.state))
+    assert (True, 6) in outcomes and (False, 48) in outcomes  # a hit past a redraw; a miss
+
+
+def test_generic_direction_matches_one_draw_at_a_time(model_pool):
+    for model in model_pool:
+        for seed in range(10):
+            beta, certified = generic_direction(model, seed=seed)
+            want = first_accepted_loop(model, substream(seed, 0), 64,
+                                       lambda b: direction_certificate(model, b))
+            assert certified and beta.tobytes() == want.tobytes(), (model.name, seed)
+    with pytest.raises(ExhaustedRetries):
+        generic_direction(model_pool[0], seed=1, max_retries=0)
 
 
 def test_segment_model_certified_partition(segment_model):

@@ -73,6 +73,25 @@ def test_symmat_rejects_asymmetric_entries():
         SymMat([[0, 1], [0, 0]])
 
 
+def test_symmat_symmetrizes_near_the_float_limit_without_overflow():
+    m = SymMat.diag([1e308, 1.0]).entries
+    assert m[0, 0] == 1e308 and m[1, 1] == 1.0
+    big = SymMat([[1e308, -1e308], [-1e308, 1e308]]).entries
+    assert np.isfinite(big).all()
+    # slightly asymmetric input: exactly symmetric output, the bits of (m + m.T) / 2
+    raw = np.array([[1.0, 0.1 + 1e-12], [0.1, 2.0]])
+    out = SymMat(raw).entries
+    assert out.tobytes() == out.T.tobytes() == ((raw + raw.T) / 2.0).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_family_rejects_overflowing_commutator():
+    # |AB - BA| is inf - inf = NaN here, which no tolerance may accept
+    big = SymMat.diag([1e308, 1.0])
+    with pytest.raises(CommutationViolation, match="overflowing"):
+        CommutingFamily((big, big))
+
+
 def test_family_rejects_noncommuting_members():
     with pytest.raises(CommutationViolation):
         CommutingFamily((SymMat.diag([1, 0]), SymMat([[0, 1], [1, 0]])))
@@ -110,6 +129,13 @@ def test_joint_diagonalize_rejects_noncommuting():
     loose = CommutingFamily((SymMat.diag([1, 0]), SymMat([[0, 1], [1, 0]])), comm_tol=100.0)
     with pytest.raises(ConvergenceFailure):
         joint_diagonalize(loose)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_joint_diagonalize_rejects_nan_reconstruction():
+    fam = CommutingFamily((SymMat([[1e308, 1e308], [1e308, 1e308]]),))
+    with pytest.raises(ConvergenceFailure):
+        joint_diagonalize(fam)
 
 
 def test_joint_diagonalize_recovers_constructed_levels():
