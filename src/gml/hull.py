@@ -1,25 +1,129 @@
 """Convex hulls of small point sets, robust in degenerate dimensions.
 
-Wraps Qhull for full-dimensional input and falls back to direct
-enumeration when the points span an affine subspace of dimension 0 or 1
-(a single point or a segment), which Qhull refuses to handle.  Qhull
-(``scipy.spatial``) is imported at the first full-dimensional build, not
-with this module: it takes most of the package's import time, and many
-commands never build a hull.
+Points are expressed in an orthonormal frame of their affine hull.  A
+point or a segment (affine dimension 0 or 1) is handled directly; in
+dimension r >= 2 the facets are found by exact enumeration of the
+r-subsets of the points (``_facets``), which costs C(N, r) small
+determinants for N distinct points and needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import lru_cache
+
 import numpy as np
+
+# r-subsets are examined this many at a time, so a build's working
+# memory stays bounded however large C(N, r) gets
+_BLOCK = 4096
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Make a cached array read-only, since every caller shares it."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _earlier(n: int) -> np.ndarray:
+    """(n, n) mask of the pairs [i, j] with j < i."""
+    return _frozen(np.tri(n, k=-1, dtype=bool))
 
 
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     """Drop near-duplicate rows, keeping the first of each."""
-    keep: list[int] = []
-    for i, p in enumerate(points):
-        if all(np.abs(points[j] - p).max() > tol for j in keep):
-            keep.append(i)
+    close = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= tol
+    keep = ~(close & _earlier(len(points))).any(axis=1)  # no earlier row is near: kept
+    for i in np.flatnonzero(~keep):
+        keep[i] = not (close[i, :i] & keep[:i]).any()
     return points[keep]
+
+
+@lru_cache(maxsize=None)
+def _cross_terms(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of range(r) without their first entry, (r!, r-1),
+    and the (r!, r) matrix that adds each term's sign to the slot of the
+    first entry: the Leibniz expansion of the generalized cross product."""
+    perms = np.array(list(itertools.permutations(range(r))), dtype=np.intp)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    place = np.zeros((len(perms), r))
+    place[np.arange(len(perms)), perms[:, 0]] = (-1.0) ** inversions
+    return _frozen(perms[:, 1:]), _frozen(place)
+
+
+@lru_cache(maxsize=None)
+def _small_subsets(n: int, r: int) -> np.ndarray:
+    return _frozen(np.array(list(itertools.combinations(range(n), r)), dtype=np.intp).reshape(-1, r))
+
+
+def _subset_blocks(n: int, r: int):
+    """The r-subsets of ``range(n)`` in lexicographic order, as index
+    arrays of at most ``_BLOCK`` rows; a set that fits one block is built
+    once per (n, r)."""
+    if math.comb(n, r) <= _BLOCK:
+        yield _small_subsets(n, r)
+        return
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    while True:
+        block = np.fromiter(itertools.islice(combos, _BLOCK * r), dtype=np.intp)
+        if not block.size:
+            return
+        yield block.reshape(-1, r)
+
+
+def _first_of_each(inc: np.ndarray) -> np.ndarray:
+    """Index of the first of each distinct row of a boolean matrix.  Rows
+    are compared as packed bytes: ``np.unique(axis=0)`` is several times
+    slower on the small matrices of a hull build."""
+    packed = np.packbits(inc, axis=1)
+    return np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)[1]
+
+
+def _facets(y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Facet kernel for N distinct points ``y (N, r)`` spanning ``R^r``, r >= 2.
+
+    Each affinely independent r-subset spans a hyperplane whose normal is
+    the vector of signed cofactor determinants of its r-1 edge vectors
+    (the generalized cross product).  The hyperplane is a facet when every
+    point lies on one side of it within ``tol * scale``, with ``scale =
+    max(1, max |y|)``; the points within that distance are incident to it,
+    and subsets with the same incident set give one facet.  A point is a
+    vertex when it lies on some facet and no other point lies on every
+    facet through it (of points with the same facets, the first counts).
+    Returns the vertex indices and the facets as rows ``[normal, offset]``
+    with an outward unit normal, ``normal . y + offset <= 0`` inside.
+    """
+    n, r = y.shape
+    slack = tol * max(1.0, float(np.abs(y).max()))
+    rows = np.arange(r - 1)
+    tails, place = _cross_terms(r)
+    equations, inc = np.empty((0, r + 1)), np.empty((0, n), dtype=bool)
+    for idx in _subset_blocks(n, r):
+        base = y[idx[:, 0]]
+        edges = y[idx[:, 1:]] - base[:, None, :]  # (B, r-1, r)
+        normal = edges[:, rows, tails].prod(axis=2) @ place
+        size = np.sqrt(np.einsum("bi,bi->b", normal, normal))
+        # affinely dependent subsets span no hyperplane: their cofactors are rounding noise
+        ok = size > tol * np.sqrt(np.einsum("bki,bki->bk", edges, edges)).prod(axis=1)
+        eq = np.empty((np.count_nonzero(ok), r + 1))
+        eq[:, :-1] = normal[ok] / size[ok, None]
+        eq[:, -1] = -np.einsum("bi,bi->b", eq[:, :-1], base[ok])
+        vals = eq[:, :-1] @ y.T + eq[:, -1:]  # (B, N) signed distances
+        flip = vals.min(axis=1) >= -slack
+        eq[flip] *= -1.0
+        keep = flip | (vals.max(axis=1) <= slack)
+        equations = np.concatenate([equations, eq[keep]])
+        inc = np.concatenate([inc, np.abs(vals[keep]) <= slack])
+        first = _first_of_each(inc)
+        equations, inc = equations[first], inc[first]
+    shared = inc.T.astype(np.intp) @ inc  # (N, N): facets through both points
+    deg = shared.diagonal()
+    covered = shared == deg[:, None]  # [p, q]: every facet through p passes through q
+    # a point does not cover itself, and of two points with the same facets the first counts
+    covered &= _earlier(n) | ~covered.T
+    return np.flatnonzero((deg > 0) & ~covered.any(axis=1)), equations
 
 
 class Polytope:
@@ -50,11 +154,7 @@ class Polytope:
             vert_idx = np.array([int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))])
             self._interval = (float(coords[:, 0].min()), float(coords[:, 0].max()))
         else:
-            from scipy.spatial import ConvexHull
-
-            qh = ConvexHull(coords)
-            vert_idx = np.asarray(qh.vertices, dtype=int)
-            self._equations = qh.equations  # rows [normal, offset], normal·y + offset <= 0 inside
+            vert_idx, self._equations = _facets(coords, tol)
         # report vertices by their exact input coordinates, never by
         # round-tripping through the affine frame
         verts = uniq[vert_idx]

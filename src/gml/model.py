@@ -342,7 +342,11 @@ def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
     if not np.isfinite(t):
         raise GmlInputError("flow time must be finite")
     b = model.levels(beta)
-    return ProjPoint(flow_rows(b[None, :], t, model.require_point(x).coords)[0])
+    try:
+        return ProjPoint(flow_rows(b[None, :], t, model.require_point(x).coords)[0])
+    except GmlInputError:  # only t * speeds that overflow leave no finite coordinate
+        raise GmlInputError(f"flow time t = {t!r} times the speeds {b.tolist()} is not finite; "
+                            "use a smaller |t| or beta") from None
 
 
 def flow_limit(model: WeightedModel, beta, x: ProjPoint) -> ProjPoint:
@@ -350,7 +354,11 @@ def flow_limit(model: WeightedModel, beta, x: ProjPoint) -> ProjPoint:
     its support (ties keep the whole argmax class)."""
     b = model.levels(beta)
     keep = limit_support(b[None, :], model.require_point(x).support_mask[None, :])[0]
-    return ProjPoint(np.where(keep, x.coords, 0.0))
+    try:
+        return ProjPoint(np.where(keep, x.coords, 0.0))
+    except GmlInputError:  # only non-finite speeds keep no coordinate
+        raise GmlInputError(f"the speeds {b.tolist()} of beta are not finite; "
+                            "use a smaller beta") from None
 
 
 def composed_limit(model: WeightedModel, alphas, x: ProjPoint) -> ProjPoint:

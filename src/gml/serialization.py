@@ -20,16 +20,12 @@ from .spectral import Subspace, SymMat
 
 def jsonify(value):
     """Recursively convert a value into JSON-serializable primitives."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()  # a Python scalar, or nested lists of them
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"

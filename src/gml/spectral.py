@@ -99,9 +99,26 @@ def commutator_norm(a: SymMat, b: SymMat) -> float:
     return float(np.linalg.norm(prod - prod.T, "fro"))
 
 
-def _pair_comm_tol(a: SymMat, b: SymMat) -> float:
+def _pair_comm_tol(a: SymMat, b: SymMat, unit: float = 1.0) -> float:
     fro = np.linalg.norm(a.entries, "fro") * np.linalg.norm(b.entries, "fro")
-    return 1e-10 * max(1.0, float(fro))
+    return 1e-10 * max(unit, float(fro))
+
+
+def _binary_exponent(entries: np.ndarray) -> int:
+    """e with largest |entry| in [2^(e-1), 2^e): scaling by 2^-e is exact
+    and brings it into [0.5, 1)."""
+    return int(np.frexp(_entry_scale(entries))[1])
+
+
+def _scaled_commutator(a: SymMat, b: SymMat, comm_tol: float | None) -> tuple[float, float]:
+    """``|[A,B]|_F`` and its tolerance, both times ``2^-(ea+eb)``, from the
+    members scaled by ``2^-ea`` and ``2^-eb`` (``_binary_exponent``), whose
+    product cannot overflow."""
+    ea, eb = _binary_exponent(a.entries), _binary_exponent(b.entries)
+    a_s, b_s = SymMat(np.ldexp(a.entries, -ea)), SymMat(np.ldexp(b.entries, -eb))
+    tol = (math.ldexp(comm_tol, -(ea + eb)) if comm_tol is not None
+           else _pair_comm_tol(a_s, b_s, math.ldexp(1.0, -(ea + eb))))
+    return commutator_norm(a_s, b_s), tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +138,16 @@ class CommutingFamily:
                 raise DimensionMismatch("family members must share one dimension")
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                tol = self.comm_tol if self.comm_tol is not None else _pair_comm_tol(members[i], members[j])
-                nrm = commutator_norm(members[i], members[j])
-                if not nrm <= tol:  # an overflowing product gives NaN, which fails too
-                    raise CommutationViolation(f"members {i} and {j} " + (
-                        f"do not commute: |[A,B]| = {nrm:.3e} > tol {tol:.3e}"
-                        if math.isfinite(nrm) else "give an overflowing |[A,B]|; rescale them"))
+                a, b = members[i], members[j]
+                tol = self.comm_tol if self.comm_tol is not None else _pair_comm_tol(a, b)
+                nrm = commutator_norm(a, b)
+                scaled = not (math.isfinite(nrm) and math.isfinite(tol))
+                if scaled:  # the products overflow: check the pair scaled by powers of two
+                    nrm, tol = _scaled_commutator(a, b, self.comm_tol)
+                if not nrm <= tol:
+                    raise CommutationViolation(
+                        f"members {i} and {j} do not commute: |[A,B]| = {nrm:.3e} > tol {tol:.3e}"
+                        + (" (both scaled by a power of two)" if scaled else ""))
         object.__setattr__(self, "members", members)
 
     @property
@@ -209,7 +230,7 @@ def _refine(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
     if basis.shape[1] <= 1 or not mats:
         return basis
     a = basis.T @ mats[0] @ basis
-    a = (a + a.T) / 2.0
+    a = a / 2.0 + a.T / 2.0  # (a + a.T) / 2 without its overflow
     w, v = np.linalg.eigh(a)
     ctol = 1e-8 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
     cols = []
@@ -242,12 +263,17 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     q = _canonical_sign_columns(q[:, order])
     levels = levels[:, order]
     for k, a in enumerate(arrays):
-        recon = (q * levels[k]) @ q.T
-        residual = float(np.linalg.norm(a - recon, "fro"))
-        if not residual <= tol * max(1.0, float(np.linalg.norm(a, "fro"))):  # NaN fails too
-            raise ConvergenceFailure(
-                f"member {k} not reconstructed: residual {residual:.3e} exceeds tol"
-            )
+        diff = a - (q * levels[k]) @ q.T
+        residual, size, e = float(np.linalg.norm(diff, "fro")), float(np.linalg.norm(a, "fro")), 0
+        if not (math.isfinite(residual) and math.isfinite(size)):
+            # a norm overflowed: compare both sides times 2^-e, which is exact
+            e = _binary_exponent(a)
+            residual = float(np.linalg.norm(np.ldexp(diff, -e), "fro"))
+            size = float(np.linalg.norm(np.ldexp(a, -e), "fro"))
+        bound = tol * max(math.ldexp(1.0, -e), size)
+        if not residual <= bound:  # NaN fails too
+            raise ConvergenceFailure(f"member {k} not reconstructed: residual {residual:.3e} "
+                                     f"> tol {bound:.3e}" + (f" (both times 2^{-e})" if e else ""))
     return JointSpectrum(basis=q, levels=levels)
 
 

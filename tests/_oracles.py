@@ -2,14 +2,15 @@
 
 Every function here avoids the code paths of the package proper:
 kernel dimensions come from SVD ranks, hull membership from linear
-programming, and limit supports and speed signs from direct
-combinatorics on the weight table.
+programming, hull facets from Qhull, and limit supports and speed signs
+from direct combinatorics on the weight table.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 
 def kernel_dim(entries, tol: float = 1e-9) -> int:
@@ -70,6 +71,14 @@ def lp_vertices(points, tol: float = 1e-9):
         if others.shape[0] == 0 or not in_hull_lp(others, pts[i], tol=tol):
             out.append(i)
     return out
+
+
+def qhull_reference(points):
+    """Qhull's hull of full-dimensional points: vertex indices, facet
+    equations (rows [normal, offset], normal . y + offset <= 0 inside) and
+    the point indices of each (simplicial) facet."""
+    qh = ConvexHull(np.asarray(points, dtype=float))
+    return qh.vertices.tolist(), qh.equations, qh.simplices
 
 
 def lex_argmax_support(weights, alphas, support):

@@ -248,17 +248,44 @@ def test_describe_infinite_weight_exits_two(square_file, capsys):
     assert "must be finite" in err
 
 
-def test_delta_overflowing_pair_exits_two():
-    # alpha = beta has threshold 1, but |AB - BA| overflows: the pair cannot
-    # be checked, so the command must not print an answer.  Run as a process
-    # so numpy's overflow warnings would show on stderr too.
+def _cli_process(*argv):
+    """Run ``python -m gml.cli`` as a process, so that stray numpy
+    warnings would show on stderr too."""
     src = str(Path(gml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-m", "gml.cli", "delta", "--alpha", "diag:1e308,1",
-                          "--beta", "diag:1e308,1"], env=env, capture_output=True, text=True,
-                         timeout=60)
+    return subprocess.run([sys.executable, "-m", "gml.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e308"])
+def test_delta_of_huge_equal_pair_is_one(scale):
+    # alpha = beta has threshold 1; |AB - BA| overflows unscaled, so the
+    # pair is checked scaled by powers of two
+    out = _cli_process("delta", "--alpha", f"diag:{scale},1", "--beta", f"diag:{scale},1")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout) == {"delta": 1.0}
+
+
+def test_delta_huge_noncommuting_pair_exits_two():
+    out = _cli_process("delta", "--alpha", "[[1e200,1e199],[1e199,1]]", "--beta", "diag:1e200,1")
     assert_input_error(out.returncode, out.stderr)
     assert out.stdout == ""
+    assert "do not commute" in out.stderr
+
+
+@pytest.mark.parametrize("cmd, extra, named", [
+    ("limit", ("--beta", "1e308,1e308"), "speeds"),
+    ("flow", ("--beta", "1e308,1e308", "--t", "1"), "speeds"),
+    ("flow", ("--beta", "1,1", "--t", "1e308"), "t = 1e+308"),
+], ids=["limit-beta", "flow-beta", "flow-time"])
+def test_overflowing_speeds_are_named(square_file, capsys, cmd, extra, named):
+    # the point is fine: the message names the speeds (and the flow time),
+    # not the point
+    code, out, err = run_cli(capsys, cmd, "--model", str(square_file), "--point", "1,1,1,1",
+                             *extra)
+    assert_input_error(code, err)
+    assert out == ""
+    assert named in err and "not finite" in err and "normalize" not in err
 
 
 def test_components_overflowing_speed_exits_two(square_file, capsys):

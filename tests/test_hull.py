@@ -1,5 +1,6 @@
 """Low-dimensional convex hulls with degenerate (point/segment) cases."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 import gml
+from gml import WeightedModel
 from gml.hull import Polytope
 from gml.rng import substream
+from gml.serialization import save_model
 
-from _oracles import in_hull_lp, lp_vertices
+from _oracles import in_hull_lp, lp_vertices, qhull_reference
 
 
 def test_square_vertices_are_irredundant_and_sorted():
@@ -21,6 +24,22 @@ def test_square_vertices_are_irredundant_and_sorted():
     assert poly.vertices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     # LP cross-check: exactly the corner rows are extreme
     assert lp_vertices(pts[:4] + [[0.5, 0.5]]) == [0, 1, 2, 3]
+
+
+def test_thin_triangle_keeps_its_apex():
+    # the apex sits 1e-6 off the base, far above the 1e-9 tolerance, but its
+    # two edges meet at an exterior angle of 2e-6 rad
+    poly = Polytope([[0, 0], [2, 0], [1, 1e-6], [1, 0]])
+    assert poly.vertices.tolist() == [[0, 0], [1, 1e-6], [2, 0]]
+
+
+def test_near_duplicate_corner_keeps_one_vertex():
+    # [1, 0] and [1 + 1.2e-9, 0] are farther apart than the 1e-9 tolerance
+    # for duplicates, yet each lies on every facet through the other within
+    # it: exactly one of them is a vertex
+    poly = Polytope([[0, 0], [1, 0], [0, 1], [1 + 1.2e-9, 0]])
+    assert poly.vertices[:2].tolist() == [[0, 0], [0, 1]]
+    assert len(poly.vertices) == 3 and abs(poly.vertices[2, 0] - 1) < 2e-9
 
 
 def test_point_hull():
@@ -95,15 +114,90 @@ def test_supporting_direction_maximized_at_its_vertex():
         assert vals[k] > np.max(np.delete(vals, k)) + 1e-9
 
 
-def test_scipy_spatial_imported_only_at_first_qhull_build():
-    # scipy.spatial dominates import time; commands that build no hull
-    # should not pay for it
+def _reference_case(k: int):
+    """Rank-r point set number k (r = 2..4) and its Qhull reference.
+
+    Random normal or integer points, plus exact duplicate rows, a point
+    on an edge of the hull and a point inside a facet, embedded in an
+    ambient space of up to two more dimensions by an orthogonal map and a
+    shift.  Returns (ambient points, their rank-r coordinates, the
+    embedding, the shift, Qhull's vertex indices and facet equations)."""
+    rng = substream(204, k)
+    r = int(rng.integers(2, 5))
+    n = int(rng.integers(r + 1, 10))
+    while True:
+        pts = (rng.standard_normal((n, r)) if k % 3 else
+               rng.integers(-3, 4, size=(n, r)).astype(float))
+        if np.linalg.matrix_rank(pts - pts.mean(axis=0)) == r:
+            break
+    simplices = qhull_reference(pts)[2]
+    facet = simplices[int(rng.integers(0, len(simplices)))]
+    extra = [pts[facet[0]] / 2 + pts[facet[1]] / 2, rng.dirichlet(np.ones(r)) @ pts[facet]]
+    pts = np.vstack([pts, extra, pts[rng.integers(0, n, size=2)]])
+    verts, eqs, _ = qhull_reference(pts)
+    d = r + int(rng.integers(0, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    shift = rng.uniform(-2.0, 2.0, size=d)
+    return pts @ q[:r] + shift, pts, q[:r], shift, verts, eqs
+
+
+def test_hull_matches_qhull_reference():
+    # 1,200 rank 2-4 sets with duplicates, edge and facet points, in
+    # ambient dimension up to r + 2: the same vertices as Qhull, the same
+    # containment off the boundary, and supporting directions maximized at
+    # their own vertex
+    for k in range(1200):
+        amb, pts, embed, shift, verts, eqs = _reference_case(k)
+        poly = Polytope(amb)
+        assert poly.dim == pts.shape[1]
+        assert sorted(map(tuple, poly.vertices)) == sorted(set(map(tuple, amb[verts])))
+        rng = substream(205, k)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        local = rng.uniform(lo - 0.5, hi + 0.5, size=(40, pts.shape[1]))
+        margin = (local @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1)
+        off = np.abs(margin) > 1e-6
+        probes = local @ embed + shift
+        assert (poly.contains_batch(probes)[off] == (margin[off] < 0)).all()
+        assert (poly.strictly_inside_batch(probes)[off] == (margin[off] < 0)).all()
+        if embed.shape[1] > embed.shape[0]:  # off the affine hull: never inside
+            normal = np.linalg.svd(embed)[2][-1]
+            assert not poly.contains_batch(probes[off] + 1e-3 * normal).any()
+        for i in range(len(poly.vertices)):
+            vals = poly.vertices @ poly.supporting_direction(i)
+            assert vals[i] > np.delete(vals, i).max() + 1e-9
+
+
+def test_large_hull_is_built_in_blocks():
+    # C(60, 4) = 487,635 subsets pass through the kernel in fixed-size
+    # blocks; the result still matches Qhull
+    rng = substream(206, 0)
+    pts = rng.standard_normal((60, 4))
+    poly = Polytope(pts)
+    verts = qhull_reference(pts)[0]
+    assert sorted(map(tuple, poly.vertices)) == sorted(map(tuple, pts[verts]))
+
+
+def test_no_gml_command_needs_scipy(tmp_path):
+    # with scipy unimportable, the CLI, a rank-4 hull, describe and a
+    # convexity campaign all still work
+    path = tmp_path / "cube.json"
+    save_model(WeightedModel(name="cube-4", weights=np.vstack([np.zeros(4), np.eye(4), np.ones(4)]),
+                             subalgebra=np.eye(4)), path)
     src = str(Path(gml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, gml.cli\n"
-            "print('scipy.spatial' in sys.modules)\n"
-            "gml.hull.Polytope([[0, 0], [1, 0], [0, 1]])\n"
-            "print('scipy.spatial' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.split() == ["False", "True"]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import gml.cli\n"
+            "from gml import campaigns\n"
+            "from gml.hull import Polytope\n"
+            "from gml.serialization import load_model\n"
+            "assert Polytope([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],\n"
+            "                 [0, 0, 0, 1], [0.1, 0.1, 0.1, 0.1]]).dim == 4\n"
+            "print(len(campaigns.describe_model(load_model(sys.argv[1]))['moment_polytope_vertices']))\n"
+            "sys.exit(gml.cli.main(['run', '--campaign', 'convexity', '--model', sys.argv[1],\n"
+            "                       '--trials', '3']))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "6"
+    assert json.loads(proc.stdout.split("\n", 1)[1])["passes"] == 3

@@ -1,6 +1,7 @@
 """Property tests: batched kernels against their scalar wrappers and the
 independent oracles in ``_oracles``."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from gml import ProjPoint, WeightedModel, composed_limit, flow_limit, perturbed_limit  # noqa: E402
 from gml.hull import Polytope  # noqa: E402
@@ -17,6 +19,7 @@ from gml.model import (  # noqa: E402
     random_weighted_model,
 )
 from gml.rng import substream, trial_streams  # noqa: E402
+from gml.serialization import jsonify  # noqa: E402
 from gml.spectral import (  # noqa: E402
     SymMat,
     box_radius,
@@ -234,3 +237,58 @@ def test_box_radius_agrees_with_row_loop(case):
     assert delta == want_delta
     assert np.flatnonzero(binding).tolist() == want_binding
     assert np.flatnonzero(ties).tolist() == want_ties
+
+
+_finite_or_inf = st.floats(allow_nan=False)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**63 - 1), _finite_or_inf,
+    st.text(max_size=4).filter(lambda t: t not in ("inf", "-inf")),
+    _finite_or_inf.map(np.float64), st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(-2**31, 2**31 - 1).map(np.int64), st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]), hnp.array_shapes(min_dims=0),
+               elements={"allow_nan": False}),
+)
+
+
+def _plain(value):
+    """What jsonify should produce, decoded: numpy values as Python ones,
+    tuples as lists, keys as strings."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _decode(obj):
+    """Parse the report encoding back: the strings "inf" and "-inf" are the
+    infinities."""
+    if isinstance(obj, dict):
+        return {k: _decode(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_decode(v) for v in obj]
+    return {"inf": math.inf, "-inf": -math.inf}.get(obj, obj) if isinstance(obj, str) else obj
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types; floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+@given(st.recursive(_json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.tuples(kids, kids),
+    st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-9, 9)), kids, max_size=4)),
+    max_leaves=12))
+def test_jsonify_round_trips_through_json(value):
+    # nested dicts, lists and tuples of numpy arrays and scalars, Python
+    # numbers and +-inf survive dumps and loads exactly
+    text = json.dumps(jsonify(value), allow_nan=False)
+    assert _same(_decode(json.loads(text)), _plain(value))

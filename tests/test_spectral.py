@@ -85,11 +85,15 @@ def test_symmat_symmetrizes_near_the_float_limit_without_overflow():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_family_rejects_overflowing_commutator():
-    # |AB - BA| is inf - inf = NaN here, which no tolerance may accept
-    big = SymMat.diag([1e308, 1.0])
-    with pytest.raises(CommutationViolation, match="overflowing"):
+def test_family_checks_huge_members_scaled_by_powers_of_two():
+    # |AB - BA| overflows (inf - inf = NaN) here, so the pair is checked on
+    # members scaled by powers of two: equal members commute, a rotated
+    # member does not
+    for big in (SymMat.diag([1e308, 1.0]), SymMat.diag([1e200, 1.0])):
         CommutingFamily((big, big))
+    tilted = SymMat([[1e200, 1e199], [1e199, 1.0]])
+    with pytest.raises(CommutationViolation, match="do not commute.*scaled"):
+        CommutingFamily((tilted, SymMat.diag([1e200, 1.0])))
 
 
 def test_family_rejects_noncommuting_members():
@@ -129,6 +133,22 @@ def test_joint_diagonalize_rejects_noncommuting():
     loose = CommutingFamily((SymMat.diag([1, 0]), SymMat([[0, 1], [1, 0]])), comm_tol=100.0)
     with pytest.raises(ConvergenceFailure):
         joint_diagonalize(loose)
+    # the same at 1e300, where ||a||_F overflows unless scaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        loose = CommutingFamily((SymMat.diag([1e300, 0]), SymMat([[0, 1e300], [1e300, 0]])),
+                                comm_tol=math.inf)
+        with pytest.raises(ConvergenceFailure):
+            joint_diagonalize(loose)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_joint_diagonalize_near_the_float_limit():
+    # eigenvalues +-sqrt(1.01) * 1e308: symmetrizing and the reconstruction
+    # check must not overflow
+    fam = CommutingFamily((SymMat([[1e308, 1e307], [1e307, -1e308]]),))
+    levels = joint_diagonalize(fam).levels[0]
+    want = math.sqrt(1.01) * 1e308
+    assert np.allclose(levels / want, [1.0, -1.0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
