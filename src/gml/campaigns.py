@@ -245,10 +245,10 @@ def _campaign_numerics(model, trials, seed, tols, probe_tightness):
             ok = False
             detail["monotone"] = False
         closed = mdl.flow(model, beta, 2.0, x)
-        err_c = float(np.abs(num.integrate_flow(model, beta, x, 2.0, dt=0.1)
-                             .points[-1].coords - closed.coords).max())
-        err_f = float(np.abs(num.integrate_flow(model, beta, x, 2.0, dt=0.05)
-                             .points[-1].coords - closed.coords).max())
+        err_c = float(np.abs(mdl.ProjPoint(num.integrate_flow(model, beta, x, 2.0, dt=0.1)
+                                           .coords[-1]).coords - closed.coords).max())
+        err_f = float(np.abs(mdl.ProjPoint(num.integrate_flow(model, beta, x, 2.0, dt=0.05)
+                                           .coords[-1]).coords - closed.coords).max())
         if err_c > 1e-13 and not (err_c / max(err_f, 1e-17) >= 14.0):
             ok = False
             detail["order_ratio"] = err_c / max(err_f, 1e-17)

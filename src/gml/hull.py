@@ -32,13 +32,22 @@ def _earlier(n: int) -> np.ndarray:
     return _frozen(np.tri(n, k=-1, dtype=bool))
 
 
+def first_representatives(rows: np.ndarray, tol) -> np.ndarray:
+    """Index of each row's representative: the first earlier representative
+    within ``tol`` (max-abs distance), or the row itself when there is none."""
+    n = len(rows)
+    close = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2) <= tol
+    rep = np.arange(n)
+    for i in np.flatnonzero((close & _earlier(n)).any(axis=1)):  # rows with an earlier near row
+        hit = np.flatnonzero(close[i, :i] & (rep[:i] == np.arange(i)))
+        if hit.size:
+            rep[i] = hit[0]
+    return rep
+
+
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     """Drop near-duplicate rows, keeping the first of each."""
-    close = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= tol
-    keep = ~(close & _earlier(len(points))).any(axis=1)  # no earlier row is near: kept
-    for i in np.flatnonzero(~keep):
-        keep[i] = not (close[i, :i] & keep[:i]).any()
-    return points[keep]
+    return points[first_representatives(points, tol) == np.arange(len(points))]
 
 
 @lru_cache(maxsize=None)

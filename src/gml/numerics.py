@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceeded, NotAFixedPoint, StepTooLarge
+from .errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge
 from .model import (
     ProjPoint,
     WeightedModel,
@@ -28,6 +28,13 @@ DT_DEFAULT = 1e-2
 T_MAX_DEFAULT = 1e4
 FIX_TOL_DEFAULT = 1e-10
 _RENORM_LIMIT = 0.1  # reject a step when renormalization moves the point >10%
+
+
+def _require_positive(**values) -> None:
+    """Boundary check: every named value is a finite positive number."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise GmlInputError(f"{name} must be finite and positive, got {v!r}")
 
 
 def _rk4_step(levels: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
@@ -45,39 +52,38 @@ def _rk4_step(levels: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled integral curve of the gradient flow."""
+    """Sampled integral curve of the gradient flow.
+
+    ``coords[k]`` is the integrator's unit representative at ``times[k]``
+    (row 0 holds the start point's coordinates); ``ProjPoint(coords[k])``
+    is the sampled point.
+    """
 
     times: np.ndarray
-    points: list[ProjPoint]
+    coords: np.ndarray  # (T, n+1)
     beta: np.ndarray
     model: WeightedModel
 
     def __post_init__(self):
-        if len(self.points) != self.times.size:
-            raise ValueError("times and points disagree in length")
+        if len(self.coords) != self.times.size:
+            raise ValueError("times and coords disagree in length")
 
     def mu_values(self) -> np.ndarray:
         """Value of <mu(x), beta> at every sample."""
-        levels = self.model.levels(self.beta)
-        return np.array([float(levels @ (p.coords ** 2)) for p in self.points])
+        return (self.coords ** 2) @ self.model.levels(self.beta)
 
     def field_norms(self) -> np.ndarray:
-        levels = self.model.levels(self.beta)
-        return np.array([float(np.linalg.norm(action_field(levels, p.coords))) for p in self.points])
+        return np.linalg.norm(action_field(self.model.levels(self.beta), self.coords), axis=1)
 
     def to_csv(self, path_or_buf) -> None:
-        """Write rows (t, x_0..x_n, mu_beta, field_norm)."""
-        n1 = self.model.num_coords
-        header = ["t", *[f"x_{i}" for i in range(n1)], "mu_beta", "field_norm"]
-        mus = self.mu_values()
-        norms = self.field_norms()
+        """Write rows (t, x_0..x_n, mu_beta, field_norm), floats in repr form."""
+        header = ["t", *[f"x_{i}" for i in range(self.model.num_coords)], "mu_beta", "field_norm"]
+        rows = np.column_stack([self.times, self.coords, self.mu_values(), self.field_norms()])
 
         def _write(fh):
             w = csv.writer(fh)
             w.writerow(header)
-            for t, p, mu, fn in zip(self.times, self.points, mus, norms):
-                w.writerow([repr(float(t)), *[repr(float(c)) for c in p.coords],
-                            repr(float(mu)), repr(float(fn))])
+            w.writerows(rows.tolist())
 
         if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
             with open(path_or_buf, "w", newline="") as fh:
@@ -89,14 +95,13 @@ class Trajectory:
 def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
                    dt: float = DT_DEFAULT) -> Trajectory:
     """Classical RK4 with per-step renormalization back to the sphere."""
-    if t_end < 0 or not np.isfinite(t_end):
-        raise ValueError("t_end must be finite and nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise GmlInputError(f"t_end must be finite and nonnegative, got {t_end!r}")
+    _require_positive(dt=dt)
     levels = model.levels(beta)
     times = [0.0]
-    points = [x0]
-    x = x0.coords.copy()
+    x = x0.coords
+    rows = [x]
     t = 0.0
     eps = 1e-12 * max(1.0, t_end)
     while t < t_end - eps:
@@ -104,8 +109,8 @@ def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
         x = _rk4_step(levels, x, step)
         t += step
         times.append(t)
-        points.append(ProjPoint(x))
-    return Trajectory(times=np.array(times), points=points,
+        rows.append(x)
+    return Trajectory(times=np.array(times), coords=np.array(rows),
                       beta=np.asarray(beta, dtype=float), model=model)
 
 
@@ -117,6 +122,7 @@ def numeric_limit_details(model: WeightedModel, beta, x0: ProjPoint, tol: float 
     The snap picks the fixed component carrying most of the terminal mass
     and renormalizes the restriction of the terminal point to it.
     """
+    _require_positive(tol=tol, dt=dt, t_max=t_max)
     levels = model.levels(beta)
     x = x0.coords.copy()
     t = 0.0
@@ -157,26 +163,10 @@ def numeric_limit(model: WeightedModel, beta, x0: ProjPoint, tol: float = 1e-8,
 
 
 def _tangent_frame(x: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal tangent frame at a unit vector.
-
-    Gram-Schmidt of the coordinate directions against x, keeping the
-    first n that survive; at a coordinate point e_j this returns the
-    remaining coordinate directions in index order.
-    """
-    n1 = x.size
-    frame = []
-    for i in range(n1):
-        v = np.zeros(n1)
-        v[i] = 1.0
-        v -= (v @ x) * x
-        for u in frame:
-            v -= (v @ u) * u
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-8:
-            frame.append(v / nrm)
-        if len(frame) == n1 - 1:
-            break
-    return np.array(frame)
+    """Deterministic orthonormal tangent frame at a unit vector x, as rows:
+    the last n columns of the Householder Q of ``[x | I]``, whose first
+    column is +-x."""
+    return np.linalg.qr(np.column_stack([x, np.eye(x.size)]))[0][:, 1:].T
 
 
 def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5) -> float:
@@ -186,16 +176,15 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
     in an orthonormal tangent frame; the round-metric estimate is divided
     by 2 per the model's metric convention.  Residual is O(h^2).
     """
+    _require_positive(h=h)
     levels = model.levels(beta)
-    frame = _tangent_frame(x.coords)
-    grad = np.zeros_like(x.coords)
+    y = x.coords
+    frame = _tangent_frame(y)
     ch, sh = math.cos(h), math.sin(h)
-    for u in frame:
-        fp = float(levels @ ((ch * x.coords + sh * u) ** 2))
-        fm = float(levels @ ((ch * x.coords - sh * u) ** 2))
-        grad += ((fp - fm) / (2.0 * h)) * u
-    residual = grad / 2.0 - action_field(levels, x.coords)
-    return float(np.linalg.norm(residual))
+    fp = ((ch * y + sh * frame) ** 2) @ levels
+    fm = ((ch * y - sh * frame) ** 2) @ levels
+    grad = ((fp - fm) / (2.0 * h)) @ frame
+    return float(np.linalg.norm(grad / 2.0 - action_field(levels, y)))
 
 
 def monotonicity_check(traj: Trajectory, mono_tol: float = 1e-9,
@@ -208,18 +197,12 @@ def monotonicity_check(traj: Trajectory, mono_tol: float = 1e-9,
     below that the nondecreasing clause alone applies.
     """
     vals = traj.mu_values()
-    norms = traj.field_norms()
-    scale = max(1.0, float(np.abs(vals).max()))
+    norms = traj.field_norms()[:-1]
+    scale = max(1.0, float(np.abs(vals).max()))  # a NaN maximum leaves 1.0
     resolution = 64.0 * np.finfo(float).eps * scale
-    for k in range(vals.size - 1):
-        dv = vals[k + 1] - vals[k]
-        if dv < -mono_tol * scale:
-            return False
-        dt = float(traj.times[k + 1] - traj.times[k])
-        predicted = dt * norms[k] ** 2
-        if norms[k] > fix_tol and predicted > resolution and not dv > 0.0:
-            return False
-    return True
+    dv = np.diff(vals)
+    strict = (norms > fix_tol) & (np.diff(traj.times) * norms ** 2 > resolution)
+    return not ((dv < -mono_tol * scale) | (strict & ~(dv > 0.0))).any()
 
 
 @dataclass(eq=False)
@@ -239,20 +222,18 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 
     At a coordinate point e_j the eigenvalues are the speed differences
     <lambda_i - lambda_j, beta> over i != j.
     """
+    _require_positive(h=h)
     levels = model.levels(beta)
     base = x_fixed.coords
     res = float(np.linalg.norm(action_field(levels, base)))
     if res > fix_tol:
         raise NotAFixedPoint(f"field norm {res:.3e} exceeds fix_tol {fix_tol:.3e}")
     frame = _tangent_frame(base)
-    n = frame.shape[0]
-    jac = np.zeros((n, n))
     ch, sh = math.cos(h), math.sin(h)
-    for b in range(n):
-        yp = ch * base + sh * frame[b]
-        ym = ch * base - sh * frame[b]
-        df = (action_field(levels, yp) - action_field(levels, ym)) / (2.0 * h)
-        jac[:, b] = frame @ df
+    # row b of df is the central difference of the field along frame[b]
+    df = (action_field(levels, ch * base + sh * frame)
+          - action_field(levels, ch * base - sh * frame)) / (2.0 * h)
+    jac = frame @ df.T
     defect = float(np.abs(jac - jac.T).max())
     if defect > sym_tol * max(1.0, float(np.abs(jac).max())):
         raise NotAFixedPoint(

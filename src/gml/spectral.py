@@ -214,15 +214,12 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim))
 
 
-def _eig_clusters(eigvals: np.ndarray, tol: float) -> list[list[int]]:
-    """Split an ascending eigenvalue list at gaps larger than tol."""
-    groups: list[list[int]] = [[0]]
-    for i in range(1, eigvals.size):
-        if eigvals[i] - eigvals[groups[-1][-1]] > tol:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return groups
+def _eig_clusters(eigvals: np.ndarray, tol: float) -> list[slice]:
+    """Slices of an ascending eigenvalue list, split at gaps larger than tol.
+    Gaps are compared halved, which is exact and cannot overflow."""
+    half = eigvals / 2
+    cuts = [0, *(np.flatnonzero(half[1:] - half[:-1] > tol / 2) + 1).tolist(), eigvals.size]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
 def _refine(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
@@ -233,11 +230,7 @@ def _refine(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
     a = a / 2.0 + a.T / 2.0  # (a + a.T) / 2 without its overflow
     w, v = np.linalg.eigh(a)
     ctol = 1e-8 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    cols = []
-    for idx in _eig_clusters(w, ctol):
-        block = basis @ v[:, idx]
-        cols.append(block if len(idx) == 1 else _refine(mats[1:], block))
-    return np.hstack(cols)
+    return np.hstack([_refine(mats[1:], basis @ v[:, s]) for s in _eig_clusters(w, ctol)])
 
 
 def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum:
@@ -264,7 +257,8 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     levels = levels[:, order]
     for k, a in enumerate(arrays):
         diff = a - (q * levels[k]) @ q.T
-        residual, size, e = float(np.linalg.norm(diff, "fro")), float(np.linalg.norm(a, "fro")), 0
+        with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+            residual, size, e = float(np.linalg.norm(diff, "fro")), float(np.linalg.norm(a, "fro")), 0
         if not (math.isfinite(residual) and math.isfinite(size)):
             # a norm overflowed: compare both sides times 2^-e, which is exact
             e = _binary_exponent(a)

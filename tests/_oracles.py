@@ -3,7 +3,9 @@
 Every function here avoids the code paths of the package proper:
 kernel dimensions come from SVD ranks, hull membership from linear
 programming, hull facets from Qhull, and limit supports and speed signs
-from direct combinatorics on the weight table.
+from direct combinatorics on the weight table.  The loop forms of the
+package's array kernels (near-duplicate representatives, trajectory
+values, finite-difference probes) are kept here, one row at a time.
 """
 
 import math
@@ -162,3 +164,108 @@ def speeds_separated(weights, beta, min_gap: float) -> bool:
     gaps = np.diff(np.sort(np.asarray(weights, dtype=float) @ beta))
     gaps = gaps[gaps > 1e-9]
     return not gaps.size or bool(gaps.min() >= min_gap)
+
+
+def dedupe_loop(points, tol):
+    """Near-duplicate removal one row at a time: a row is kept unless some
+    earlier kept row lies within tol (max-abs distance)."""
+    pts = np.asarray(points, dtype=float)
+    keep = []
+    for i, p in enumerate(pts):
+        keep.append(not any(keep[j] and np.abs(p - pts[j]).max() <= tol for j in range(i)))
+    return pts[np.array(keep, dtype=bool)]
+
+
+def vector_partition_loop(rows, tol):
+    """Partition of row indices: each unassigned row in index order opens a
+    class and takes every unassigned row within tol (max-abs distance)."""
+    rows = np.asarray(rows, dtype=float)
+    label = [-1] * len(rows)
+    for i in range(len(rows)):
+        if label[i] < 0:
+            for j in range(len(rows)):
+                if label[j] < 0 and np.abs(rows[i] - rows[j]).max() <= tol:
+                    label[j] = i
+    return tuple(tuple(j for j in range(len(rows)) if label[j] == c) for c in sorted(set(label)))
+
+
+def field_loop(levels, x):
+    """Bx - <x, Bx> x for one unit representative x."""
+    bx = np.asarray(levels, dtype=float) * x
+    return bx - float(x @ bx) * x
+
+
+def mu_values_loop(levels, rows):
+    """<mu(x), beta> = sum_i levels_i x_i^2, one sample at a time."""
+    return np.array([float(levels @ (np.asarray(r) ** 2)) for r in rows])
+
+
+def field_norms_loop(levels, rows):
+    return np.array([float(np.linalg.norm(field_loop(levels, np.asarray(r)))) for r in rows])
+
+
+def monotonicity_loop(times, vals, norms, mono_tol: float = 1e-9, fix_tol: float = 1e-10) -> bool:
+    """Step-by-step monotonicity decision: no drop beyond mono_tol * scale,
+    and a strict rise wherever the field norm exceeds fix_tol and the
+    predicted gain dt * norm^2 clears 64 ulps of the value scale."""
+    scale = max(1.0, float(np.abs(vals).max()))
+    resolution = 64.0 * np.finfo(float).eps * scale
+    for k in range(len(vals) - 1):
+        dv = vals[k + 1] - vals[k]
+        if dv < -mono_tol * scale:
+            return False
+        predicted = float(times[k + 1] - times[k]) * norms[k] ** 2
+        if norms[k] > fix_tol and predicted > resolution and not dv > 0.0:
+            return False
+    return True
+
+
+def gram_schmidt_frame(x):
+    """Tangent frame at a unit vector: Gram-Schmidt of the coordinate
+    directions against x, keeping the first n that survive."""
+    n1 = x.size
+    frame = []
+    for i in range(n1):
+        v = np.zeros(n1)
+        v[i] = 1.0
+        v -= (v @ x) * x
+        for u in frame:
+            v -= (v @ u) * u
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-8:
+            frame.append(v / nrm)
+        if len(frame) == n1 - 1:
+            break
+    return np.array(frame)
+
+
+def gradient_fd_loop(levels, x, h):
+    """Central-difference gradient residual, one frame vector at a time,
+    along geodesics in the Gram-Schmidt frame (round metric, divided by 2)."""
+    grad = np.zeros_like(x)
+    ch, sh = math.cos(h), math.sin(h)
+    for u in gram_schmidt_frame(x):
+        fp = float(levels @ ((ch * x + sh * u) ** 2))
+        fm = float(levels @ ((ch * x - sh * u) ** 2))
+        grad += ((fp - fm) / (2.0 * h)) * u
+    return float(np.linalg.norm(grad / 2.0 - field_loop(levels, x)))
+
+
+def linearization_loop(levels, x, h, fix_tol: float = 1e-10, sym_tol: float = 1e-5):
+    """Central-difference Jacobian of the field, one frame column at a
+    time, in the Gram-Schmidt frame.  Returns (frame, symmetrized
+    Jacobian), or None where the field norm exceeds fix_tol or the
+    Jacobian's asymmetry exceeds sym_tol * max(1, max |entry|)."""
+    if float(np.linalg.norm(field_loop(levels, x))) > fix_tol:
+        return None
+    frame = gram_schmidt_frame(x)
+    n = frame.shape[0]
+    jac = np.zeros((n, n))
+    ch, sh = math.cos(h), math.sin(h)
+    for b in range(n):
+        df = (field_loop(levels, ch * x + sh * frame[b])
+              - field_loop(levels, ch * x - sh * frame[b])) / (2.0 * h)
+        jac[:, b] = frame @ df
+    if float(np.abs(jac - jac.T).max()) > sym_tol * max(1.0, float(np.abs(jac).max())):
+        return None
+    return frame, (jac + jac.T) / 2.0

@@ -171,7 +171,7 @@ def test_criterion_5_numerics(model_pool):
     for dt in dts:
         traj = integrate_flow(square, beta, x0, 2.0, dt=dt)
         trajectories.append(traj)
-        errors.append(float(np.linalg.norm(traj.points[-1].coords - exact.coords)))
+        errors.append(float(np.linalg.norm(ProjPoint(traj.coords[-1]).coords - exact.coords)))
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     assert slope >= 3.8, f"RK4 regression order {slope:.3f}"
 

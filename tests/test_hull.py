@@ -11,11 +11,18 @@ import pytest
 
 import gml
 from gml import WeightedModel
-from gml.hull import Polytope
+from gml.hull import Polytope, _dedupe, first_representatives
+from gml.model import _level_tol, _vector_labels
 from gml.rng import substream
 from gml.serialization import save_model
 
-from _oracles import in_hull_lp, lp_vertices, qhull_reference
+from _oracles import (
+    dedupe_loop,
+    in_hull_lp,
+    lp_vertices,
+    qhull_reference,
+    vector_partition_loop,
+)
 
 
 def test_square_vertices_are_irredundant_and_sorted():
@@ -201,3 +208,30 @@ def test_no_gml_command_needs_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "6"
     assert json.loads(proc.stdout.split("\n", 1)[1])["passes"] == 3
+
+
+def test_first_representatives_match_the_loop_rules():
+    """Near-duplicate sets with offsets of 0 to 1.5 tolerances, so that a row
+    can lie near an earlier row that is itself not a representative.  The
+    kernel must agree with both loop forms, at the hull tolerance and at the
+    level tolerance of the model partitions."""
+    rng = substream(406, 0)
+    chained = 0
+    for k in range(3000):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        centers = rng.integers(-3, 4, size=(int(rng.integers(1, 4)), d)).astype(float)
+        unit = 1e-9 if k % 2 else 3e-12  # about the hull / level tolerance
+        rows = centers[rng.integers(0, len(centers), n)] + unit * 0.5 * rng.integers(0, 4, (n, d))
+        for tol in (1e-9, _level_tol(rows)):
+            rep = first_representatives(rows, tol)
+            kept = rep == np.arange(n)
+            assert np.array_equal(rows[kept], dedupe_loop(rows, tol))
+            groups = tuple(tuple(np.flatnonzero(rep == c).tolist()) for c in np.flatnonzero(kept))
+            assert groups == vector_partition_loop(rows, tol)
+            close = np.abs(rows[:, None] - rows[None, :]).max(axis=2) <= tol
+            chained += int((kept & np.tril(close, -1).any(axis=1)).any())
+        assert np.array_equal(_dedupe(rows, 1e-9), dedupe_loop(rows, 1e-9))
+        labels = _vector_labels(rows)
+        assert tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in range(labels.max() + 1)) \
+            == vector_partition_loop(rows, _level_tol(rows))
+    assert chained >= 100  # rows that joined nobody although an earlier row was near

@@ -37,7 +37,7 @@ from gml.errors import (
     GmlInputError,
     NonPositiveEpsilon,
 )
-from gml.model import _vector_partition, certify_levels, model_chain_threshold_witness
+from gml.model import _vector_labels, certify_levels, model_chain_threshold_witness
 from gml.rng import substream
 
 from _oracles import first_accepted_loop, speeds_separated
@@ -269,7 +269,8 @@ def test_composed_limit_renormalizes_after_each_basis_row():
     lim = composed_limit(model, None, x)
     assert lim.support == (1, 2)
     assert lim.coords.tolist() == [0.0, 0.11400590984727986, 0.9934800715262959, 0.0, 0.0]
-    assert not np.array_equal(lim.coords, x.restricted([1, 2]).coords)
+    straight = ProjPoint(np.where([False, True, True, False, False], x.coords, 0.0))
+    assert not np.array_equal(lim.coords, straight.coords)
 
 
 def test_composed_limit_rejects_dependent_directions(square_model):
@@ -642,7 +643,14 @@ def test_vector_partition_groups_rows_a_sort_interleaves():
     a = 0.70710678118654702
     rows = np.array([[a, 2.0], [a, 3.0], [a + 8.9e-16, 2.0]])
     assert np.lexsort(np.flipud(rows.T)).tolist() == [0, 1, 2]
-    assert _vector_partition(rows) == ((0, 2), (1,))
+    assert _vector_labels(rows).tolist() == [0, 1, 0]
+
+
+def test_joint_labels_index_the_joint_partition(model_pool):
+    for model in model_pool:
+        labels = model.joint_labels
+        assert labels.tolist() == [next(c for c, g in enumerate(model.joint_partition) if i in g)
+                                   for i in range(model.num_coords)]
 
 
 def test_interleaved_joint_class_is_certified():

@@ -16,16 +16,27 @@ from gml import (
     integrate_flow,
     numeric_limit,
 )
-from gml.errors import HorizonExceeded, NotAFixedPoint, StepTooLarge
+from gml.errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge
+from gml.model import fixed_components
 from gml.numerics import (
+    _rk4_step,
+    _tangent_frame,
     gradient_fd_check,
     linearization_at,
     monotonicity_check,
     numeric_limit_details,
 )
-from gml.rng import substream
+from gml.rng import substream, unit_vector
 
-from _oracles import direct_flow
+from _oracles import (
+    direct_flow,
+    field_norms_loop,
+    gradient_fd_loop,
+    gram_schmidt_frame,
+    linearization_loop,
+    monotonicity_loop,
+    mu_values_loop,
+)
 
 S2 = 1 / math.sqrt(2)
 BETA = [1.0, 0.5]
@@ -41,8 +52,8 @@ def P(*coords) -> ProjPoint:
 def test_integrate_zero_time_returns_start(square_model):
     x = P(0.5, 0.5, 0.5, 0.5)
     traj = integrate_flow(square_model, [1, 0], x, 0.0)
-    assert len(traj.points) == 1
-    assert traj.points[0].same_as(x)
+    assert traj.coords.shape == (1, 4)
+    assert ProjPoint(traj.coords[0]).same_as(x)
     assert traj.times.tolist() == [0.0]
 
 
@@ -50,14 +61,13 @@ def test_integrate_matches_closed_form(square_model):
     x = P(0.5, 0.5, 0.5, 0.5)
     traj = integrate_flow(square_model, [1, 0], x, 10.0, dt=0.01)
     want = direct_flow(square_model.weights, [1, 0], 10.0, x.coords)
-    assert np.linalg.norm(traj.points[-1].coords - np.abs(want)) < 1e-6
+    assert np.linalg.norm(ProjPoint(traj.coords[-1]).coords - np.abs(want)) < 1e-6
 
 
 def test_integrate_fixed_point_is_constant(square_model):
     x = P(0, 1, 0, 0)
     traj = integrate_flow(square_model, [1, 0], x, 2.0, dt=0.05)
-    for p in traj.points:
-        assert np.linalg.norm(p.coords - x.coords) <= 1e-12
+    assert np.linalg.norm(traj.coords - x.coords, axis=1).max() <= 1e-12
 
 
 def test_integrate_rejects_oversized_steps(square_model):
@@ -71,13 +81,23 @@ def test_integrate_convergence_is_fourth_order(square_model):
     errs = []
     for dt in (0.1, 0.05):
         traj = integrate_flow(square_model, BETA, x, 2.0, dt=dt)
-        errs.append(float(np.linalg.norm(traj.points[-1].coords - exact.coords)))
+        errs.append(float(np.linalg.norm(ProjPoint(traj.coords[-1]).coords - exact.coords)))
     assert errs[0] / errs[1] >= 14.0
+
+
+def test_trajectory_rows_are_the_integrator_steps(square_model):
+    x = P(0.5, 0.5, 0.5, 0.5)
+    traj = integrate_flow(square_model, BETA, x, 1.0, dt=0.25)
+    levels = square_model.levels(BETA)
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert traj.coords[0].tobytes() == x.coords.tobytes()
+    for k in range(4):
+        assert traj.coords[k + 1].tobytes() == _rk4_step(levels, traj.coords[k], 0.25).tobytes()
 
 
 def test_trajectory_rejects_length_mismatch(square_model):
     with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 1.0]), points=[P(1, 0, 0, 0)],
+        Trajectory(times=np.array([0.0, 1.0]), coords=P(1, 0, 0, 0).coords[None, :],
                    beta=np.array([1.0, 0.0]), model=square_model)
 
 
@@ -87,10 +107,10 @@ def test_trajectory_csv_round_trip(square_model):
     traj.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,x_0,x_1,x_2,x_3,mu_beta,field_norm"
-    assert len(lines) == 1 + len(traj.points)
+    assert len(lines) == 1 + len(traj.coords)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
-    assert np.allclose(first[1:5], traj.points[0].coords)
+    assert np.allclose(first[1:5], traj.coords[0])
     # mu values in the file are nondecreasing
     mus = [float(line.split(",")[-2]) for line in lines[1:]]
     assert all(b >= a - 1e-12 for a, b in zip(mus, mus[1:]))
@@ -198,7 +218,7 @@ def test_monotonicity_constant_at_fixed_point(square_model):
 def test_monotonicity_rejects_decreasing_sequence(square_model):
     # reversed gradient trajectory: mu values strictly decrease
     fwd = integrate_flow(square_model, BETA, P(0.5, 0.5, 0.5, 0.5), 2.0, dt=0.1)
-    rev = Trajectory(times=fwd.times, points=fwd.points[::-1],
+    rev = Trajectory(times=fwd.times, coords=fwd.coords[::-1],
                      beta=fwd.beta, model=square_model)
     assert not monotonicity_check(rev)
 
@@ -250,3 +270,147 @@ def test_eigenvalue_signs_predict_flow_direction(square_model):
     back = ProjPoint([math.sin(theta), math.cos(theta), 0, 0])
     lim = numeric_limit(square_model, BETA, back)
     assert lim.same_as(P(0, 1, 0, 0))
+
+
+# ----------------------------------------------------------------- bad inputs
+
+_X = P(0.7, 0.7, 0.1, 0.1)
+_INPUT_CALLS = {
+    # the time cap is kept short where it is not the value under test
+    ("numeric_limit", "dt"): lambda m, v: numeric_limit(m, BETA, _X, dt=v, t_max=8.0),
+    ("numeric_limit", "tol"): lambda m, v: numeric_limit(m, BETA, _X, tol=v, t_max=8.0),
+    ("numeric_limit", "t_max"): lambda m, v: numeric_limit(m, BETA, _X, t_max=v),
+    ("numeric_limit_details", "dt"):
+        lambda m, v: numeric_limit_details(m, BETA, _X, dt=v, t_max=8.0),
+    ("numeric_limit_details", "tol"):
+        lambda m, v: numeric_limit_details(m, BETA, _X, tol=v, t_max=8.0),
+    ("numeric_limit_details", "t_max"): lambda m, v: numeric_limit_details(m, BETA, _X, t_max=v),
+    ("integrate_flow", "dt"): lambda m, v: integrate_flow(m, BETA, _X, 1.0, dt=v),
+    ("integrate_flow", "t_end"): lambda m, v: integrate_flow(m, BETA, _X, v),
+    ("gradient_fd_check", "h"): lambda m, v: gradient_fd_check(m, BETA, _X, h=v),
+    ("linearization_at", "h"): lambda m, v: linearization_at(m, BETA, P(0, 0, 0, 1), h=v),
+}
+_BAD_VALUES = {"zero": 0.0, "negative": -0.5, "nan": math.nan, "inf": math.inf}
+# a zero-time trajectory is valid: it holds the start point
+_BAD_INPUTS = [(func, arg, bad) for func, arg in _INPUT_CALLS for bad in _BAD_VALUES
+               if (arg, bad) != ("t_end", "zero")]
+
+
+@pytest.mark.parametrize("func, arg, bad", _BAD_INPUTS, ids=str)
+def test_numerics_rejects_bad_step_sizes_and_tolerances(square_model, func, arg, bad):
+    with pytest.raises(GmlInputError, match=arg):
+        _INPUT_CALLS[func, arg](square_model, _BAD_VALUES[bad])
+
+
+# ------------------------------------------- array forms against loop references
+#
+# Tolerances, fixed before comparing: values agree within 1e-12 relative,
+# with an absolute floor of 1e-12 * scale, scale = max(1, max |level|).  A
+# central difference of values of size scale carries rounding of order
+# eps * scale / h, so finite-difference outputs agree within 1e-12 * scale / h.
+
+
+def _scale(levels) -> float:
+    return max(1.0, float(np.abs(levels).max()))
+
+
+def _reference_cases(model_pool):
+    """(model, beta, x) on every third pool model: a gapped direction when
+    one is drawn (else any unit direction), a random point, a coordinate
+    point and a point of the top fixed component."""
+    for j, model in enumerate(model_pool[::3]):
+        rng = substream(404, j)
+        beta = gapped_direction(model, rng)
+        if beta is None:
+            beta = model.ortho_basis.T @ unit_vector(rng, model.subalgebra_dim)
+        top = fixed_components(model, beta)[0].indices
+        z = np.zeros(model.num_coords)
+        z[list(top)] = rng.uniform(0.5, 1.0, len(top))
+        for x in (ProjPoint(rng.standard_normal(model.num_coords)),
+                  ProjPoint.coordinate(int(rng.integers(model.num_coords)), model.num_coords),
+                  ProjPoint(z)):
+            yield model, beta, x
+
+
+def test_trajectory_values_match_the_per_point_loops(model_pool):
+    for model, beta, x in _reference_cases(model_pool):
+        traj = integrate_flow(model, beta, x, 3.0, dt=0.05)
+        levels = model.levels(beta)
+        # the loops read each sample's ProjPoint coordinates
+        pts = [ProjPoint(row).coords for row in traj.coords]
+        mus, norms = mu_values_loop(levels, pts), field_norms_loop(levels, pts)
+        tol = dict(rtol=1e-12, atol=1e-12 * _scale(levels))
+        np.testing.assert_allclose(traj.mu_values(), mus, **tol)
+        np.testing.assert_allclose(traj.field_norms(), norms, **tol)
+        assert monotonicity_check(traj) == monotonicity_loop(traj.times, mus, norms)
+
+
+def test_monotonicity_matches_the_loop_on_random_trajectories(model_pool):
+    rng = substream(405, 0)
+    decisions = []
+    for j in range(400):
+        model = model_pool[j % len(model_pool)]
+        beta = model.ortho_basis.T @ unit_vector(rng, model.subalgebra_dim)
+        levels = model.levels(beta)
+        t = int(rng.integers(1, 10))
+        times = np.cumsum(rng.uniform(0.0, 0.2, t)) * (1e-18 if j % 7 == 0 else 1.0)
+        coords = rng.standard_normal((t, model.num_coords))
+        if j % 3:  # a fixed point and a repeated sample, then sorted by value
+            coords[rng.integers(t)] = np.eye(model.num_coords)[rng.integers(model.num_coords)]
+            coords[rng.integers(t)] = coords[rng.integers(t)]
+        coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+        if j % 3:
+            coords = coords[np.argsort(mu_values_loop(levels, coords), kind="stable")]
+        if j % 5 == 0:
+            coords[rng.integers(t)] = np.nan
+        traj = Trajectory(times=times, coords=coords, beta=beta, model=model)
+        want = monotonicity_loop(times, mu_values_loop(levels, coords),
+                                 field_norms_loop(levels, coords))
+        assert monotonicity_check(traj) == want, j
+        decisions.append(want)
+    assert 50 <= sum(decisions) <= 350
+
+
+def test_tangent_frame_spans_the_gram_schmidt_tangent_space(model_pool):
+    for _, _, x in _reference_cases(model_pool):
+        frame, gs = _tangent_frame(x.coords), gram_schmidt_frame(x.coords)
+        assert frame.shape == gs.shape == (x.dim - 1, x.dim)
+        np.testing.assert_allclose(frame @ frame.T, np.eye(x.dim - 1), rtol=0, atol=1e-14)
+        assert np.abs(frame @ x.coords).max() <= 1e-14
+        np.testing.assert_allclose(frame.T @ frame, gs.T @ gs, rtol=0, atol=1e-14)
+
+
+def test_gradient_fd_check_matches_the_frame_loop(model_pool):
+    for model, beta, x in _reference_cases(model_pool):
+        levels = model.levels(beta)
+        got, want = [], []
+        for h in (1e-3, 5e-4, 1e-5):
+            got.append(gradient_fd_check(model, beta, x, h=h))
+            want.append(gradient_fd_loop(levels, x.coords, h))
+            assert abs(got[-1] - want[-1]) <= 1e-12 * _scale(levels) / h
+        # the numerics campaign's decision on the order of the residual
+        flags = [r1 > 1e-12 and not 3.5 <= r1 / max(r2, 1e-18) <= 4.5
+                 for r1, r2 in (got[:2], want[:2])]
+        assert flags[0] == flags[1]
+
+
+def test_linearization_matches_the_frame_loop(model_pool):
+    h = 1e-6
+    fixed = 0
+    for model, beta, x in _reference_cases(model_pool):
+        levels = model.levels(beta)
+        want = linearization_loop(levels, x.coords, h)
+        try:
+            lin = linearization_at(model, beta, x, h=h)
+        except NotAFixedPoint:
+            assert want is None
+            continue
+        assert want is not None
+        frame, jac = want
+        tol = 1e-12 * _scale(levels) / h
+        np.testing.assert_allclose(lin.eigenvalues, np.linalg.eigvalsh(jac), rtol=0, atol=tol)
+        # the frames differ; the operator on the tangent space does not
+        np.testing.assert_allclose(lin.frame.T @ lin.matrix @ lin.frame,
+                                   frame.T @ jac @ frame, rtol=0, atol=tol)
+        fixed += 1
+    assert fixed >= 30

@@ -1,6 +1,7 @@
 """Commuting symmetric operators: joint spectra, kernels, and step thresholds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,7 +142,6 @@ def test_joint_diagonalize_rejects_noncommuting():
             joint_diagonalize(loose)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_joint_diagonalize_near_the_float_limit():
     # eigenvalues +-sqrt(1.01) * 1e308: symmetrizing and the reconstruction
     # check must not overflow
@@ -149,6 +149,15 @@ def test_joint_diagonalize_near_the_float_limit():
     levels = joint_diagonalize(fam).levels[0]
     want = math.sqrt(1.01) * 1e308
     assert np.allclose(levels / want, [1.0, -1.0], rtol=1e-12, atol=0.0)
+
+
+def test_joint_diagonalize_splits_opposite_levels_at_the_float_limit():
+    # the gap between -1e308 and 1e308 overflows; halved it does not
+    fam = CommutingFamily((SymMat.diag([-1e308, 1e308]),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels = joint_diagonalize(fam).levels[0]
+    assert levels.tolist() == [1e308, -1e308]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
