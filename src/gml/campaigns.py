@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,8 +30,6 @@ from .spectral import (
 
 CAMPAIGNS = ("theorem1", "theorem2", "lemma-linearization", "convexity", "numerics")
 
-ENV_DEFAULT_TOL = "GML_DEFAULT_TOL"
-
 _DEFAULT_TOLS = {
     "eq_tol": 1e-12,      # coordinate agreement between closed-form limits
     "hull_tol": 1e-9,     # polytope containment slack
@@ -44,12 +41,8 @@ _DEFAULT_TOLS = {
 
 
 def resolve_tolerances(overrides: dict | None = None) -> dict:
-    """Defaults, then the GML_DEFAULT_TOL environment value for eq_tol,
-    then explicit per-key overrides."""
+    """Defaults, then explicit per-key overrides."""
     tols = dict(_DEFAULT_TOLS)
-    env = os.environ.get(ENV_DEFAULT_TOL)
-    if env:
-        tols["eq_tol"] = float(env)
     if overrides:
         for key, val in overrides.items():
             if key not in tols:
@@ -69,10 +62,16 @@ class CampaignConfig:
     probe_tightness: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise GmlInputError("trials must be >= 1")
-        if self.seed < 0:
-            raise GmlInputError("seed must be a nonnegative integer")
+        _check_run(self.trials, self.seed)
+
+
+def _check_run(trials: int, seed: int) -> None:
+    """At least one trial, and a seed in [0, 2**64): trial streams are keyed
+    by the seed's 64 bits, so a seed outside would alias one inside."""
+    if trials < 1:
+        raise GmlInputError("trials must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise GmlInputError(f"seed must be an integer in [0, 2**64), got {seed}")
 
 
 @dataclass(eq=False)
@@ -281,6 +280,7 @@ def run_campaign_model(model: mdl.WeightedModel, campaign: str, trials: int, see
     """Run one campaign against an in-memory model."""
     if campaign not in _CAMPAIGN_FUNCS:
         raise UnknownCampaign(f"unknown campaign '{campaign}'; choose from {CAMPAIGNS}")
+    _check_run(trials, seed)
     tols = resolve_tolerances(tolerances)
     start = time.perf_counter()
     passes, failures, thresholds, total = _CAMPAIGN_FUNCS[campaign](

@@ -379,15 +379,15 @@ def perturbed_limit(model: WeightedModel, alphas, eps, x: ProjPoint) -> ProjPoin
 
 
 def model_chain_threshold(model: WeightedModel, alphas=None) -> float:
-    """Largest uniform box radius delta for the ordered basis ``alphas``.
+    """A uniform box radius delta for the ordered basis ``alphas``.
 
     For all step sizes eps_2..eps_k in (0, delta), the sign of
     ``d · (1, eps_2, ..., eps_k)`` matches the lexicographic sign of d
     for every weight-difference speed vector d, so the perturbed limit
     along ``alphas[0] + sum eps_k alphas[k]`` equals the composed limit.
-    The bound is ``spectral.box_radius`` over the pair speeds: +infinity
-    when no pair constrains, 0.0 when some pair admits no uniform box
-    (only nested step choices work for it).
+    The bound is ``spectral.box_radius`` over the pair speeds (sufficient,
+    not sharp): +infinity when no pair constrains, 0.0 when some pair
+    admits no uniform box (only nested step choices work for it).
     """
     return model_chain_threshold_witness(model, alphas)[0]
 

@@ -37,13 +37,11 @@ def _zero_tol(entries: np.ndarray) -> float:
 
 
 def _canonical_sign_columns(cols: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry of each is positive."""
-    out = cols.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        if col.size and col[int(np.argmax(np.abs(col)))] < 0:
-            out[:, j] = -col
-    return out
+    """Flip column signs so the (first) largest-magnitude entry of each is
+    positive.  Returns C order: a basis's layout picks the BLAS path, and so
+    the last bits, of every product with it."""
+    lead = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
+    return np.ascontiguousarray(np.where(lead < 0, -cols, cols))
 
 
 def _symmetrized(m: np.ndarray, sym_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -271,33 +269,21 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     return JointSpectrum(basis=q, levels=levels)
 
 
-def _zero_eigenspace(w: np.ndarray, v: np.ndarray, tol: float) -> Subspace:
-    """Span of the eigenvectors (columns of v) whose |eigenvalue| is <= tol."""
-    return Subspace(v.shape[0], _canonical_sign_columns(v[:, np.abs(w) <= tol]))
-
-
 def kernel(a: SymMat, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the eigenspace with |eigenvalue| <= tol."""
     if tol is None:
         tol = _zero_tol(a.entries)
     w, v = np.linalg.eigh(a.entries)
-    return _zero_eigenspace(w, v, tol)
-
-
-def _zero_angles(u: Subspace, v: Subspace, tol: float) -> tuple[np.ndarray, int]:
-    """Left singular vectors of ``U^T V``, and how many principal angles
-    between u and v are zero (cosine >= 1 - tol)."""
-    if u.dim == 0 or v.dim == 0:
-        return np.zeros((u.dim, 0)), 0
-    w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
-    return w, int(np.count_nonzero(s >= 1.0 - tol))
+    return Subspace(v.shape[0], _canonical_sign_columns(v[:, np.abs(w) <= tol]))
 
 
 def subspace_intersection(u: Subspace, v: Subspace, tol: float = _ANGLE_TOL) -> Subspace:
-    """Intersection computed from principal angles (singular values of U^T V)."""
+    """Intersection computed from principal angles (singular values of U^T V):
+    the span of the left singular vectors whose cosine is >= 1 - tol."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}")
-    w, count = _zero_angles(u, v, tol)
+    w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
+    count = int(np.count_nonzero(s >= 1.0 - tol))
     if count == 0:
         return Subspace.empty(u.ambient_dim)
     q, _ = np.linalg.qr(u.basis @ w[:, :count])
@@ -305,14 +291,15 @@ def subspace_intersection(u: Subspace, v: Subspace, tol: float = _ANGLE_TOL) -> 
 
 
 def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
-    """Box kernel: the largest delta such that every row l of ``levels
-    (P, k)`` keeps the sign of its leading entry along ``l · (1, eps_2,
-    ..., eps_k)`` for all step sizes in ``(0, delta)^(k-1)``.
+    """Box kernel: a delta, sufficient but not sharp, such that every row l
+    of ``levels (P, k)`` keeps the sign of its leading entry along
+    ``l · (1, eps_2, ..., eps_k)`` for all step sizes in ``(0, delta)^(k-1)``.
 
     Entries with ``|l| <= tol`` (a scalar, or one per slot) do not count.
     The first significant slot is the lead and the significant slots after
-    it are the tail.  A lead in slot 0 bounds delta by ``|l_0| / sum |tail|``;
-    a later lead with some tail entry of opposite sign admits no box at all
+    it are the tail.  A lead in slot 0 bounds delta by ``|l_0| / sum |tail|``,
+    same-sign entries too (``[1, 1]`` gets 1 though ``1 + eps`` never
+    vanishes; the bound is exact when ``ties`` is nonempty); a later lead with some tail entry of opposite sign admits no box at all
     (0.0), since matched step sizes cancel; a tail that shares the lead's
     sign constrains nothing.  Returns delta (+infinity when no row
     constrains), ``binding (P,)``, the rows whose bound is within 1e-9
@@ -337,12 +324,14 @@ def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
 
 def delta_threshold(alpha: SymMat, beta: SymMat, tol: float | None = None,
                     comm_tol: float | None = None) -> float:
-    """Largest safe step size for perturbing ``alpha`` by ``beta``.
+    """A safe step size for perturbing ``alpha`` by ``beta``.
 
     With joint eigenvalue pairs (a_i, b_i), the threshold is
     ``min |a_i| / |b_i|`` over indices where both are nonzero (above
     ``tol``), and +infinity when no index has both nonzero.  For every
     0 < eps < threshold, ``Ker(alpha + eps*beta) = Ker alpha ∩ Ker beta``.
+    Sufficient, not sharp: the kernel jumps at eps = threshold only when a
+    binding pair has opposite signs.
     """
     delta, _ = delta_threshold_witness(alpha, beta, tol=tol, comm_tol=comm_tol)
     return delta
@@ -351,10 +340,16 @@ def delta_threshold(alpha: SymMat, beta: SymMat, tol: float | None = None,
 def delta_threshold_witness(alpha: SymMat, beta: SymMat, tol: float | None = None,
                             comm_tol: float | None = None) -> tuple[float, list[tuple[float, float]]]:
     """Threshold plus the joint eigenvalue pairs (a_i, b_i) attaining it."""
-    levels = joint_diagonalize(CommutingFamily((alpha, beta), comm_tol)).levels.T
-    tols = [tol if tol is not None else _zero_tol(m.entries) for m in (alpha, beta)]
-    delta, binding, _ = box_radius(levels, np.array(tols))
+    levels, (delta, binding, _) = _family_box(CommutingFamily((alpha, beta), comm_tol), tol)
     return delta, [(float(x), float(y)) for x, y in levels[binding]]
+
+
+def _family_box(fam: CommutingFamily, tol: float | None):
+    """A family's joint level vectors ``(dim, members)`` and their ``box_radius``;
+    a member's zero threshold is ``tol``, else its ``_zero_tol``."""
+    levels = joint_diagonalize(fam).levels.T
+    tols = [tol if tol is not None else _zero_tol(m.entries) for m in fam.members]
+    return levels, box_radius(levels, np.array(tols))
 
 
 @dataclass(frozen=True)
@@ -398,9 +393,13 @@ def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
     else:
         shift_tol = np.full(eps.shape, kernel_tol)
     w, v = np.linalg.eigh(shifted)
-    k_pert = [_zero_eigenspace(*row) for row in zip(w, v, shift_tol)]
-    dist = np.linalg.norm(np.array([k.projector() for k in k_pert]) - p_int, 2, axis=(1, 2))
-    dims = np.array([(k.dim, k_int.dim, _zero_angles(k, k_int, _ANGLE_TOL)[1]) for k in k_pert])
+    mask = np.abs(w) <= shift_tol[:, None]  # (m, n): the kernel columns of each row
+    vk = v * mask[:, None, :]               # the other columns zeroed
+    dist = np.linalg.norm(vk @ np.swapaxes(v, 1, 2) - p_int, 2, axis=(1, 2))
+    # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
+    cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int.basis, compute_uv=False)
+    overlap = np.count_nonzero(cosines >= 1.0 - _ANGLE_TOL, axis=1)
+    dims = np.column_stack([mask.sum(axis=1), np.full(eps.shape, k_int.dim), overlap])
     return dist <= tol, dims, dist
 
 
@@ -424,8 +423,7 @@ def chain_threshold(fam: CommutingFamily, tol: float | None = None) -> float:
     vectors, one per joint eigenvector: 0.0 when no uniform box exists,
     +infinity when nothing constrains (always for one member).
     """
-    tols = [tol if tol is not None else _zero_tol(m.entries) for m in fam.members]
-    return box_radius(joint_diagonalize(fam).levels.T, np.array(tols))[0]
+    return _family_box(fam, tol)[1][0]
 
 
 def random_commuting_family(rng: np.random.Generator, dim: int, members: int = 2,
@@ -442,6 +440,5 @@ def random_commuting_family(rng: np.random.Generator, dim: int, members: int = 2
     for _ in range(members):
         levels = rng.integers(-level_range, level_range + 1, size=dim).astype(float)
         levels[rng.random(dim) < zero_prob] = 0.0
-        a = (q * levels) @ q.T
-        mats.append(SymMat((a + a.T) / 2.0))
+        mats.append(SymMat((q * levels) @ q.T))  # SymMat symmetrizes
     return CommutingFamily(tuple(mats))

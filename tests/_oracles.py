@@ -5,10 +5,12 @@ kernel dimensions come from SVD ranks, hull membership from linear
 programming, hull facets from Qhull, and limit supports and speed signs
 from direct combinatorics on the weight table.  The loop forms of the
 package's array kernels (near-duplicate representatives, trajectory
-values, finite-difference probes) are kept here, one row at a time.
+values, finite-difference probes, perturbed kernels) are kept here, one
+row at a time, and box radii are computed exactly in rationals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -37,6 +39,59 @@ def eps_grid_kernel_equality(alpha, beta, eps_values, tol: float = 1e-9):
     b = np.asarray(beta, dtype=float)
     want = joint_kernel_dim(a, b, tol=tol)
     return [kernel_dim(a + e * b, tol=tol) == want for e in eps_values]
+
+
+def signed_columns_loop(cols):
+    """Flip each column so its first largest-magnitude entry is positive
+    (a C-order copy, the layout the package's bases have)."""
+    out = np.array(cols, dtype=float, order="C")
+    for j in range(out.shape[1]):
+        if out[int(np.argmax(np.abs(out[:, j]))), j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def _zero_space_loop(mat, tol):
+    """Sign-canonical eigenvectors of a symmetric matrix with |eigenvalue| <= tol."""
+    w, v = np.linalg.eigh(mat)
+    return signed_columns_loop(v[:, np.abs(w) <= tol])
+
+
+def _zero_angle_count(u, v, tol: float = 1e-9) -> int:
+    """How many principal angles between the column spans u and v are zero."""
+    if not (u.shape[1] and v.shape[1]):
+        return 0
+    return int(np.count_nonzero(np.linalg.svd(u.T @ v)[1] >= 1.0 - tol))
+
+
+def kernel_equality_loop(alpha, beta, eps_values, tol: float = 1e-8, kernel_tol=None):
+    """``Ker(alpha + eps*beta)`` against ``Ker alpha ∩ Ker beta`` one step
+    size at a time, by one orthonormal kernel basis per step size: its
+    projector's 2-norm distance from the intersection's, and the zero
+    principal angles between the two.  The zero threshold of a matrix is
+    ``kernel_tol``, or else 1e-12 times its entry scale (for a shifted
+    matrix, the larger scale of alpha and eps * beta).  Returns lists
+    ``holds``, ``dims`` (as ``KernelEqualityReport.dims``) and distances.
+    """
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    scale_a, scale_b = float(np.abs(a).max()), float(np.abs(b).max())
+    ka = _zero_space_loop(a, 1e-12 * scale_a if kernel_tol is None else kernel_tol)
+    kb = _zero_space_loop(b, 1e-12 * scale_b if kernel_tol is None else kernel_tol)
+    k_int = np.zeros((a.shape[0], 0))
+    count = _zero_angle_count(ka, kb)
+    if count:
+        w = np.linalg.svd(ka.T @ kb)[0]
+        k_int = signed_columns_loop(np.linalg.qr(ka @ w[:, :count])[0])
+    holds, dims, dists = [], [], []
+    for e in eps_values:
+        m = a + e * b
+        t = 1e-12 * max(scale_a, e * scale_b) if kernel_tol is None else kernel_tol
+        k = _zero_space_loop(m / 2.0 + m.T / 2.0, t)
+        dist = float(np.linalg.norm(k @ k.T - k_int @ k_int.T, 2))
+        holds.append(dist <= tol)
+        dims.append((k.shape[1], k_int.shape[1], _zero_angle_count(k, k_int)))
+        dists.append(dist)
+    return holds, dims, dists
 
 
 def chain_grid_kernel_equality(mats, eps_grid, tol: float = 1e-9):
@@ -139,6 +194,28 @@ def box_radius_loop(levels, tol):
     delta = min(bounds, default=float("inf"))
     binding = [p for p, b in enumerate(bounds) if b < float("inf") and b <= delta * (1 + 1e-9)]
     return delta, binding, [p for p in binding if opposed[p]]
+
+
+def box_radius_exact(levels):
+    """Exact sign-preserving box radius of integer rows, in rationals.
+
+    A row keeps the sign of its lead along ``l · (1, eps_2, ..., eps_k)``
+    on the box ``(0, delta)^(k-1)`` exactly when: a slot-0 lead is at least
+    delta times the sum of the tail entries that oppose it (same-sign
+    entries only help); a later lead has no opposing tail entry at all.
+    Returns the minimum over rows: a Fraction, or +inf when no row
+    constrains."""
+    best = math.inf
+    for row in np.asarray(levels):
+        ints = [int(x) for x in row]
+        sig = [k for k, x in enumerate(ints) if x]
+        if not sig:
+            continue
+        lead = ints[sig[0]]
+        opposed = sum(abs(ints[k]) for k in sig[1:] if (ints[k] > 0) != (lead > 0))
+        if opposed:
+            best = min(best, Fraction(abs(lead), opposed) if sig[0] == 0 else Fraction(0))
+    return best
 
 
 def first_accepted_loop(model, rng, attempts: int, accept):

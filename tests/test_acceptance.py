@@ -23,14 +23,13 @@ from gml import (
     moment_polytope_check,
     numeric_limit,
     orbit_hull_check,
-    perturbed_kernel_equality,
     random_commuting_family,
 )
 from gml.campaigns import CampaignConfig, resolve_tolerances, run_campaign, run_campaign_model
 from gml.model import model_chain_threshold
 from gml.numerics import gradient_fd_check, linearization_at, monotonicity_check
 from gml.rng import open_uniform, substream
-from gml.spectral import delta_threshold_witness
+from gml.spectral import delta_threshold_witness, kernel_equality_rows
 
 
 TOLS = resolve_tolerances({})
@@ -53,15 +52,17 @@ def test_criterion_1_kernel_perturbation_suite():
         delta, witness = delta_threshold_witness(alpha, beta)
         pairs += 1
         cap = delta * (1 - 1e-9) if math.isfinite(delta) else 10.0
-        for _ in range(10):
-            eps = open_uniform(rng, 0.0, cap)
-            rep = perturbed_kernel_equality(alpha, beta, eps, tol=TOLS["holds_tol"])
-            assert rep.holds, (trial, eps, rep.dims)
-            assert rep.dims[0] == rep.dims[1]
+        eps = [open_uniform(rng, 0.0, cap) for _ in range(10)]
+        # one call per pair: the 10 step sizes, then the eps = delta probe
+        probe = math.isfinite(delta) and any(a * b < 0 for a, b in witness)
+        holds, dims, _ = kernel_equality_rows(alpha, beta, eps + [delta] if probe else eps,
+                                              tol=TOLS["holds_tol"])
+        for e, row_holds, row_dims in zip(eps, holds, dims.tolist()):
+            assert row_holds, (trial, e, row_dims)
+            assert row_dims[0] == row_dims[1]
             checks += 1
-        if math.isfinite(delta) and any(a * b < 0 for a, b in witness):
-            rep = perturbed_kernel_equality(alpha, beta, delta, tol=TOLS["holds_tol"])
-            assert rep.dims[0] > rep.dims[1], (trial, delta, rep.dims)
+        if probe:
+            assert dims[10, 0] > dims[10, 1], (trial, delta, dims[10].tolist())
             probes += 1
     elapsed = time.perf_counter() - start
     assert pairs == 1000 and checks == 10_000

@@ -14,7 +14,7 @@ from gml.campaigns import (
     run_campaign,
     run_campaign_model,
 )
-from gml.errors import ReportIoError, UnknownCampaign
+from gml.errors import GmlInputError, ReportIoError, UnknownCampaign
 
 
 TOLS = resolve_tolerances({})
@@ -94,6 +94,20 @@ def test_config_validation(square_file):
         CampaignConfig(model_path=str(square_file), campaign="theorem1", seed=-1)
 
 
+@pytest.mark.parametrize("trials, seed", [(1, -1), (1, 2**64), (0, 5)])
+def test_run_campaign_model_rejects_seeds_outside_64_bits(square_model, trials, seed):
+    """Trial streams are keyed by 64 seed bits: seed 2**64 + 5 would replay seed 5."""
+    with pytest.raises(GmlInputError):
+        run_campaign_model(square_model, "lemma-linearization", trials=trials, seed=seed)
+    with pytest.raises(GmlInputError):
+        CampaignConfig(model_path="unused.json", campaign="theorem1", trials=trials, seed=seed)
+
+
+def test_largest_seed_runs(square_model):
+    rep = run_campaign_model(square_model, "lemma-linearization", trials=2, seed=2**64 - 1)
+    assert rep.passes == 2
+
+
 def test_run_campaign_writes_report(square_file, tmp_path):
     out = tmp_path / "report.json"
     config = CampaignConfig(model_path=str(square_file), campaign="theorem2",
@@ -131,13 +145,8 @@ def test_tolerance_resolution_rejects_unknown_keys():
         resolve_tolerances({"no_such_tol": 1.0})
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("GML_DEFAULT_TOL", "1e-10")
-    assert resolve_tolerances({})["eq_tol"] == 1e-10
-    # explicit overrides beat the environment
+def test_tolerance_explicit_override():
     assert resolve_tolerances({"eq_tol": 1e-7})["eq_tol"] == 1e-7
-    monkeypatch.delenv("GML_DEFAULT_TOL")
-    assert resolve_tolerances({})["eq_tol"] == 1e-12
 
 
 def test_describe_square_model(square_file):

@@ -176,6 +176,12 @@ def test_run_negative_seed_exits_two(square_file, capsys):
     assert_input_error(code, err)
 
 
+def test_run_seed_beyond_64_bits_exits_two(square_file, capsys):
+    code, _, err = run_cli(capsys, "run", "--campaign", "lemma-linearization",
+                           "--model", str(square_file), "--seed", str(2**64))
+    assert_input_error(code, err)
+
+
 def test_limit_nan_point_exits_two(square_file, capsys):
     code, _, err = run_cli(capsys, "limit", "--model", str(square_file),
                            "--beta", "1,0", "--point", "1,nan,1,1")

@@ -26,13 +26,22 @@ from gml.errors import (
     NonPositiveEpsilon,
 )
 from gml.rng import substream
-from gml.spectral import Subspace, box_radius, delta_threshold_witness, kernel_equality_rows
+from gml.spectral import (
+    Subspace,
+    _canonical_sign_columns,
+    box_radius,
+    delta_threshold_witness,
+    kernel_equality_rows,
+)
 
 from _oracles import (
+    box_radius_exact,
     chain_grid_kernel_equality,
     eps_grid_kernel_equality,
     joint_kernel_dim,
     kernel_dim,
+    kernel_equality_loop,
+    signed_columns_loop,
 )
 
 
@@ -222,6 +231,19 @@ def test_kernel_matches_zero_level_joint_vectors():
                 assert np.linalg.norm(k.projector() - p, 2) <= 1e-9
 
 
+def test_canonical_sign_columns_match_the_column_loop():
+    """First max-|entry| of each column made positive, bit for bit, in C
+    order whatever the input layout; small integers make ties common."""
+    rng = substream(108, 0)
+    for _ in range(200):
+        cols = rng.integers(-3, 4, size=(int(rng.integers(1, 7)), int(rng.integers(0, 5))))
+        cols = cols * rng.choice([1.0, 0.5, 1e-300])
+        for arr in (cols, np.asfortranarray(cols)):
+            got = _canonical_sign_columns(arr)
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.tobytes() == signed_columns_loop(arr).tobytes()
+
+
 # -------------------------------------------------------------- intersection
 
 
@@ -357,6 +379,24 @@ def test_perturbed_kernel_dim_never_below_joint_dim():
             assert rep.dims[2] <= min(rep.dims[0], rep.dims[1])
 
 
+def test_kernel_equality_rows_match_the_per_row_loop():
+    """The eigenvalue-mask kernel against one orthonormal kernel basis per
+    step size, on 1000 random pairs with step sizes below, at and above
+    delta: equal verdicts and dimensions, distances within 1e-12."""
+    for trial in range(1000):
+        rng = substream(109, trial)
+        alpha, beta = random_commuting_family(rng, int(rng.integers(2, 13))).members
+        delta = delta_threshold(alpha, beta)
+        eps = [0.5 * delta, delta, 2.0 * delta] if math.isfinite(delta) else [0.1, 1.0, 10.0]
+        for kernel_tol in (None, 1e-9):
+            holds, dims, dist = kernel_equality_rows(alpha, beta, eps, kernel_tol=kernel_tol)
+            want_holds, want_dims, want_dist = kernel_equality_loop(
+                alpha.entries, beta.entries, eps, kernel_tol=kernel_tol)
+            assert holds.tolist() == want_holds, (trial, kernel_tol)
+            assert [tuple(row) for row in dims.tolist()] == want_dims, (trial, kernel_tol)
+            assert np.all(np.abs(dist - want_dist) <= 1e-12 * np.maximum(1.0, dist)), trial
+
+
 # ------------------------------------------------------------ chain threshold
 
 
@@ -426,6 +466,25 @@ def test_chain_threshold_same_sign_tail_unconstrained():
     assert chain_threshold(fam) == math.inf
     assert box([[0, 1, 1], [0, -2, -1], [0, 0, 0]]) == (math.inf, [False] * 3, [False] * 3)
     assert box(np.zeros((0, 3))) == (math.inf, [], [])
+
+
+def test_box_radius_is_sound_and_exact_on_ties():
+    """box_radius never exceeds the exact sign-preserving radius (rounded
+    to the nearest float) and equals it when some binding row ties.  It is
+    not sharp: ``[1, 1]`` gets 1.0 though ``1 + eps`` never vanishes."""
+    assert box([[1, 1]]) == (1.0, [True], [False])
+    assert box_radius_exact([[1, 1]]) == math.inf
+    rng = substream(110, 0)
+    tied = 0
+    for _ in range(5000):
+        rows = rng.integers(-4, 5, size=(int(rng.integers(1, 9)), int(rng.integers(1, 6))))
+        delta, _, ties = box_radius(rows.astype(float), 0.0)
+        exact = float(box_radius_exact(rows))
+        assert delta <= exact, rows.tolist()
+        if ties.any():
+            assert delta == exact, rows.tolist()
+            tied += 1
+    assert tied > 500  # the equality branch is exercised (904 of the 5000 sets)
 
 
 def test_chain_threshold_random_families_certified_by_grid():
