@@ -38,15 +38,26 @@ class ExhaustedRetries(GmlError):
     """A bounded retry loop ran out of attempts."""
 
 
-class StepTooLarge(GmlError):
+class _RowError(GmlError):
+    """An error of one row of a batch: ``row`` is its index, named at the head
+    of the message, or None for a single-point call."""
+
+    def __init__(self, reason: str, row: int | None = None):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason = reason
+        self.row = row
+
+
+class StepTooLarge(_RowError):
     """An integration step moved so far off the sphere that results are untrustworthy."""
 
 
-class HorizonExceeded(GmlError):
+class HorizonExceeded(_RowError):
     """Integration hit the time cap before the field norm dropped below tolerance."""
 
-    def __init__(self, message: str, t_final: float | None = None, residual: float | None = None):
-        super().__init__(message)
+    def __init__(self, reason: str, t_final: float | None = None, residual: float | None = None,
+                 row: int | None = None):
+        super().__init__(reason, row)
         self.t_final = t_final
         self.residual = residual
 

@@ -20,8 +20,9 @@ from .errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge
 from .model import (
     ProjPoint,
     WeightedModel,
+    _level_chains,
     action_field,
-    fixed_components,
+    fixed_components,  # unused here; benchmarks/test_tracer.py checks the tracer wraps it here
 )
 
 DT_DEFAULT = 1e-2
@@ -37,17 +38,47 @@ def _require_positive(**values) -> None:
             raise GmlInputError(f"{name} must be finite and positive, got {v!r}")
 
 
-def _rk4_step(levels: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+def _norms(y: np.ndarray):
+    """Euclidean norm of one vector (n,) or of each row of a stack (N, n),
+    each with the bits of ``np.linalg.norm`` of that one vector: a stacked
+    ``(1, n) @ (n, 1)`` product gives the 1-row dot's bits."""
+    if y.ndim == 1:
+        return math.sqrt(y.dot(y))
+    return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+
+
+def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """RK4 kernel: one classical Runge-Kutta step of size h of the flow field,
+    renormalized to the sphere, for one unit representative x (n,) or each
+    row of a stack (N, n), with speeds (n,) or one row of speeds per row.
+
+    Raises StepTooLarge when renormalization would move a point by more
+    than 10%; for a stack the message names the first such row.
+    """
     k1 = action_field(levels, x)
-    k2 = action_field(levels, x + (0.5 * dt) * k1)
-    k3 = action_field(levels, x + (0.5 * dt) * k2)
-    k4 = action_field(levels, x + dt * k3)
-    y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    nrm = float(np.linalg.norm(y))
-    if abs(nrm - 1.0) > _RENORM_LIMIT:
-        raise StepTooLarge(
-            f"renormalization correction {abs(nrm - 1.0):.2%} exceeds 10%; reduce dt={dt}")
-    return y / nrm
+    k2 = action_field(levels, x + (0.5 * h) * k1)
+    k3 = action_field(levels, x + (0.5 * h) * k2)
+    k4 = action_field(levels, x + h * k3)
+    y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    nrm = _norms(y)
+    if y.ndim == 1:
+        if abs(nrm - 1.0) > _RENORM_LIMIT:
+            raise StepTooLarge(_renorm_message(nrm, h))
+        return y / nrm
+    off = np.abs(nrm - 1.0) > _RENORM_LIMIT
+    if off.any():
+        k = int(off.argmax())
+        raise StepTooLarge(_renorm_message(nrm[k], h), row=k)
+    return y / nrm[:, None]
+
+
+def _renorm_message(nrm: float, h: float) -> str:
+    return f"renormalization correction {abs(nrm - 1.0):.2%} exceeds 10%; reduce dt={h}"
+
+
+def _rk4_step(levels: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of one unit representative: a 1-row ``rk4_rows`` call."""
+    return rk4_rows(levels, x, dt)
 
 
 @dataclass(eq=False)
@@ -114,45 +145,79 @@ def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
                       beta=np.asarray(beta, dtype=float), model=model)
 
 
+def numeric_limit_rows(levels: np.ndarray, x: np.ndarray, tol: float = 1e-8,
+                       dt: float = DT_DEFAULT, t_max: float = T_MAX_DEFAULT):
+    """Limit-search kernel: integrate one unit start point x (n,) or each row
+    of a stack (N, n), under speeds (n,) or one row of speeds per row, until
+    its field norm drops below tol.
+
+    The rows share one step schedule: horizons 1, 2, 4, ... (capped at
+    t_max), each reached in equal steps of size <= dt, so t lands on every
+    horizon exactly and the t_max guard always fires.  A row whose field
+    norm is below tol at a horizon stops there and takes no further steps.
+
+    Returns (snapped, raw, t_final, residual), per row: the terminal state
+    restricted to its speed class (the classes of ``fixed_components``)
+    carrying the most mass, the terminal state, the time it stopped and
+    its field norm there.  For a stack, StepTooLarge, HorizonExceeded and
+    GmlInputError name the first failing row.
+    """
+    _require_positive(tol=tol, dt=dt, t_max=t_max)
+    stacked = x.ndim == 2
+    x = np.array(x, dtype=float, ndmin=2)
+    lv = np.broadcast_to(levels, x.shape)
+    finite = np.isfinite(lv).all(axis=1)
+    if not finite.all():
+        where = f"row {np.argmin(finite)}: " if stacked else ""
+        raise GmlInputError(f"{where}direction is too large: a speed overflows")
+    res = _norms(action_field(lv, x))
+    t_final = np.zeros(len(x))
+    rows = np.flatnonzero(res >= tol)
+    t, horizon = 0.0, 1.0
+    while rows.size:
+        if t >= t_max:
+            k = int(rows[0])
+            raise HorizonExceeded(
+                f"field norm {res[k]:.3e} still above tol {tol:.3e} at t = {t:.6g}",
+                t_final=t, residual=float(res[k]), row=k if stacked else None)
+        target = min(horizon, t_max)
+        nsteps = max(1, math.ceil((target - t) / dt - 1e-9))
+        h = (target - t) / nsteps
+        # a lone active row steps as one point: the same bits, cheaper steps
+        y, ly = (x[rows[0]], lv[rows[0]]) if rows.size == 1 else (x[rows], lv[rows])
+        try:
+            for _ in range(nsteps):
+                y = rk4_rows(ly, y, h)
+        except StepTooLarge as exc:
+            raise StepTooLarge(exc.reason, int(rows[exc.row or 0]) if stacked else None) from None
+        t = target
+        x[rows], res[rows], t_final[rows] = y, _norms(action_field(ly, y)), t
+        rows = rows[res[rows] >= tol]
+        horizon *= 2.0
+    order, _, breaks = _level_chains(lv)
+    rank = np.zeros_like(order)  # class number at each sorted position
+    rank[:, 1:] = np.cumsum(breaks, axis=1)
+    label = np.empty_like(order)
+    np.put_along_axis(label, order, rank, axis=1)
+    mass = np.zeros(x.shape)
+    np.add.at(mass, (np.arange(len(x))[:, None], label), x * x)
+    snapped = np.where(label == mass.argmax(axis=1)[:, None], x, 0.0)
+    if stacked:
+        return snapped, x, t_final, res
+    return snapped[0], x[0], float(t_final[0]), float(res[0])
+
+
 def numeric_limit_details(model: WeightedModel, beta, x0: ProjPoint, tol: float = 1e-8,
                           dt: float = DT_DEFAULT, t_max: float = T_MAX_DEFAULT):
-    """Limit search with doubling horizons.
+    """Limit search with doubling horizons: a 1-row ``numeric_limit_rows`` call.
 
     Returns (snapped ProjPoint, raw terminal coords, t_final, residual).
     The snap picks the fixed component carrying most of the terminal mass
     and renormalizes the restriction of the terminal point to it.
     """
-    _require_positive(tol=tol, dt=dt, t_max=t_max)
-    levels = model.levels(beta)
-    x = x0.coords.copy()
-    t = 0.0
-    horizon = 1.0
-    residual = float(np.linalg.norm(action_field(levels, x)))
-    while residual >= tol:
-        if t >= t_max:
-            raise HorizonExceeded(
-                f"field norm {residual:.3e} still above tol {tol:.3e} at t = {t:.6g}",
-                t_final=t, residual=residual)
-        # Integrate up to the next horizon with an integer number of equal
-        # steps of size <= dt, so t lands on the target exactly and the
-        # t_max guard above always fires.
-        target = min(horizon, t_max)
-        span = target - t
-        if span > 0:
-            nsteps = max(1, math.ceil(span / dt - 1e-9))
-            h = span / nsteps
-            for _ in range(nsteps):
-                x = _rk4_step(levels, x, h)
-            t = target
-        residual = float(np.linalg.norm(action_field(levels, x)))
-        horizon *= 2.0
-    comps = fixed_components(model, beta)
-    masses = [float(np.linalg.norm(x[list(c.indices)])) for c in comps]
-    best = comps[int(np.argmax(masses))]
-    y = np.zeros_like(x)
-    idx = list(best.indices)
-    y[idx] = x[idx]
-    return ProjPoint(y), x, t, residual
+    snapped, raw, t_final, residual = numeric_limit_rows(model.levels(beta), x0.coords,
+                                                         tol=tol, dt=dt, t_max=t_max)
+    return ProjPoint(snapped), raw, t_final, residual
 
 
 def numeric_limit(model: WeightedModel, beta, x0: ProjPoint, tol: float = 1e-8,

@@ -9,20 +9,36 @@ failed trial needs only its ``(seed, trial_index)`` pair.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import GmlInputError
+
+
+def check_key(value, name: str = "seed") -> int:
+    """A seed or trial index as a Python int in [0, 2**64), the range of one
+    Philox key word; numpy integers count as their value.  Anything else
+    raises GmlInputError, since a key outside the range would alias one
+    inside it."""
+    try:
+        key = operator.index(value)
+    except TypeError:
+        key = -1
+    if not 0 <= key < 2**64:
+        raise GmlInputError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return key
 
 
 def _key(seed: int, trial_index: int) -> np.ndarray:
-    """Philox key of one trial's stream."""
-    return np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
+    """Philox key of one trial's stream, from checked keys."""
+    return np.array([seed, trial_index], dtype=np.uint64)
 
 
 def substream(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent generator for one trial, keyed by (seed, trial_index)."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, trial_index)))
+    key = _key(check_key(seed), check_key(trial_index, "trial index"))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def trial_streams(seed: int, n: int):
@@ -35,6 +51,7 @@ def trial_streams(seed: int, n: int):
     valid until the next iteration: the next step re-keys it, so keep
     draws, never the generator.
     """
+    seed = check_key(seed)
     bitgen = np.random.Philox(key=_key(seed, 0))
     gen = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)

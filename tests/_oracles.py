@@ -5,8 +5,9 @@ kernel dimensions come from SVD ranks, hull membership from linear
 programming, hull facets from Qhull, and limit supports and speed signs
 from direct combinatorics on the weight table.  The loop forms of the
 package's array kernels (near-duplicate representatives, trajectory
-values, finite-difference probes, perturbed kernels) are kept here, one
-row at a time, and box radii are computed exactly in rationals.
+values, finite-difference probes, perturbed kernels, RK4 steps and the
+numeric limit search) are kept here, one row at a time, and box radii are
+computed exactly in rationals.
 """
 
 import math
@@ -15,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
+
+from gml.errors import HorizonExceeded, StepTooLarge
 
 
 def kernel_dim(entries, tol: float = 1e-9) -> int:
@@ -270,6 +273,69 @@ def field_loop(levels, x):
     """Bx - <x, Bx> x for one unit representative x."""
     bx = np.asarray(levels, dtype=float) * x
     return bx - float(x @ bx) * x
+
+
+def rk4_step_loop(levels, x, dt):
+    """One classical RK4 step of one unit representative, renormalized;
+    StepTooLarge when renormalization moves the point by more than 10%."""
+    k1 = field_loop(levels, x)
+    k2 = field_loop(levels, x + (0.5 * dt) * k1)
+    k3 = field_loop(levels, x + (0.5 * dt) * k2)
+    k4 = field_loop(levels, x + dt * k3)
+    y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    nrm = float(np.linalg.norm(y))
+    if abs(nrm - 1.0) > 0.1:
+        raise StepTooLarge(
+            f"renormalization correction {abs(nrm - 1.0):.2%} exceeds 10%; reduce dt={dt}")
+    return y / nrm
+
+
+def speed_classes_loop(levels):
+    """Coordinate classes of equal speed, by speed descending: consecutive
+    sorted speeds within 1e-12 * max(1, max |speed|) share a class; each
+    class lists its indices in increasing order."""
+    levels = np.asarray(levels, dtype=float)
+    tol = 1e-12 * max(1.0, float(np.abs(levels).max()))
+    order = np.argsort(-levels, kind="stable")
+    classes = [[int(order[0])]]
+    for prev, i in zip(order, order[1:]):
+        if levels[prev] - levels[i] > tol:
+            classes.append([])
+        classes[-1].append(int(i))
+    return [sorted(c) for c in classes]
+
+
+def numeric_limit_loop(levels, x0, tol, dt, t_max):
+    """Limit search for one start point: RK4 steps over horizons 1, 2, 4, ...
+    (capped at t_max), each reached in equal steps of size <= dt, until the
+    field norm drops below tol; then the terminal point restricted to the
+    speed class carrying the most mass.  Returns (snapped, raw, t, residual)
+    or raises HorizonExceeded / StepTooLarge."""
+    x = np.array(x0, dtype=float)
+    t = 0.0
+    horizon = 1.0
+    residual = float(np.linalg.norm(field_loop(levels, x)))
+    while residual >= tol:
+        if t >= t_max:
+            raise HorizonExceeded(
+                f"field norm {residual:.3e} still above tol {tol:.3e} at t = {t:.6g}",
+                t_final=t, residual=residual)
+        target = min(horizon, t_max)
+        span = target - t
+        if span > 0:
+            nsteps = max(1, math.ceil(span / dt - 1e-9))
+            h = span / nsteps
+            for _ in range(nsteps):
+                x = rk4_step_loop(levels, x, h)
+            t = target
+        residual = float(np.linalg.norm(field_loop(levels, x)))
+        horizon *= 2.0
+    classes = speed_classes_loop(levels)
+    masses = [float(np.linalg.norm(x[c])) for c in classes]
+    best = classes[int(np.argmax(masses))]
+    y = np.zeros_like(x)
+    y[best] = x[best]
+    return y, x, t, residual
 
 
 def mu_values_loop(levels, rows):

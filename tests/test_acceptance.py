@@ -21,13 +21,17 @@ from gml import (
     gapped_direction,
     integrate_flow,
     moment_polytope_check,
-    numeric_limit,
     orbit_hull_check,
     random_commuting_family,
 )
 from gml.campaigns import CampaignConfig, resolve_tolerances, run_campaign, run_campaign_model
 from gml.model import model_chain_threshold
-from gml.numerics import gradient_fd_check, linearization_at, monotonicity_check
+from gml.numerics import (
+    gradient_fd_check,
+    linearization_at,
+    monotonicity_check,
+    numeric_limit_rows,
+)
 from gml.rng import open_uniform, substream
 from gml.spectral import delta_threshold_witness, kernel_equality_rows
 
@@ -144,24 +148,36 @@ def test_criterion_5_numerics(model_pool):
     square = model_pool[0]
     trajectories = []
 
-    # (a) numeric limit agrees with the closed form on 1000 gapped instances
-    agreed = 0
+    # (a) numeric limit agrees with the closed form on 1000 gapped instances,
+    # each model's instances decided in one batch
+    instances = {}  # model index -> [(k, beta, x)]
+    drawn = 0
     k = 0
-    while agreed < 1000:
+    while drawn < 1000:
         rng = substream(7000, k)
         k += 1
-        model = model_pool[int(rng.integers(0, len(model_pool)))]
+        m = int(rng.integers(0, len(model_pool)))
+        model = model_pool[m]
         if len(model.joint_partition) == 1:
             continue  # every speed ties: no flow to integrate
         beta = gapped_direction(model, rng, min_gap=0.75, attempts=400)
         if beta is None:
             continue
-        x = ProjPoint(rng.standard_normal(model.num_coords))
-        got = numeric_limit(model, beta, x, tol=1e-5, dt=0.05)
-        want = flow_limit(model, beta, x)
-        assert got.support == want.support, (model.name, k)
-        assert got.same_as(want, tol=TOLS["numeric_tol"])
-        agreed += 1
+        instances.setdefault(m, []).append((k, beta, ProjPoint(rng.standard_normal(model.num_coords))))
+        drawn += 1
+    agreed = 0
+    for m, rows in instances.items():
+        model = model_pool[m]
+        levels = np.array([model.levels(beta) for _, beta, _ in rows])
+        snapped = numeric_limit_rows(levels, np.array([x.coords for _, _, x in rows]),
+                                     tol=1e-5, dt=0.05)[0]
+        for (k, beta, x), limit in zip(rows, snapped):
+            got = ProjPoint(limit)
+            want = flow_limit(model, beta, x)
+            assert got.support == want.support, (model.name, k)
+            assert got.same_as(want, tol=TOLS["numeric_tol"])
+            agreed += 1
+    assert agreed == 1000
 
     # (b) RK4 order by dt-halving regression against the closed-form flow
     x0 = ProjPoint([0.5, 0.5, 0.5, 0.5])

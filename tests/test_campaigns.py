@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gml import numerics
 from gml.campaigns import (
     CAMPAIGNS,
     CampaignConfig,
@@ -15,6 +16,7 @@ from gml.campaigns import (
     run_campaign_model,
 )
 from gml.errors import GmlInputError, ReportIoError, UnknownCampaign
+from gml.model import action_field
 
 
 TOLS = resolve_tolerances({})
@@ -81,6 +83,35 @@ def test_numerics_campaign_passes(square_model):
     assert rep.passes == 4
 
 
+def _kutta3_rows(levels, x, h):
+    """Kutta's third-order step, renormalized: a wrong-order stand-in for RK4."""
+    k1 = action_field(levels, x)
+    k2 = action_field(levels, x + (0.5 * h) * k1)
+    k3 = action_field(levels, x - h * k1 + (2.0 * h) * k2)
+    y = x + (h / 6.0) * (k1 + 4.0 * k2 + k3)
+    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+
+def _order_gate_runs(model_pool):
+    """The numerics campaign on random-1 and random-3, 20 trials each, whose
+    speed spreads put h = 0.1 outside RK4's asymptotic range."""
+    return [run_campaign_model(model_pool[i], "numerics", trials=20, seed=0, tolerances=TOLS)
+            for i in (3, 5)]
+
+
+def test_numerics_order_gate_converges_on_wide_speed_spreads(model_pool):
+    assert [m.name for m in (model_pool[3], model_pool[5])] == ["random-1", "random-3"]
+    assert [rep.failures for rep in _order_gate_runs(model_pool)] == [[], []]
+
+
+def test_numerics_order_gate_rejects_a_third_order_step(model_pool, monkeypatch):
+    monkeypatch.setattr(numerics, "rk4_rows", _kutta3_rows)
+    failures = [f for rep in _order_gate_runs(model_pool) for f in rep.failures]
+    assert len(failures) >= 20
+    assert all(list(f["actual"]) == ["order_ratio"] for f in failures)
+    assert all(f["actual"]["order_ratio"] < 14.0 for f in failures)
+
+
 def test_unknown_campaign_rejected(square_model):
     with pytest.raises(UnknownCampaign):
         run_campaign_model(square_model, "nonsense", trials=1, seed=0,
@@ -94,13 +125,23 @@ def test_config_validation(square_file):
         CampaignConfig(model_path=str(square_file), campaign="theorem1", seed=-1)
 
 
-@pytest.mark.parametrize("trials, seed", [(1, -1), (1, 2**64), (0, 5)])
+@pytest.mark.parametrize("trials, seed", [(1, -1), (1, 2**64), (0, 5), (3, 1.5), (2.5, 3),
+                                          (1, np.float64(3.0))])
 def test_run_campaign_model_rejects_seeds_outside_64_bits(square_model, trials, seed):
-    """Trial streams are keyed by 64 seed bits: seed 2**64 + 5 would replay seed 5."""
+    """Trial streams are keyed by 64 seed bits: seed 2**64 + 5 would replay seed 5.
+    A seed or trial count that is not an integer is an input error too."""
     with pytest.raises(GmlInputError):
         run_campaign_model(square_model, "lemma-linearization", trials=trials, seed=seed)
     with pytest.raises(GmlInputError):
         CampaignConfig(model_path="unused.json", campaign="theorem1", trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("campaign", ["theorem1", "theorem2", "numerics"])
+def test_numpy_integer_seeds_run_as_their_value(square_model, campaign):
+    plain = run_campaign_model(square_model, campaign, trials=3, seed=3)
+    numpy = run_campaign_model(square_model, campaign, trials=np.int64(3), seed=np.int64(3))
+    assert numpy.trials == 3
+    assert numpy.to_obj() | {"wall_time": 0} == plain.to_obj() | {"wall_time": 0}
 
 
 def test_largest_seed_runs(square_model):

@@ -25,6 +25,8 @@ from gml.numerics import (
     linearization_at,
     monotonicity_check,
     numeric_limit_details,
+    numeric_limit_rows,
+    rk4_rows,
 )
 from gml.rng import substream, unit_vector
 
@@ -36,6 +38,9 @@ from _oracles import (
     linearization_loop,
     monotonicity_loop,
     mu_values_loop,
+    numeric_limit_loop,
+    rk4_step_loop,
+    speed_classes_loop,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -414,3 +419,86 @@ def test_linearization_matches_the_frame_loop(model_pool):
                                    frame.T @ jac @ frame, rtol=0, atol=tol)
         fixed += 1
     assert fixed >= 30
+
+
+def _limit_outcome(levels, x, tol, dt, t_max):
+    """numeric_limit_loop's result, or the error it raises."""
+    try:
+        return numeric_limit_loop(levels, x, tol, dt, t_max)
+    except (StepTooLarge, HorizonExceeded) as exc:
+        return exc
+
+
+def _start_points(model, levels, rng):
+    """Unit start points: random, support-restricted (a random mask) and near
+    a random speed class (its coordinates plus 1e-6 noise everywhere)."""
+    n = model.num_coords
+    mask = rng.random(n) < 0.6
+    mask[int(rng.integers(n))] = True
+    classes = speed_classes_loop(levels)
+    near = 1e-6 * rng.standard_normal(n)
+    near[classes[int(rng.integers(len(classes)))]] += rng.uniform(0.5, 1.0)
+    pts = np.array([rng.standard_normal(n), np.where(mask, rng.standard_normal(n), 0.0), near])
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+# (tol, dt, t_max) per pool model in turn: tol 1e-6 and 1e-5, dt 0.01 and
+# 0.05 (dt = 0.01 on a quarter of the models, since the loop reference costs
+# about 30 us a step), and two settings that raise on some rows
+_LIMIT_SETTINGS = [(1e-6, 0.05, 1e4), (1e-5, 0.01, 1e4), (1e-5, 0.05, 1e4), (1e-6, 0.05, 3.0),
+                   (1e-6, 0.01, 1e4), (1e-5, 0.05, 1e4), (1e-5, 4.0, 1e4), (1e-6, 0.05, 1e4)]
+
+
+def test_numeric_limit_rows_match_the_loop(model_pool):
+    """Every row of the batch takes the steps the one-point loop takes, bit
+    for bit; an input the loop rejects makes the batch raise the same error,
+    naming a row whose loop raises it, and a single point gets the loop's
+    message unchanged."""
+    errors = set()
+    for j, model in enumerate(model_pool):
+        if len(model.joint_partition) < 2:
+            continue
+        rng = substream(406, j)
+        beta = gapped_direction(model, rng, min_gap=0.3, attempts=400)
+        if beta is None:
+            beta = model.ortho_basis.T @ unit_vector(rng, model.subalgebra_dim)
+        levels = model.levels(beta)
+        X = _start_points(model, levels, rng)
+        tol, dt, t_max = _LIMIT_SETTINGS[j % len(_LIMIT_SETTINGS)]
+        for x, row in zip(X, rk4_rows(levels, X, 0.05)):
+            assert row.tobytes() == rk4_step_loop(levels, x, 0.05).tobytes() == \
+                _rk4_step(levels, x, 0.05).tobytes()
+        want = [_limit_outcome(levels, x, tol, dt, t_max) for x in X]
+        raised = [w for w in want if isinstance(w, Exception)]
+        if not raised:
+            snapped, raw, t_final, residual = numeric_limit_rows(levels, X, tol, dt, t_max)
+            for i, (y, x, t, res) in enumerate(want):
+                assert snapped[i].tobytes() == y.tobytes(), (model.name, i)
+                assert raw[i].tobytes() == x.tobytes(), (model.name, i)
+                assert (t_final[i], residual[i]) == (t, res), (model.name, i)
+            continue
+        with pytest.raises((StepTooLarge, HorizonExceeded)) as err:
+            numeric_limit_rows(levels, X, tol, dt, t_max)
+        named = want[err.value.row]
+        assert type(named) is type(err.value) and str(err.value) == f"row {err.value.row}: {named}"
+        errors.add(type(named))
+        x = X[want.index(raised[0])]
+        with pytest.raises(type(raised[0])) as one:
+            numeric_limit_rows(levels, x, tol, dt, t_max)
+        assert one.value.row is None and str(one.value) == str(raised[0])
+    assert errors == {StepTooLarge, HorizonExceeded}
+
+
+def test_numeric_limit_rows_edge_rows(square_model):
+    levels = square_model.levels(BETA)
+    out = numeric_limit_rows(levels, np.zeros((0, 4)))
+    assert [a.shape for a in out] == [(0, 4), (0, 4), (0,), (0,)]
+    # row 0 is fixed, so row 1 steps alone, as one point, and is still named
+    with pytest.raises(StepTooLarge, match="^row 1: renormalization") as err:
+        numeric_limit_rows(levels, np.array([[0, 0, 0, 1], [0.5, 0.5, 0.5, 0.5]]), dt=5.0)
+    assert err.value.row == 1
+    with pytest.raises(GmlInputError, match="^row 1: direction is too large"):
+        numeric_limit_rows(np.array([levels, [1e308, np.inf, 0, 1]]), np.full((2, 4), 0.5))
+    with pytest.raises(GmlInputError, match="^direction is too large"):
+        numeric_limit_rows(np.array([1e308, np.inf, 0, 1]), np.full(4, 0.5))
+

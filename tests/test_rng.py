@@ -1,8 +1,10 @@
 """Counter-based RNG substreams: reproducible and order-independent."""
 
 import numpy as np
+import pytest
 
-from gml.rng import open_uniform, substream, unit_vector
+from gml.errors import GmlInputError
+from gml.rng import open_uniform, substream, trial_streams, unit_vector
 
 
 def test_substream_reproducible():
@@ -37,3 +39,25 @@ def test_unit_vector_is_normalized():
     for dim in (1, 2, 5):
         v = unit_vector(rng, dim)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed, trial_index", [(-1, 3), (2**64, 3), (5, -1), (5, 2**64),
+                                               (1.5, 0), (5, 2.0), ("5", 0), (None, 0)])
+def test_substream_rejects_keys_outside_64_bits(seed, trial_index):
+    """substream(-1, 3) would draw what substream(2**64 - 1, 3) draws."""
+    with pytest.raises(GmlInputError):
+        substream(seed, trial_index)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.0])
+def test_trial_streams_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(GmlInputError, match="seed"):
+        list(trial_streams(seed, 3))
+
+
+def test_numpy_integer_keys_draw_as_their_value():
+    top = 2**64 - 1
+    want = substream(top, 3).standard_normal(4)
+    assert np.array_equal(substream(np.uint64(top), np.int8(3)).standard_normal(4), want)
+    streams = [gen.standard_normal(4) for _, gen in trial_streams(np.uint64(top), 4)]
+    assert np.array_equal(streams[3], want)
