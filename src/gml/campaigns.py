@@ -133,7 +133,7 @@ def _campaign_theorem1(model, trials, seed, tols, probe_tightness):
                          {"certified": True}, {"certified": False})
                 for k in np.flatnonzero(~certified)]
     thresholds = {"level_tol": "1e-12 * max(1, |levels|)"}
-    return trials - len(failures), failures, thresholds, trials
+    return failures, thresholds, trials
 
 
 def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
@@ -143,44 +143,39 @@ def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
         raise GmlInputError("model admits no uniform step-size box for its stored basis")
     cap = min(delta, tols["eps_cap"]) * (1.0 - 1e-9)
     n_eps = model.subalgebra_dim - 1
-    passes, failures = 0, []
+    failures = []
     for k in range(trials):
         rng = substream(seed, k)
         x = _random_point(rng, model.num_coords)
         eps = np.array([open_uniform(rng, 0.0, cap) for _ in range(n_eps)])
         expected = mdl.composed_limit(model, alphas, x)
         actual = mdl.perturbed_limit(model, alphas, eps, x)
-        if actual.same_as(expected, tol=tols["eq_tol"]):
-            passes += 1
-        else:
+        if not actual.same_as(expected, tol=tols["eq_tol"]):
             failures.append(_failure(
                 seed, k, {"point": x.coords, "eps": eps},
                 {"support": expected.support, "coords": expected.coords},
                 {"support": actual.support, "coords": actual.coords}))
-    total = trials
-    if probe_tightness:
-        for i, j in probe_pairs:
-            total += 1
-            z = np.zeros(model.num_coords)
-            z[i] = z[j] = 1.0
-            x = mdl.ProjPoint(z)
-            eps = np.full(n_eps, delta)
-            expected = mdl.composed_limit(model, alphas, x)
-            actual = mdl.perturbed_limit(model, alphas, eps, x)
-            if actual.same_as(expected, tol=tols["eq_tol"]):
-                passes += 1  # tie probe unexpectedly matched: not a boundary case
-            else:
-                failures.append(_failure(
-                    seed, -1, {"probe": True, "pair": [i, j], "point": x.coords, "eps": eps},
-                    {"support": expected.support}, {"support": actual.support}))
+    probes = probe_pairs if probe_tightness else []
+    for i, j in probes:
+        z = np.zeros(model.num_coords)
+        z[i] = z[j] = 1.0
+        x = mdl.ProjPoint(z)
+        eps = np.full(n_eps, delta)
+        expected = mdl.composed_limit(model, alphas, x)
+        actual = mdl.perturbed_limit(model, alphas, eps, x)
+        # a probe that matches is no boundary case, and passes
+        if not actual.same_as(expected, tol=tols["eq_tol"]):
+            failures.append(_failure(
+                seed, -1, {"probe": True, "pair": [i, j], "point": x.coords, "eps": eps},
+                {"support": expected.support}, {"support": actual.support}))
     thresholds = {"chain_threshold": delta, "eps_cap": cap, "eq_tol": tols["eq_tol"]}
-    return passes, failures, thresholds, total
+    return failures, thresholds, trials + len(probes)
 
 
 def _campaign_lemma(model, trials, seed, tols, probe_tightness):
     # operator-level campaign; the model only scopes the report
     n_eps = 10
-    passes, failures = 0, []
+    failures = []
     for k, rng in trial_streams(seed, trials):
         dim = int(rng.integers(2, 13))
         fam = random_commuting_family(rng, dim, members=2)
@@ -198,19 +193,17 @@ def _campaign_lemma(model, trials, seed, tols, probe_tightness):
             detail = {"eps": eps[i], "dims": dims[i]}
         elif probe and not dims[n_eps, 0] > dims[n_eps, 1]:
             detail = {"eps": delta, "dims": dims[n_eps], "probe": True}
-        if detail is None:
-            passes += 1
-        else:
+        if detail is not None:
             failures.append(_failure(seed, k,
                                      {"alpha": alpha.entries, "beta": beta.entries,
                                       "delta": delta, **detail},
                                      {"holds": True}, {"holds": False, **detail}))
     thresholds = {"holds_tol": tols["holds_tol"], "eps_count": n_eps}
-    return passes, failures, thresholds, trials
+    return failures, thresholds, trials
 
 
 def _campaign_convexity(model, trials, seed, tols, probe_tightness):
-    passes, failures = 0, []
+    failures = []
     for k, rng in trial_streams(seed, trials):
         sub_seed = int(rng.integers(0, 2**63))
         _, mp_ok = mdl.moment_polytope_check(model, sample_count=32, seed=sub_seed,
@@ -218,14 +211,12 @@ def _campaign_convexity(model, trials, seed, tols, probe_tightness):
         x = _random_point(rng, model.num_coords)
         orbit_ok = mdl.orbit_hull_check(model, x, sample_count=16, seed=sub_seed,
                                         hull_tol=tols["hull_tol"])
-        if mp_ok and orbit_ok:
-            passes += 1
-        else:
+        if not (mp_ok and orbit_ok):
             failures.append(_failure(seed, k, {"point": x.coords},
                                      {"polytope": True, "orbit": True},
                                      {"polytope": mp_ok, "orbit": orbit_ok}))
     thresholds = {"hull_tol": tols["hull_tol"]}
-    return passes, failures, thresholds, trials
+    return failures, thresholds, trials
 
 
 def _order_ratio(model, beta, x) -> float | None:
@@ -281,7 +272,7 @@ def _campaign_numerics(model, trials, seed, tols, probe_tightness):
                                      {"all_checks": True}, detail))
     # a trial without a gapped direction tests nothing and counts as a pass
     thresholds = {"numeric_tol": tols["numeric_tol"], "numeric_eq_tol": tols["numeric_eq_tol"]}
-    return trials - len(failures), failures, thresholds, trials
+    return failures, thresholds, trials
 
 
 _CAMPAIGN_FUNCS = {
@@ -302,11 +293,11 @@ def run_campaign_model(model: mdl.WeightedModel, campaign: str, trials: int, see
     trials, seed = _check_run(trials, seed)
     tols = resolve_tolerances(tolerances)
     start = time.perf_counter()
-    passes, failures, thresholds, total = _CAMPAIGN_FUNCS[campaign](
+    failures, thresholds, total = _CAMPAIGN_FUNCS[campaign](
         model, trials, seed, tols, probe_tightness)
     wall = time.perf_counter() - start
     return VerificationReport(campaign=campaign, model_name=model.name, trials=total,
-                              passes=passes, failures=failures,
+                              passes=total - len(failures), failures=failures,
                               thresholds_used=thresholds, wall_time=wall)
 
 

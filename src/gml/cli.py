@@ -19,8 +19,8 @@ import numpy as np
 from . import model as mdl
 from .campaigns import CAMPAIGNS, CampaignConfig, describe_model, run_campaign
 from .errors import GmlError, GmlInputError
-from .serialization import jsonify, load_model, matrix_from_obj
-from .spectral import delta_threshold
+from .serialization import jsonify, load_model, matrix_from_obj, subspace_to_obj
+from .spectral import SymMat, delta_threshold
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -44,7 +44,6 @@ def _parse_vectors(text: str) -> np.ndarray:
 def _parse_matrix(text: str):
     """Accept 'diag:a,b,c', inline JSON rows, or '@file.json'."""
     if text.startswith("diag:"):
-        from .spectral import SymMat
         return SymMat.diag(_parse_vector(text[len("diag:"):]))
     if text.startswith("@"):
         return matrix_from_obj(json.loads(Path(text[1:]).read_text()))
@@ -168,7 +167,7 @@ def _dispatch(args) -> int:
         _emit(_point_obj(p))
     elif cmd == "stabilizer":
         sub = mdl.stabilizer_algebra(model, mdl.ProjPoint(_parse_vector(args.point)))
-        _emit({"ambient_dim": sub.ambient_dim, "basis": [list(c) for c in sub.basis.T]})
+        _emit({"ambient_dim": sub.ambient_dim, "basis": subspace_to_obj(sub)})
     elif cmd == "components":
         comps = mdl.fixed_components(model, _parse_vector(args.beta))
         _emit({"components": [{"indices": list(c.indices), "level": c.level, "dim": c.dim}

@@ -3,8 +3,8 @@
 Points are expressed in an orthonormal frame of their affine hull.  A
 point or a segment (affine dimension 0 or 1) is handled directly; in
 dimension r >= 2 the facets are found by exact enumeration of the
-r-subsets of the points (``_facets``), which costs C(N, r) small
-determinants for N distinct points and needs nothing beyond numpy.
+r-subsets of the points (``_facets``), which costs C(N, r) sets of r
+small determinants for N distinct points and needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 # r-subsets are examined this many at a time, so a build's working
 # memory stays bounded however large C(N, r) gets
 _BLOCK = 4096
+# slack of a build: near-duplicate points, the affine rank and facet incidence
+_TOL = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -51,18 +53,6 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cross_terms(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The permutations of range(r) without their first entry, (r!, r-1),
-    and the (r!, r) matrix that adds each term's sign to the slot of the
-    first entry: the Leibniz expansion of the generalized cross product."""
-    perms = np.array(list(itertools.permutations(range(r))), dtype=np.intp)
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
-    place = np.zeros((len(perms), r))
-    place[np.arange(len(perms)), perms[:, 0]] = (-1.0) ** inversions
-    return _frozen(perms[:, 1:]), _frozen(place)
-
-
-@lru_cache(maxsize=None)
 def _small_subsets(n: int, r: int) -> np.ndarray:
     return _frozen(np.array(list(itertools.combinations(range(n), r)), dtype=np.intp).reshape(-1, r))
 
@@ -90,13 +80,16 @@ def _first_of_each(inc: np.ndarray) -> np.ndarray:
     return np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)[1]
 
 
-def _facets(y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _facets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Facet kernel for N distinct points ``y (N, r)`` spanning ``R^r``, r >= 2.
 
     Each affinely independent r-subset spans a hyperplane whose normal is
     the vector of signed cofactor determinants of its r-1 edge vectors
-    (the generalized cross product).  The hyperplane is a facet when every
-    point lies on one side of it within ``tol * scale``, with ``scale =
+    (the generalized cross product): entry i is ``(-1)^i`` times the
+    determinant of the edge matrix without column i, and a block takes
+    all its ``B * r`` minors in one ``np.linalg.det`` call.  The
+    hyperplane is a facet when every point lies on one side of it within
+    ``_TOL * scale``, with ``scale =
     max(1, max |y|)``; the points within that distance are incident to it,
     and subsets with the same incident set give one facet.  A point is a
     vertex when it lies on some facet and no other point lies on every
@@ -105,17 +98,17 @@ def _facets(y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     with an outward unit normal, ``normal . y + offset <= 0`` inside.
     """
     n, r = y.shape
-    slack = tol * max(1.0, float(np.abs(y).max()))
-    rows = np.arange(r - 1)
-    tails, place = _cross_terms(r)
+    slack = _TOL * max(1.0, float(np.abs(y).max()))
+    minor_cols = np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)  # row i: all but i
+    signs = (-1.0) ** np.arange(r)
     equations, inc = np.empty((0, r + 1)), np.empty((0, n), dtype=bool)
     for idx in _subset_blocks(n, r):
         base = y[idx[:, 0]]
         edges = y[idx[:, 1:]] - base[:, None, :]  # (B, r-1, r)
-        normal = edges[:, rows, tails].prod(axis=2) @ place
+        normal = np.linalg.det(np.swapaxes(edges[:, :, minor_cols], 1, 2)) * signs
         size = np.sqrt(np.einsum("bi,bi->b", normal, normal))
         # affinely dependent subsets span no hyperplane: their cofactors are rounding noise
-        ok = size > tol * np.sqrt(np.einsum("bki,bki->bk", edges, edges)).prod(axis=1)
+        ok = size > _TOL * np.sqrt(np.einsum("bki,bki->bk", edges, edges)).prod(axis=1)
         eq = np.empty((np.count_nonzero(ok), r + 1))
         eq[:, :-1] = normal[ok] / size[ok, None]
         eq[:, -1] = -np.einsum("bi,bi->b", eq[:, :-1], base[ok])
@@ -143,27 +136,29 @@ class Polytope:
     so flat polytopes (segments, single points) behave sensibly.
     """
 
-    def __init__(self, points, tol: float = 1e-9):
+    def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("a polytope needs at least one point")
-        uniq = _dedupe(pts, tol)
+        uniq = _dedupe(pts, _TOL)
         self._origin = uniq.mean(axis=0)
         centered = uniq - self._origin
         scale = max(1.0, float(np.abs(centered).max()))
         # affine rank via SVD of the centered point cloud
         _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        rank = int(np.count_nonzero(svals > tol * scale))
+        rank = int(np.count_nonzero(svals > _TOL * scale))
         self._rank = rank
         self._frame = vt[:rank].T  # (d, rank), orthonormal columns
         coords = centered @ self._frame  # (N, rank)
+        # a strictly interior point clears every face by more than rounding
+        self._margin = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(coords).max(initial=0.0)))
         if rank == 0:
             vert_idx = np.array([0])
         elif rank == 1:
             vert_idx = np.array([int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))])
             self._interval = (float(coords[:, 0].min()), float(coords[:, 0].max()))
         else:
-            vert_idx, self._equations = _facets(coords, tol)
+            vert_idx, self._equations = _facets(coords)
         # report vertices by their exact input coordinates, never by
         # round-tripping through the affine frame
         verts = uniq[vert_idx]
@@ -171,7 +166,6 @@ class Polytope:
         self.vertices = verts[order]
         self.vertices.flags.writeable = False
         self._vert_local = coords[vert_idx[order]]
-        self._tol = tol
 
     @property
     def dim(self) -> int:
@@ -199,15 +193,17 @@ class Polytope:
 
     def strictly_inside_batch(self, xs, tol: float = 1e-9) -> np.ndarray:
         """Per row of an (S, d) array: in the relative interior, i.e. inside
-        the affine hull (up to tol) and off every face.  A one-point hull
-        is its own relative interior."""
+        the affine hull (up to tol) and off every face: beyond every facet
+        (or segment end) by more than ``64 * eps * max(1, max |frame
+        coordinate of the points|)``, so rounding cannot put a boundary
+        point inside.  A one-point hull is its own relative interior."""
         loc, residual = self._local(xs)
         ok = residual <= tol
         if self._rank == 1:
             lo, hi = self._interval
-            ok &= (lo < loc[:, 0]) & (loc[:, 0] < hi)
+            ok &= (lo + self._margin < loc[:, 0]) & (loc[:, 0] < hi - self._margin)
         elif self._rank >= 2:
-            ok &= self._facet_values(loc).max(axis=1) < 0.0
+            ok &= self._facet_values(loc).max(axis=1) < -self._margin
         return ok
 
     def _facet_values(self, loc: np.ndarray) -> np.ndarray:
@@ -228,7 +224,7 @@ class Polytope:
             return np.zeros(self.vertices.shape[1])
         v = self._vert_local[vertex_index]
         if self._rank == 1:
-            sign = 1.0 if v[0] >= max(self._interval) - self._tol else -1.0
+            sign = 1.0 if v[0] >= max(self._interval) - _TOL else -1.0
             return sign * self._frame[:, 0]
         vals = self._facet_values(v[None, :])[0]
         incident = np.abs(vals) <= 1e-9 * max(1.0, float(np.abs(self._equations[:, -1]).max()))

@@ -49,14 +49,14 @@ def _level_tol(values: np.ndarray, axis: int | None = None):
 class ProjPoint:
     """Point of RP^n as a sign-canonical unit coordinate vector.
 
-    Coordinates below ``supp_tol`` are zeroed on ingest, so ``support``
+    Coordinates at most ``SUPP_TOL`` are zeroed on ingest, so ``support``
     is exactly the set of nonzero coordinates, and the first supported
     coordinate is made positive to pick one representative of {x, -x}.
     """
 
     __slots__ = ("coords", "support")
 
-    def __init__(self, vec, supp_tol: float = SUPP_TOL):
+    def __init__(self, vec):
         x = np.array(vec, dtype=float).ravel()
         if x.size < 2:
             raise GmlInputError("a projective point needs at least two homogeneous coordinates")
@@ -64,10 +64,10 @@ class ProjPoint:
         if not math.isfinite(nrm) or nrm == 0.0:
             raise GmlInputError("cannot normalize a zero or non-finite vector")
         x = x / nrm
-        x[np.abs(x) <= supp_tol] = 0.0
+        x[np.abs(x) <= SUPP_TOL] = 0.0
         nrm = math.sqrt(x.dot(x))
         if nrm == 0.0:
-            raise GmlInputError("vector has no support above supp_tol")
+            raise GmlInputError("vector has no support above SUPP_TOL")
         x = x / nrm
         supp = x.nonzero()[0]
         if x[supp[0]] < 0:
@@ -126,7 +126,6 @@ class WeightedModel:
     name: str
     weights: np.ndarray     # (n+1, m)
     subalgebra: np.ndarray  # (d, m) rows: a basis of the acting directions
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         w = np.atleast_2d(np.array(self.weights, dtype=float))
@@ -139,8 +138,7 @@ class WeightedModel:
             raise ValueError(f"subalgebra must have between 1 and {s.shape[1]} basis vectors")
         if not (np.isfinite(w).all() and np.isfinite(s).all()):
             raise GmlInputError("weights and subalgebra entries must be finite")
-        svals = np.linalg.svd(s, compute_uv=False)
-        if svals[-1] <= self.rank_tol * max(1.0, svals[0]):
+        if _rank_deficient(s):
             raise ValueError("subalgebra basis is rank deficient")
         w.flags.writeable = False
         s.flags.writeable = False
@@ -227,11 +225,16 @@ class WeightedModel:
         if a.shape[0] != self.subalgebra_dim:
             raise DependentBasis(
                 f"expected {self.subalgebra_dim} basis directions, got {a.shape[0]}")
-        if a is not self.subalgebra:  # the stored rows were checked on construction
-            svals = np.linalg.svd(a, compute_uv=False)
-            if svals[-1] <= self.rank_tol * max(1.0, svals[0]):
-                raise DependentBasis("directions are linearly dependent")
+        if a is not self.subalgebra and _rank_deficient(a):  # the stored rows were checked
+            raise DependentBasis("directions are linearly dependent")
         return a
+
+
+def _rank_deficient(rows: np.ndarray) -> bool:
+    """The full-rank rule for a basis: rows (k, m) are dependent when their
+    smallest singular value is at most 1e-10 * max(1, largest)."""
+    svals = np.linalg.svd(rows, compute_uv=False)
+    return svals[-1] <= 1e-10 * max(1.0, svals[0])
 
 
 def _vector_labels(rows: np.ndarray) -> np.ndarray:
@@ -592,30 +595,29 @@ def certified_fraction(model: WeightedModel, trials: int, seed: int) -> float:
     failure records.
     """
     rng = substream(seed, 0)
-    u = rng.standard_normal((trials, model.subalgebra_dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = _unit_rows(rng.standard_normal((trials, model.subalgebra_dim)))
     levels = (u @ model.ortho_basis) @ model.weights.T  # (trials, n+1)
     return float(np.count_nonzero(certify_levels(model, levels))) / trials
 
 
 def random_weighted_model(rng: np.random.Generator, max_coords: int = 10,
-                          max_torus: int = 4, name: str = "random") -> WeightedModel:
+                          name: str = "random") -> WeightedModel:
     """Random integer-weight model whose stored basis admits a uniform box.
 
-    Weights are integers in [-3, 3].  Candidate (weights, basis) draws are
-    rejected until every coordinate pair admits a uniform step-size box
-    for the stored basis (model_chain_threshold > 0), so the composition
-    identity holds on a full box rather than only for nested step sizes.
+    The torus dimension is 1 to 4 and weights are integers in [-3, 3].
+    Candidate (weights, basis) draws are rejected until every coordinate
+    pair admits a uniform step-size box for the stored basis
+    (model_chain_threshold > 0), so the composition identity holds on a
+    full box rather than only for nested step sizes.
     Falls back to a 2-dimensional subalgebra, which always qualifies.
     """
     for attempt in range(300):
-        m = int(rng.integers(1, max_torus + 1))
+        m = int(rng.integers(1, 5))
         n1 = int(rng.integers(2, max_coords + 1))
         weights = rng.integers(-3, 4, size=(n1, m)).astype(float)
         d = int(rng.integers(1, m + 1)) if attempt < 200 else min(m, 2)
         sub = rng.integers(-2, 3, size=(d, m)).astype(float)
-        svals = np.linalg.svd(sub, compute_uv=False)
-        if svals[-1] <= 1e-9 * max(1.0, svals[0]):
+        if _rank_deficient(sub):
             continue
         model = WeightedModel(name=name, weights=weights, subalgebra=sub)
         if model_chain_threshold(model) > 0.0:

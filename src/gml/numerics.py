@@ -27,7 +27,7 @@ from .model import (
 
 DT_DEFAULT = 1e-2
 T_MAX_DEFAULT = 1e4
-FIX_TOL_DEFAULT = 1e-10
+FIX_TOL = 1e-10  # field norm below which a point counts as fixed
 _RENORM_LIMIT = 0.1  # reject a step when renormalization moves the point >10%
 
 
@@ -252,10 +252,9 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
     return float(np.linalg.norm(grad / 2.0 - action_field(levels, y)))
 
 
-def monotonicity_check(traj: Trajectory, mono_tol: float = 1e-9,
-                       fix_tol: float = FIX_TOL_DEFAULT) -> bool:
-    """True iff mu values never drop by more than mono_tol and strictly
-    increase wherever the field norm is above fix_tol.
+def monotonicity_check(traj: Trajectory) -> bool:
+    """True iff mu values never drop by more than 1e-9 * max(1, max |mu|)
+    and strictly increase wherever the field norm is above FIX_TOL.
 
     Strictness is only assessable where the predicted per-step gain
     (dt times the squared field norm) clears floating-point resolution;
@@ -266,8 +265,8 @@ def monotonicity_check(traj: Trajectory, mono_tol: float = 1e-9,
     scale = max(1.0, float(np.abs(vals).max()))  # a NaN maximum leaves 1.0
     resolution = 64.0 * np.finfo(float).eps * scale
     dv = np.diff(vals)
-    strict = (norms > fix_tol) & (np.diff(traj.times) * norms ** 2 > resolution)
-    return not ((dv < -mono_tol * scale) | (strict & ~(dv > 0.0))).any()
+    strict = (norms > FIX_TOL) & (np.diff(traj.times) * norms ** 2 > resolution)
+    return not ((dv < -1e-9 * scale) | (strict & ~(dv > 0.0))).any()
 
 
 @dataclass(eq=False)
@@ -280,9 +279,12 @@ class Linearization:
     eigenvalues: np.ndarray  # ascending
 
 
-def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 1e-6,
-                     fix_tol: float = FIX_TOL_DEFAULT, sym_tol: float = 1e-5) -> Linearization:
+def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint,
+                     h: float = 1e-6) -> Linearization:
     """Central-difference Jacobian of the field at a fixed point.
+
+    Raises NotAFixedPoint when the field norm there exceeds FIX_TOL, or the
+    Jacobian's asymmetry exceeds 1e-5 * max(1, max |entry|).
 
     At a coordinate point e_j the eigenvalues are the speed differences
     <lambda_i - lambda_j, beta> over i != j.
@@ -291,8 +293,8 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 
     levels = model.levels(beta)
     base = x_fixed.coords
     res = float(np.linalg.norm(action_field(levels, base)))
-    if res > fix_tol:
-        raise NotAFixedPoint(f"field norm {res:.3e} exceeds fix_tol {fix_tol:.3e}")
+    if res > FIX_TOL:
+        raise NotAFixedPoint(f"field norm {res:.3e} exceeds FIX_TOL {FIX_TOL:.3e}")
     frame = _tangent_frame(base)
     ch, sh = math.cos(h), math.sin(h)
     # row b of df is the central difference of the field along frame[b]
@@ -300,7 +302,7 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint, h: float = 
           - action_field(levels, ch * base - sh * frame)) / (2.0 * h)
     jac = frame @ df.T
     defect = float(np.abs(jac - jac.T).max())
-    if defect > sym_tol * max(1.0, float(np.abs(jac).max())):
+    if defect > 1e-5 * max(1.0, float(np.abs(jac).max())):
         raise NotAFixedPoint(
             f"Jacobian asymmetry {defect:.3e} too large; point may not be fixed")
     jac = (jac + jac.T) / 2.0

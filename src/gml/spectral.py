@@ -44,24 +44,21 @@ def _canonical_sign_columns(cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.where(lead < 0, -cols, cols))
 
 
-def _symmetrized(m: np.ndarray, sym_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _symmetrized(m: np.ndarray) -> np.ndarray:
     """Check a stack ``(..., n, n)`` of nonempty matrices for finite entries
-    and a symmetry defect within tolerance, then symmetrize each.
-
-    The default tolerance of a matrix is ``1e-10 * max(1, max |entry|)``.
-    Returns the symmetrized stack and the per-matrix tolerances.
-    """
+    and a symmetry defect of at most ``1e-10 * max(1, max |entry|)`` each,
+    then symmetrize each."""
     if not np.all(np.isfinite(m)):
         raise GmlInputError("matrix entries must be finite")
     flipped = np.swapaxes(m, -1, -2)
-    tol = sym_tol if sym_tol is not None else 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    defect, tol = np.broadcast_arrays(np.abs(m - flipped).max(axis=(-2, -1)), tol)
+    tol = 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    defect = np.abs(m - flipped).max(axis=(-2, -1))
     bad = np.flatnonzero(defect > tol)
     if bad.size:
         i = bad[0]
         raise GmlInputError(f"matrix is not symmetric: max asymmetry {defect.flat[i]:.3e} "
                             f"> tol {tol.flat[i]:.3e}")
-    return m / 2.0 + flipped / 2.0, tol  # (m + flipped) / 2 without its overflow
+    return m / 2.0 + flipped / 2.0  # (m + flipped) / 2 without its overflow
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,16 +66,14 @@ class SymMat:
     """Dense real symmetric matrix with a validated symmetry defect."""
 
     entries: np.ndarray
-    sym_tol: float | None = None
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise GmlInputError(f"expected a nonempty square matrix, got shape {m.shape}")
-        m, tol = _symmetrized(m, self.sym_tol)
+        m = _symmetrized(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "sym_tol", float(tol))
 
     @property
     def dim(self) -> int:
@@ -231,7 +226,7 @@ def _refine(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
     return np.hstack([_refine(mats[1:], basis @ v[:, s]) for s in _eig_clusters(w, ctol)])
 
 
-def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum:
+def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
     """Shared eigenbasis of a commuting family, certified by reconstruction.
 
     Eigendecomposes a random unit-coefficient combination of the family,
@@ -239,7 +234,7 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
     remaining members restricted to that block.  Columns are ordered by
     their eigenvalue tuple, lexicographically descending, which makes the
     output deterministic.  Raises ConvergenceFailure when some member is
-    not reconstructed within ``tol`` (relative to its Frobenius norm).
+    not reconstructed within 1e-10 times its Frobenius norm (at least 1).
     """
     arrays = [m.entries for m in fam.members]  # commutation was checked on construction
     n = fam.dim
@@ -262,7 +257,7 @@ def joint_diagonalize(fam: CommutingFamily, tol: float = 1e-10) -> JointSpectrum
             e = _binary_exponent(a)
             residual = float(np.linalg.norm(np.ldexp(diff, -e), "fro"))
             size = float(np.linalg.norm(np.ldexp(a, -e), "fro"))
-        bound = tol * max(math.ldexp(1.0, -e), size)
+        bound = 1e-10 * max(math.ldexp(1.0, -e), size)
         if not residual <= bound:  # NaN fails too
             raise ConvergenceFailure(f"member {k} not reconstructed: residual {residual:.3e} "
                                      f"> tol {bound:.3e}" + (f" (both times 2^{-e})" if e else ""))
@@ -277,13 +272,13 @@ def kernel(a: SymMat, tol: float | None = None) -> Subspace:
     return Subspace(v.shape[0], _canonical_sign_columns(v[:, np.abs(w) <= tol]))
 
 
-def subspace_intersection(u: Subspace, v: Subspace, tol: float = _ANGLE_TOL) -> Subspace:
+def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     """Intersection computed from principal angles (singular values of U^T V):
-    the span of the left singular vectors whose cosine is >= 1 - tol."""
+    the span of the left singular vectors whose cosine is >= 1 - _ANGLE_TOL."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}")
     w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
-    count = int(np.count_nonzero(s >= 1.0 - tol))
+    count = int(np.count_nonzero(s >= 1.0 - _ANGLE_TOL))
     if count == 0:
         return Subspace.empty(u.ambient_dim)
     q, _ = np.linalg.qr(u.basis @ w[:, :count])
@@ -322,34 +317,32 @@ def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
     return delta, binding, binding & first & (opposed == tail).all(axis=1)
 
 
-def delta_threshold(alpha: SymMat, beta: SymMat, tol: float | None = None,
-                    comm_tol: float | None = None) -> float:
+def delta_threshold(alpha: SymMat, beta: SymMat) -> float:
     """A safe step size for perturbing ``alpha`` by ``beta``.
 
     With joint eigenvalue pairs (a_i, b_i), the threshold is
     ``min |a_i| / |b_i|`` over indices where both are nonzero (above
-    ``tol``), and +infinity when no index has both nonzero.  For every
-    0 < eps < threshold, ``Ker(alpha + eps*beta) = Ker alpha ∩ Ker beta``.
+    ``1e-12`` times the largest entry of their matrix), and +infinity
+    when no index has both nonzero.  For every 0 < eps < threshold,
+    ``Ker(alpha + eps*beta) = Ker alpha ∩ Ker beta``.
     Sufficient, not sharp: the kernel jumps at eps = threshold only when a
     binding pair has opposite signs.
     """
-    delta, _ = delta_threshold_witness(alpha, beta, tol=tol, comm_tol=comm_tol)
+    delta, _ = delta_threshold_witness(alpha, beta)
     return delta
 
 
-def delta_threshold_witness(alpha: SymMat, beta: SymMat, tol: float | None = None,
-                            comm_tol: float | None = None) -> tuple[float, list[tuple[float, float]]]:
+def delta_threshold_witness(alpha: SymMat, beta: SymMat) -> tuple[float, list[tuple[float, float]]]:
     """Threshold plus the joint eigenvalue pairs (a_i, b_i) attaining it."""
-    levels, (delta, binding, _) = _family_box(CommutingFamily((alpha, beta), comm_tol), tol)
+    levels, (delta, binding, _) = _family_box(CommutingFamily((alpha, beta)))
     return delta, [(float(x), float(y)) for x, y in levels[binding]]
 
 
-def _family_box(fam: CommutingFamily, tol: float | None):
-    """A family's joint level vectors ``(dim, members)`` and their ``box_radius``;
-    a member's zero threshold is ``tol``, else its ``_zero_tol``."""
+def _family_box(fam: CommutingFamily):
+    """A family's joint level vectors ``(dim, members)`` and their ``box_radius``,
+    with each member's ``_zero_tol`` as its zero threshold."""
     levels = joint_diagonalize(fam).levels.T
-    tols = [tol if tol is not None else _zero_tol(m.entries) for m in fam.members]
-    return levels, box_radius(levels, np.array(tols))
+    return levels, box_radius(levels, np.array([_zero_tol(m.entries) for m in fam.members]))
 
 
 @dataclass(frozen=True)
@@ -367,7 +360,7 @@ class KernelEqualityReport:
 
 
 def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
-                         kernel_tol: float | None = None, comm_tol: float | None = None
+                         kernel_tol: float | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at each of
     the step sizes ``eps (m,)``.
@@ -381,10 +374,10 @@ def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
     bad = np.flatnonzero(~(eps > 0))
     if bad.size:
         raise NonPositiveEpsilon(f"eps must be strictly positive, got {eps[bad[0]]}")
-    CommutingFamily((alpha, beta), comm_tol)  # raises CommutationViolation
+    CommutingFamily((alpha, beta))  # raises CommutationViolation
     k_int = subspace_intersection(kernel(alpha, tol=kernel_tol), kernel(beta, tol=kernel_tol))
     p_int = k_int.projector()
-    shifted, _ = _symmetrized(alpha.entries + eps[:, None, None] * beta.entries)
+    shifted = _symmetrized(alpha.entries + eps[:, None, None] * beta.entries)
     # A shifted matrix can be numerically zero (exact cancellation at the
     # threshold step size), so its own entry scale is useless as a zero
     # threshold; floor it by the scale of the inputs instead.
@@ -404,16 +397,15 @@ def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
 
 
 def perturbed_kernel_equality(alpha: SymMat, beta: SymMat, eps: float,
-                              tol: float = 1e-8, kernel_tol: float | None = None,
-                              comm_tol: float | None = None) -> KernelEqualityReport:
+                              tol: float = 1e-8, kernel_tol: float | None = None
+                              ) -> KernelEqualityReport:
     """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at one eps."""
-    holds, dims, dist = kernel_equality_rows(alpha, beta, [eps], tol=tol,
-                                             kernel_tol=kernel_tol, comm_tol=comm_tol)
+    holds, dims, dist = kernel_equality_rows(alpha, beta, [eps], tol=tol, kernel_tol=kernel_tol)
     return KernelEqualityReport(holds=bool(holds[0]), dims=tuple(dims[0].tolist()),
                                 projector_distance=float(dist[0]))
 
 
-def chain_threshold(fam: CommutingFamily, tol: float | None = None) -> float:
+def chain_threshold(fam: CommutingFamily) -> float:
     """Uniform box radius for perturbing member 0 by all later members.
 
     Returns a delta such that for every choice of step sizes
@@ -423,22 +415,22 @@ def chain_threshold(fam: CommutingFamily, tol: float | None = None) -> float:
     vectors, one per joint eigenvector: 0.0 when no uniform box exists,
     +infinity when nothing constrains (always for one member).
     """
-    return _family_box(fam, tol)[1][0]
+    return _family_box(fam)[1][0]
 
 
-def random_commuting_family(rng: np.random.Generator, dim: int, members: int = 2,
-                            level_range: int = 5, zero_prob: float = 0.3) -> CommutingFamily:
+def random_commuting_family(rng: np.random.Generator, dim: int, members: int = 2
+                            ) -> CommutingFamily:
     """Commuting family built as Q·diag(levels)·Q^T with one shared random Q.
 
-    Levels are integers in [-level_range, level_range], zeroed with the
-    given probability, so commutation holds by construction.
+    Levels are integers in [-5, 5], each zeroed with probability 0.3, so
+    commutation holds by construction.
     """
     g = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
     mats = []
     for _ in range(members):
-        levels = rng.integers(-level_range, level_range + 1, size=dim).astype(float)
-        levels[rng.random(dim) < zero_prob] = 0.0
+        levels = rng.integers(-5, 6, size=dim).astype(float)
+        levels[rng.random(dim) < 0.3] = 0.0
         mats.append(SymMat((q * levels) @ q.T))  # SymMat symmetrizes
     return CommutingFamily(tuple(mats))

@@ -101,12 +101,31 @@ def test_strict_interior_implies_containment():
 
 
 def test_vertex_never_strictly_inside():
-    # vertices sit on the relative boundary whenever the hull has dim >= 1
-    for pts in ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 0], [1, 0]]):
+    # vertices sit on the relative boundary whenever the hull has dim >= 1;
+    # rounding alone used to put the vertex [2, -2] of the pentagon and both
+    # ends of the slanted segment inside
+    for pts in ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 0], [1, 0]],
+                [[-3, -2], [-2, 1], [1, 0], [-2, 2], [2, -2]], [[-3, -3, 1], [-2, 0, 2]]):
         poly = Polytope(pts)
         for v in poly.vertices:
             assert poly.contains(v)
             assert not poly.strictly_inside(v)
+        assert not poly.strictly_inside_batch(poly.vertices).any()
+    # rank 1-4 sets: integer points, normal points, and integer points
+    # embedded in up to two more dimensions by an orthogonal map and a shift
+    for k in range(300):
+        rng = substream(207, k)
+        r = int(rng.integers(1, 5))
+        pts = rng.integers(-3, 4, size=(int(rng.integers(r + 1, 10)), r)).astype(float)
+        if k % 3 == 1:
+            pts = rng.standard_normal(pts.shape)
+        elif k % 3 == 2:
+            d = r + int(rng.integers(0, 3))
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            pts = pts @ q[:r] + rng.uniform(-2.0, 2.0, size=d)
+        poly = Polytope(pts)
+        if poly.dim >= 1:
+            assert not poly.strictly_inside_batch(poly.vertices).any(), k
     # a point-polytope is its own relative interior
     point = Polytope([[5, 5]])
     assert point.strictly_inside([5, 5])
@@ -121,8 +140,8 @@ def test_supporting_direction_maximized_at_its_vertex():
         assert vals[k] > np.max(np.delete(vals, k)) + 1e-9
 
 
-def _reference_case(k: int):
-    """Rank-r point set number k (r = 2..4) and its Qhull reference.
+def _reference_case(k: int, low: int, high: int):
+    """Rank-r point set number k (r = low..high) and its Qhull reference.
 
     Random normal or integer points, plus exact duplicate rows, a point
     on an edge of the hull and a point inside a facet, embedded in an
@@ -130,7 +149,7 @@ def _reference_case(k: int):
     shift.  Returns (ambient points, their rank-r coordinates, the
     embedding, the shift, Qhull's vertex indices and facet equations)."""
     rng = substream(204, k)
-    r = int(rng.integers(2, 5))
+    r = int(rng.integers(low, high + 1))
     n = int(rng.integers(r + 1, 10))
     while True:
         pts = (rng.standard_normal((n, r)) if k % 3 else
@@ -149,12 +168,13 @@ def _reference_case(k: int):
 
 
 def test_hull_matches_qhull_reference():
-    # 1,200 rank 2-4 sets with duplicates, edge and facet points, in
-    # ambient dimension up to r + 2: the same vertices as Qhull, the same
-    # containment off the boundary, and supporting directions maximized at
-    # their own vertex
-    for k in range(1200):
-        amb, pts, embed, shift, verts, eqs = _reference_case(k)
+    # 1,200 rank 2-4 sets and 60 rank 5-8 sets with duplicates, edge and
+    # facet points, in ambient dimension up to r + 2: the same vertices as
+    # Qhull, the same containment off the boundary, and supporting
+    # directions maximized at their own vertex
+    cases = [(k, 2, 4) for k in range(1200)] + [(k, 5, 8) for k in range(1200, 1260)]
+    for k, low, high in cases:
+        amb, pts, embed, shift, verts, eqs = _reference_case(k, low, high)
         poly = Polytope(amb)
         assert poly.dim == pts.shape[1]
         assert sorted(map(tuple, poly.vertices)) == sorted(set(map(tuple, amb[verts])))

@@ -184,7 +184,7 @@ def test_joint_diagonalize_recovers_constructed_levels():
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         levels = rng.integers(-5, 6, size=(members, dim)).astype(float)
         fam = CommutingFamily(
-            tuple(SymMat(q @ np.diag(lv) @ q.T, sym_tol=1e-9) for lv in levels))
+            tuple(SymMat(q @ np.diag(lv) @ q.T) for lv in levels))
         spectrum = joint_diagonalize(fam)
         for mat, lv in zip(fam.members, spectrum.levels):
             rebuilt = spectrum.basis @ np.diag(lv) @ spectrum.basis.T
