@@ -205,12 +205,9 @@ def _campaign_lemma(model, trials, seed, tols, probe_tightness):
 def _campaign_convexity(model, trials, seed, tols, probe_tightness):
     failures = []
     for k, rng in trial_streams(seed, trials):
-        sub_seed = int(rng.integers(0, 2**63))
-        _, mp_ok = mdl.moment_polytope_check(model, sample_count=32, seed=sub_seed,
-                                             hull_tol=tols["hull_tol"])
+        _, mp_ok = mdl.moment_polytope_check(model, 32, rng, hull_tol=tols["hull_tol"])
         x = _random_point(rng, model.num_coords)
-        orbit_ok = mdl.orbit_hull_check(model, x, sample_count=16, seed=sub_seed,
-                                        hull_tol=tols["hull_tol"])
+        orbit_ok = mdl.orbit_hull_check(model, x, 16, rng, hull_tol=tols["hull_tol"])
         if not (mp_ok and orbit_ok):
             failures.append(_failure(seed, k, {"point": x.coords},
                                      {"polytope": True, "orbit": True},

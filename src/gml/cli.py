@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import model as mdl
 from .campaigns import CAMPAIGNS, CampaignConfig, describe_model, run_campaign
 from .errors import GmlError, GmlInputError
-from .serialization import jsonify, load_model, matrix_from_obj, subspace_to_obj
+from .serialization import jsonify, load_model, matrix_from_obj, read_json, subspace_to_obj
 from .spectral import SymMat, delta_threshold
 
 
@@ -46,7 +45,7 @@ def _parse_matrix(text: str):
     if text.startswith("diag:"):
         return SymMat.diag(_parse_vector(text[len("diag:"):]))
     if text.startswith("@"):
-        return matrix_from_obj(json.loads(Path(text[1:]).read_text()))
+        return matrix_from_obj(read_json(text[1:]))
     try:
         return matrix_from_obj(json.loads(text))
     except json.JSONDecodeError:

@@ -1,10 +1,11 @@
 """Convex hulls of small point sets, robust in degenerate dimensions.
 
-Points are expressed in an orthonormal frame of their affine hull.  A
-point or a segment (affine dimension 0 or 1) is handled directly; in
-dimension r >= 2 the facets are found by exact enumeration of the
-r-subsets of the points (``_facets``), which costs C(N, r) sets of r
-small determinants for N distinct points and needs nothing beyond numpy.
+Points are expressed in an orthonormal frame of their affine hull, and
+every hull is a list of facet equations in that frame: none for a point,
+the two ends for a segment, and in dimension r >= 2 the facets found by
+exact enumeration of the r-subsets of the points (``_facets``), which
+costs C(N, r) sets of r small determinants for N distinct points and
+needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -152,11 +153,13 @@ class Polytope:
         coords = centered @ self._frame  # (N, rank)
         # a strictly interior point clears every face by more than rounding
         self._margin = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(coords).max(initial=0.0)))
+        # facet rows [normal, offset]: a point has none, a segment its two ends
         if rank == 0:
-            vert_idx = np.array([0])
+            vert_idx, self._equations = np.array([0]), np.empty((0, 1))
         elif rank == 1:
             vert_idx = np.array([int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))])
-            self._interval = (float(coords[:, 0].min()), float(coords[:, 0].max()))
+            lo, hi = coords[vert_idx, 0]
+            self._equations = np.array([[-1.0, lo], [1.0, -hi]])
         else:
             vert_idx, self._equations = _facets(coords)
         # report vertices by their exact input coordinates, never by
@@ -172,39 +175,27 @@ class Polytope:
         """Dimension of the affine hull."""
         return self._rank
 
-    def _local(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of an (S, d) array in the affine frame, with each row's
-        distance from the affine hull."""
+    def _placement(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of an (S, d) array: its distance from the affine hull and
+        its largest facet value in the frame (-inf for a point: no facets)."""
         rel = np.asarray(xs, dtype=float) - self._origin
         loc = rel @ self._frame
         residual = np.linalg.norm(rel - loc @ self._frame.T, axis=1)
-        return loc, residual
+        return residual, self._facet_values(loc).max(axis=1, initial=-np.inf)
 
     def contains_batch(self, xs, tol: float = 1e-9) -> np.ndarray:
         """Per row of an (S, d) array: inside the hull up to tol."""
-        loc, residual = self._local(xs)
-        ok = residual <= tol
-        if self._rank == 1:
-            lo, hi = self._interval
-            ok &= (lo - tol <= loc[:, 0]) & (loc[:, 0] <= hi + tol)
-        elif self._rank >= 2:
-            ok &= self._facet_values(loc).max(axis=1) <= tol
-        return ok
+        residual, worst = self._placement(xs)
+        return (residual <= tol) & (worst <= tol)
 
     def strictly_inside_batch(self, xs, tol: float = 1e-9) -> np.ndarray:
         """Per row of an (S, d) array: in the relative interior, i.e. inside
-        the affine hull (up to tol) and off every face: beyond every facet
-        (or segment end) by more than ``64 * eps * max(1, max |frame
-        coordinate of the points|)``, so rounding cannot put a boundary
-        point inside.  A one-point hull is its own relative interior."""
-        loc, residual = self._local(xs)
-        ok = residual <= tol
-        if self._rank == 1:
-            lo, hi = self._interval
-            ok &= (lo + self._margin < loc[:, 0]) & (loc[:, 0] < hi - self._margin)
-        elif self._rank >= 2:
-            ok &= self._facet_values(loc).max(axis=1) < -self._margin
-        return ok
+        the affine hull (up to tol) and beyond every facet by more than
+        ``64 * eps * max(1, max |frame coordinate of the points|)``, so
+        rounding cannot put a boundary point inside.  A one-point hull has
+        no facets and is its own relative interior."""
+        residual, worst = self._placement(xs)
+        return (residual <= tol) & (worst < -self._margin)
 
     def _facet_values(self, loc: np.ndarray) -> np.ndarray:
         """normal · y + offset per row and facet; <= 0 inside."""
@@ -220,13 +211,8 @@ class Polytope:
     def supporting_direction(self, vertex_index: int) -> np.ndarray:
         """A direction in ambient coordinates whose maximum over the hull
         is attained at the given vertex (interior of its normal cone)."""
-        if self._rank == 0:
-            return np.zeros(self.vertices.shape[1])
         v = self._vert_local[vertex_index]
-        if self._rank == 1:
-            sign = 1.0 if v[0] >= max(self._interval) - _TOL else -1.0
-            return sign * self._frame[:, 0]
         vals = self._facet_values(v[None, :])[0]
-        incident = np.abs(vals) <= 1e-9 * max(1.0, float(np.abs(self._equations[:, -1]).max()))
-        normal = self._equations[incident, :-1].sum(axis=0)
-        return self._frame @ normal
+        scale = max(1.0, float(np.abs(self._equations[:, -1]).max(initial=0.0)))
+        incident = np.abs(vals) <= 1e-9 * scale
+        return self._frame @ self._equations[incident, :-1].sum(axis=0)

@@ -518,18 +518,17 @@ def moment_polytope(model: WeightedModel) -> Polytope:
     return model.moment_polytope
 
 
-def moment_polytope_check(model: WeightedModel, sample_count: int, seed: int,
+def moment_polytope_check(model: WeightedModel, sample_count: int, rng: np.random.Generator,
                           hull_tol: float = 1e-9) -> tuple[Polytope, bool]:
     """Sampled containment plus exact vertex attainment.
 
-    Checks that gradient-map images of random points lie in the hull of
-    the projected weights, and that each hull vertex is attained exactly
-    by the corresponding coordinate point.
+    Checks that gradient-map images of ``sample_count`` random points,
+    drawn from ``rng``, lie in the hull of the projected weights, and that
+    each hull vertex is attained exactly by the corresponding coordinate
+    point.
     """
     poly = model.moment_polytope
-    rng = substream(seed, 0)
-    n = model.num_coords
-    z = np.reshape([rng.standard_normal(n) for _ in range(sample_count)], (-1, n))
+    z = rng.standard_normal((sample_count, model.num_coords))
     holds = bool(poly.contains_batch(gradient_rows(model, _unit_rows(z)), tol=hull_tol).all())
     # the image of coordinate point e_i is projected weight i itself
     pw = model.projected_weights
@@ -540,20 +539,19 @@ def moment_polytope_check(model: WeightedModel, sample_count: int, seed: int,
     return poly, holds
 
 
-def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int, seed: int,
-                     hull_tol: float = 1e-9) -> bool:
+def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
+                     rng: np.random.Generator, hull_tol: float = 1e-9) -> bool:
     """Orbit-closure image test for the hull of the support's weights.
 
     (a) gradient-map images of flowed points stay in the relative
     interior of the predicted hull for sampled directions, and (b) flow
     limits along supporting and sampled integer directions attain every
-    vertex of the predicted hull.  Each part draws its samples first and
-    then evaluates them all at once.
+    vertex of the predicted hull.  Each part draws its samples from
+    ``rng`` first and then evaluates them all at once.
     """
     model.require_point(x)
     supp = x.support_mask
     poly = Polytope(model.projected_weights[supp])
-    rng = substream(seed, 0)
     d = model.subalgebra_dim
 
     def speeds(draws) -> np.ndarray:

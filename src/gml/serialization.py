@@ -72,7 +72,7 @@ def parse_model_obj(obj, source: str = "<model>") -> WeightedModel:
         raise ModelParseError(f"{source}: field 'name' must be a string")
     num_coords = _require_field(obj, "num_coords", source)
     torus_dim = _require_field(obj, "torus_dim", source)
-    if not isinstance(num_coords, int) or not isinstance(torus_dim, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (num_coords, torus_dim)):
         raise ModelParseError(f"{source}: fields 'num_coords' and 'torus_dim' must be integers")
     weights = _as_matrix_field(_require_field(obj, "weights", source), "weights", source)
     sub = _as_matrix_field(_require_field(obj, "subalgebra", source), "subalgebra", source)
@@ -89,19 +89,23 @@ def parse_model_obj(obj, source: str = "<model>") -> WeightedModel:
         raise ModelParseError(f"{source}: {exc}") from None
 
 
-def load_model(path) -> WeightedModel:
-    """Read a model file, raising ModelParseError with line diagnostics."""
-    path = Path(path)
+def read_json(path):
+    """The value of a UTF-8 JSON file; ModelParseError names the file and,
+    for a syntax error, its line and column."""
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ModelParseError(f"{path}: cannot read model file: {exc}") from None
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelParseError(f"{path}: cannot read JSON file: {exc}") from None
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return parse_model_obj(obj, source=str(path))
+
+
+def load_model(path) -> WeightedModel:
+    """Read a model file, raising ModelParseError with line diagnostics."""
+    return parse_model_obj(read_json(path), source=str(path))
 
 
 def model_to_obj(model: WeightedModel) -> dict:

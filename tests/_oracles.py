@@ -2,7 +2,8 @@
 
 Every function here avoids the code paths of the package proper:
 kernel dimensions come from SVD ranks, hull membership from linear
-programming, hull facets from Qhull, and limit supports and speed signs
+programming or, on a segment, from its end parameters, hull facets from
+Qhull, and limit supports and speed signs
 from direct combinatorics on the weight table.  The loop forms of the
 package's array kernels (near-duplicate representatives, trajectory
 values, finite-difference probes, perturbed kernels, RK4 steps and the
@@ -120,6 +121,18 @@ def in_hull_lp(points, x, tol: float = 1e-9) -> bool:
     if not res.success:
         return False
     return float(np.linalg.norm(a_eq @ res.x - b_eq)) <= tol
+
+
+def interval_contains(lo, hi, y, tol: float = 1e-9):
+    """Segment membership by its end parameters: lo - tol <= y <= hi + tol."""
+    y = np.asarray(y, dtype=float)
+    return (lo - tol <= y) & (y <= hi + tol)
+
+
+def interval_strictly_inside(lo, hi, y, margin):
+    """Relative interior of a segment: lo + margin < y < hi - margin."""
+    y = np.asarray(y, dtype=float)
+    return (lo + margin < y) & (y < hi - margin)
 
 
 def lp_vertices(points, tol: float = 1e-9):

@@ -118,7 +118,7 @@ def test_criterion_4_convexity(model_pool):
     start = time.perf_counter()
     orbit_checks = 0
     for k, model in enumerate(model_pool):
-        poly, holds = moment_polytope_check(model, 32, seed=400 + k, hull_tol=1e-9)
+        poly, holds = moment_polytope_check(model, 32, substream(400 + k, 0), hull_tol=1e-9)
         assert holds, model.name
         # vertex attainment, re-derived: every vertex is a projected weight,
         # i.e. the image of a coordinate fixed point
@@ -134,7 +134,7 @@ def test_criterion_4_convexity(model_pool):
             z[:2] = 1.0
             probes.append(ProjPoint(z))
         for x in probes:
-            assert orbit_hull_check(model, x, 16, seed=600 + k, hull_tol=1e-9), \
+            assert orbit_hull_check(model, x, 16, substream(600 + k, 0), hull_tol=1e-9), \
                 (model.name, x.support)
             orbit_checks += 1
     elapsed = time.perf_counter() - start

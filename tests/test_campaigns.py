@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gml import numerics
+from gml import campaigns, numerics
+from gml import model as mdl
+from gml import rng as grng
 from gml.campaigns import (
     CAMPAIGNS,
     CampaignConfig,
@@ -75,6 +77,22 @@ def test_convexity_campaign_passes(square_model, segment_model):
         rep = run_campaign_model(model, "convexity", trials=8, seed=5,
                                  tolerances=TOLS)
         assert rep.passes == 8
+
+
+def test_convexity_opens_no_stream_besides_its_trial_streams(square_model, segment_model,
+                                                             monkeypatch):
+    """Both checks of a convexity trial draw from the trial's own stream, so
+    the campaign opens no substream (one per check if each keyed its own)."""
+    calls, real = [], grng.substream
+
+    def counting(*key):
+        calls.append(key)
+        return real(*key)
+    for module in (grng, mdl, campaigns):
+        monkeypatch.setattr(module, "substream", counting)
+    for model in (square_model, segment_model):
+        assert run_campaign_model(model, "convexity", trials=6, seed=9).passes == 6
+    assert calls == []
 
 
 def test_numerics_campaign_passes(square_model):

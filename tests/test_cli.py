@@ -243,6 +243,28 @@ def test_bad_numbers_exit_two(square_file, capsys, argv):
     assert out == ""
 
 
+def test_delta_malformed_matrix_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    path.write_text("[[1, 0],\n [0, 1]")
+    code, out, err = run_cli(capsys, "delta", "--alpha", f"@{path}", "--beta", "diag:1,1")
+    assert_input_error(code, err)
+    assert out == ""
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("describe",),
+    ("run", "--campaign", "convexity", "--model"),
+    ("limit", "--point", "1,1", "--beta", "1", "--model"),
+], ids=["describe", "run", "limit"])
+def test_model_file_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, err)
+    assert out == ""
+
+
 def test_describe_infinite_weight_exits_two(square_file, capsys):
     # JSON readers accept the bare token Infinity as a number
     text = square_file.read_text().replace("1.0", "Infinity", 1)

@@ -13,12 +13,14 @@ import gml
 from gml import WeightedModel
 from gml.hull import Polytope, _dedupe, first_representatives
 from gml.model import _level_tol, _vector_labels
-from gml.rng import substream
+from gml.rng import substream, unit_vector
 from gml.serialization import save_model
 
 from _oracles import (
     dedupe_loop,
     in_hull_lp,
+    interval_contains,
+    interval_strictly_inside,
     lp_vertices,
     qhull_reference,
     vector_partition_loop,
@@ -64,6 +66,80 @@ def test_segment_hull():
     assert poly.strictly_inside([0.5, 0])
     assert not poly.strictly_inside([0, 0])
     assert not poly.contains([0.5, 0.1])
+
+
+_EPS = np.finfo(float).eps
+
+
+def _segment_offsets(lo, hi, tol, margin, steps):
+    """Parameters at ``steps`` tolerances and margins to either side of each
+    end of [lo, hi]."""
+    steps = np.asarray(steps)
+    off = np.concatenate([steps * tol, steps * margin])
+    return np.concatenate([lo - off, lo + off, hi - off, hi + off])
+
+
+def test_segment_queries_match_the_interval_rule_exactly():
+    # dyadic ends, tolerances and margins make every offset and frame
+    # coordinate exact, so the facet rows and the interval rule are compared
+    # right at their boundaries
+    tol = 2.0 ** -30
+    for pts, axis in (([[1.0], [3.0]], 0), ([[-0.5], [0.25]], 0),
+                      ([[-1.0, 0.5], [2.5, 0.5]], 0), ([[0.0, 0.0, -1.0], [0.0, 0.0, 2.5]], 2)):
+        pts = np.array(pts)
+        poly = Polytope(pts)
+        lo, hi = pts[:, axis].min(), pts[:, axis].max()
+        margin = 64.0 * _EPS * max(1.0, (hi - lo) / 2)
+        y = _segment_offsets(lo, hi, tol, margin, [0.0, 0.5, 1.0, 2.0])
+        xs = np.repeat(pts[:1], len(y), axis=0)
+        xs[:, axis] = y
+        assert (poly.contains_batch(xs, tol) == interval_contains(lo, hi, y, tol)).all()
+        assert (poly.strictly_inside_batch(xs, tol)
+                == interval_strictly_inside(lo, hi, y, margin)).all()
+        # per end, only the point 2 tolerances out is outside, and the 4
+        # inward points beyond one margin are strictly inside
+        assert interval_contains(lo, hi, y, tol).sum() == 30
+        assert interval_strictly_inside(lo, hi, y, margin).sum() == 8
+
+
+def test_segment_queries_match_the_interval_rule():
+    # collinear points a + t u in up to three dimensions, queried across the
+    # segment and beyond it, at each end, and at 1/2 and 2 tolerances and
+    # margins from it (exactly one tolerance out is decided by rounding)
+    for k in range(200):
+        rng = substream(208, k)
+        d = int(rng.integers(1, 4))
+        a, u = rng.uniform(-2.0, 2.0, size=d), unit_vector(rng, d)
+        t = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 6)))
+        poly = Polytope(a + t[:, None] * u)
+        assert poly.dim == 1
+        lo, hi = t.min(), t.max()
+        margin = 64.0 * _EPS * max(1.0, float(np.abs(t - t.mean()).max()))
+        y = np.concatenate([rng.uniform(lo - 0.5, hi + 0.5, size=20),
+                            _segment_offsets(lo, hi, 1e-9, margin, [0.0, 0.5, 2.0])])
+        xs = a + y[:, None] * u
+        assert (poly.contains_batch(xs) == interval_contains(lo, hi, y)).all(), k
+        assert (poly.strictly_inside_batch(xs)
+                == interval_strictly_inside(lo, hi, y, margin)).all(), k
+        ends = [poly.supporting_direction(i) for i in range(2)]
+        assert (poly.vertices @ ends[0]).argmax() == 0 and (poly.vertices @ ends[1]).argmax() == 1
+
+
+def test_point_hull_answers_by_residual_alone():
+    # a point (or near-duplicates of it) has no facets: every query is the
+    # distance from the point against the tolerance
+    for k in range(50):
+        rng = substream(209, k)
+        d = int(rng.integers(1, 5))
+        p = rng.uniform(-3.0, 3.0, size=d)
+        poly = Polytope(np.vstack([p, p, p + 1e-10 * unit_vector(rng, d)]))
+        assert poly.dim == 0 and poly.vertices.tolist() == [p.tolist()]
+        xs = p + 10.0 ** rng.uniform(-11.0, -7.0, size=(40, 1)) * rng.standard_normal((40, d))
+        dist = np.linalg.norm(xs - p, axis=1)
+        for tol in (1e-9, 1e-8):
+            assert (poly.contains_batch(xs, tol) == (dist <= tol)).all()
+            assert (poly.strictly_inside_batch(xs, tol) == (dist <= tol)).all()
+        assert np.array_equal(poly.supporting_direction(0), np.zeros(d))
 
 
 def test_containment_matches_lp_oracle():

@@ -591,13 +591,13 @@ def test_unstable_components_partition_points(model_pool):
 
 
 def test_moment_polytope_square(square_model):
-    poly, holds = moment_polytope_check(square_model, 64, seed=3)
+    poly, holds = moment_polytope_check(square_model, 64, substream(3, 0))
     assert holds
     assert poly.vertices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_moment_polytope_segment(segment_model):
-    poly, holds = moment_polytope_check(segment_model, 64, seed=3)
+    poly, holds = moment_polytope_check(segment_model, 64, substream(3, 0))
     assert holds
     assert poly.vertices.tolist() == [[0, 0], [1, 0]]
 
@@ -605,21 +605,21 @@ def test_moment_polytope_segment(segment_model):
 def test_moment_polytope_single_weight():
     model = WeightedModel(name="point", weights=[[2, 2], [2, 2]],
                           subalgebra=[[1, 0], [0, 1]])
-    poly, holds = moment_polytope_check(model, 16, seed=3)
+    poly, holds = moment_polytope_check(model, 16, substream(3, 0))
     assert holds
     assert poly.vertices.tolist() == [[2, 2]]
 
 
 def test_orbit_hull_full_support(square_model):
-    assert orbit_hull_check(square_model, P(0.5, 0.5, 0.5, 0.5), 16, seed=5)
+    assert orbit_hull_check(square_model, P(0.5, 0.5, 0.5, 0.5), 16, substream(5, 0))
 
 
 def test_orbit_hull_fixed_orbit(square_model):
-    assert orbit_hull_check(square_model, P(0, 0, 1, 0), 16, seed=5)
+    assert orbit_hull_check(square_model, P(0, 0, 1, 0), 16, substream(5, 0))
 
 
 def test_orbit_hull_segment_orbit(square_model):
-    assert orbit_hull_check(square_model, P(S2, S2, 0, 0), 16, seed=5)
+    assert orbit_hull_check(square_model, P(S2, S2, 0, 0), 16, substream(5, 0))
 
 
 # ------------------------------------------------------------- random models

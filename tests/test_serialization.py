@@ -17,6 +17,7 @@ from gml.serialization import (
     model_to_obj,
     parse_model_obj,
     parse_threshold,
+    read_json,
     save_model,
     subspace_to_obj,
 )
@@ -112,3 +113,28 @@ def test_loaded_model_enforces_invariants(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(Exception):
         load_model(path)
+
+
+@pytest.mark.parametrize("field", ["num_coords", "torus_dim"])
+def test_boolean_dimension_is_rejected(field):
+    # JSON true is a Python int: it must not pass as the count 1
+    obj = {"name": "flag", "num_coords": 2, "torus_dim": 1,
+           "weights": [[1], [0]], "subalgebra": [[1]], field: True}
+    with pytest.raises(ModelParseError, match="must be integers"):
+        parse_model_obj(obj)
+
+
+def test_read_json_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    with pytest.raises(ModelParseError, match="latin1.json"):
+        read_json(path)
+    with pytest.raises(ModelParseError):
+        load_model(path)
+
+
+def test_read_json_reports_position(tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_text("[[1, 0],\n [0, 1]")
+    with pytest.raises(ModelParseError, match="line 2"):
+        read_json(path)
