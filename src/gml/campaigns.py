@@ -21,13 +21,9 @@ from . import model as mdl
 from . import numerics as num
 from .errors import GmlInputError, ReportIoError, UnknownCampaign
 from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
-from .rng import check_key, open_uniform, substream, trial_streams, unit_vector
+from .rng import check_key, open_uniform, open_uniform_array, substream, trial_streams, unit_vector
 from .serialization import jsonify, load_model
-from .spectral import (
-    delta_threshold_witness,
-    kernel_equality_rows,
-    random_commuting_family,
-)
+from .spectral import chain_threshold_witness, family_kernel_rows, random_commuting_family
 
 CAMPAIGNS = ("theorem1", "theorem2", "lemma-linearization", "convexity", "numerics")
 
@@ -42,13 +38,16 @@ _DEFAULT_TOLS = {
 
 
 def resolve_tolerances(overrides: dict | None = None) -> dict:
-    """Defaults, then explicit per-key overrides."""
+    """Defaults, then explicit per-key overrides, each a finite number >= 0.
+    The campaigns pass these on to kernels that trust them."""
     tols = dict(_DEFAULT_TOLS)
     if overrides:
         for key, val in overrides.items():
             if key not in tols:
                 raise GmlInputError(f"unknown tolerance key '{key}'")
             tols[key] = float(val)
+            if not (math.isfinite(tols[key]) and tols[key] >= 0.0):
+                raise GmlInputError(f"tolerance '{key}' must be a finite number >= 0, got {val!r}")
     return tols
 
 
@@ -180,13 +179,14 @@ def _campaign_lemma(model, trials, seed, tols, probe_tightness):
         dim = int(rng.integers(2, 13))
         fam = random_commuting_family(rng, dim, members=2)
         alpha, beta = fam.members
-        delta, witnesses = delta_threshold_witness(alpha, beta)
+        # the family is checked on construction: no entry point checks it again
+        delta, witnesses = chain_threshold_witness(fam)
         cap = (delta * (1.0 - 1e-9)) if math.isfinite(delta) else 10.0
-        eps = [open_uniform(rng, 0.0, cap) for _ in range(n_eps)]
+        eps = open_uniform_array(rng, 0.0, cap, n_eps)
         # tightness probe: at eps = delta the kernel must strictly jump
         probe = math.isfinite(delta) and any(a * b < 0 for a, b in witnesses)
-        rows = eps + [delta] if probe else eps
-        holds, dims, _ = kernel_equality_rows(alpha, beta, rows, tol=tols["holds_tol"])
+        rows = np.append(eps, delta) if probe else eps
+        holds, dims, _ = family_kernel_rows(fam, rows, tols["holds_tol"])
         detail = None
         if not holds[:n_eps].all():
             i = int(np.argmin(holds[:n_eps]))  # the first failing eps

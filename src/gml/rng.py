@@ -79,3 +79,17 @@ def open_uniform(rng: np.random.Generator, low: float, high: float) -> float:
         x = float(rng.uniform(low, high))
         if low < x < high:
             return x
+
+
+def open_uniform_array(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
+    """``size`` uniform draws strictly inside (low, high), from one block draw.
+
+    A draw that lands on an end is dropped in order and exactly the missing
+    count is drawn again, so the values and the generator's position after
+    them are those of ``size`` ``open_uniform`` calls.
+    """
+    x = np.empty(0)
+    while x.size < size:
+        draws = rng.uniform(low, high, size - x.size)
+        x = np.concatenate([x, draws[(low < draws) & (draws < high)]])
+    return x

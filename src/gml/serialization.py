@@ -53,9 +53,22 @@ def _require_field(obj: dict, field: str, source: str):
     return obj[field]
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, (list, tuple))
+                                       and any(_holds_bool(v) for v in value))
+
+
+def _float_array(value) -> np.ndarray:
+    """A parsed JSON value as a float array.  JSON booleans are rejected:
+    numpy would read them as 1.0 and 0.0."""
+    if _holds_bool(value):
+        raise ValueError("true/false is not a number")
+    return np.array(value, dtype=float)
+
+
 def _as_matrix_field(value, field: str, source: str) -> np.ndarray:
     try:
-        arr = np.array(value, dtype=float)
+        arr = _float_array(value)
     except (TypeError, ValueError) as exc:
         raise ModelParseError(f"{source}: field '{field}' is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
@@ -128,7 +141,7 @@ def matrix_to_obj(mat: SymMat):
 
 def matrix_from_obj(obj) -> SymMat:
     try:
-        arr = np.array(obj, dtype=float)
+        arr = _float_array(obj)
     except (TypeError, ValueError) as exc:
         raise ModelParseError(f"not a numeric matrix: {exc}") from None
     return SymMat(arr)

@@ -8,7 +8,9 @@ to ``Ker A ∩ Ker B``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,26 +46,13 @@ def _canonical_sign_columns(cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.where(lead < 0, -cols, cols))
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """Check a stack ``(..., n, n)`` of nonempty matrices for finite entries
-    and a symmetry defect of at most ``1e-10 * max(1, max |entry|)`` each,
-    then symmetrize each."""
-    if not np.all(np.isfinite(m)):
-        raise GmlInputError("matrix entries must be finite")
-    flipped = np.swapaxes(m, -1, -2)
-    tol = 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    defect = np.abs(m - flipped).max(axis=(-2, -1))
-    bad = np.flatnonzero(defect > tol)
-    if bad.size:
-        i = bad[0]
-        raise GmlInputError(f"matrix is not symmetric: max asymmetry {defect.flat[i]:.3e} "
-                            f"> tol {tol.flat[i]:.3e}")
-    return m / 2.0 + flipped / 2.0  # (m + flipped) / 2 without its overflow
-
-
 @dataclass(frozen=True, eq=False)
 class SymMat:
-    """Dense real symmetric matrix with a validated symmetry defect."""
+    """Dense real symmetric matrix with a validated symmetry defect.
+
+    The entries must be finite with a symmetry defect of at most
+    ``1e-10 * max(1, max |entry|)``; they are stored symmetrized as
+    ``m/2 + m.T/2``, which is bitwise symmetric."""
 
     entries: np.ndarray
 
@@ -71,7 +60,14 @@ class SymMat:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise GmlInputError(f"expected a nonempty square matrix, got shape {m.shape}")
-        m = _symmetrized(m)
+        if not np.isfinite(m).all():
+            raise GmlInputError("matrix entries must be finite")
+        half, half_t = m / 2.0, m.T / 2.0  # halved first: m - m.T and m + m.T can overflow
+        tol = 1e-10 * max(1.0, _entry_scale(m))
+        defect = 2.0 * float(np.abs(half - half_t).max())
+        if defect > tol:
+            raise GmlInputError(f"matrix is not symmetric: max asymmetry {defect:.3e} > tol {tol:.3e}")
+        m = half + half_t
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -226,6 +222,16 @@ def _refine(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
     return np.hstack([_refine(mats[1:], basis @ v[:, s]) for s in _eig_clusters(w, ctol)])
 
 
+@lru_cache(maxsize=None)
+def _mix_coeffs(count: int) -> np.ndarray:
+    """Unit coefficients of joint_diagonalize's mixing combination of
+    ``count`` members, drawn once per count from ``_MIX_SEED``."""
+    coeffs = np.random.default_rng(_MIX_SEED).standard_normal(count)
+    coeffs /= np.linalg.norm(coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
     """Shared eigenbasis of a commuting family, certified by reconstruction.
 
@@ -238,10 +244,7 @@ def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
     """
     arrays = [m.entries for m in fam.members]  # commutation was checked on construction
     n = fam.dim
-    rng = np.random.default_rng(_MIX_SEED)
-    coeffs = rng.standard_normal(len(arrays))
-    coeffs /= np.linalg.norm(coeffs)
-    mix = sum(c * a for c, a in zip(coeffs, arrays))
+    mix = sum(c * a for c, a in zip(_mix_coeffs(len(arrays)), arrays))
     q = _refine([mix, *arrays], np.eye(n))
     levels = np.vstack([np.diag(q.T @ a @ q) for a in arrays])
     # descending lexicographic order on eigenvalue tuples (first member primary)
@@ -269,7 +272,12 @@ def kernel(a: SymMat, tol: float | None = None) -> Subspace:
     if tol is None:
         tol = _zero_tol(a.entries)
     w, v = np.linalg.eigh(a.entries)
-    return Subspace(v.shape[0], _canonical_sign_columns(v[:, np.abs(w) <= tol]))
+    return _eigenspace(v, np.abs(w) <= tol)
+
+
+def _eigenspace(v: np.ndarray, mask: np.ndarray) -> Subspace:
+    """The span of the eigenvector columns ``v[:, mask]``, sign-canonical."""
+    return Subspace(v.shape[0], _canonical_sign_columns(v[:, mask]))
 
 
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
@@ -334,15 +342,17 @@ def delta_threshold(alpha: SymMat, beta: SymMat) -> float:
 
 def delta_threshold_witness(alpha: SymMat, beta: SymMat) -> tuple[float, list[tuple[float, float]]]:
     """Threshold plus the joint eigenvalue pairs (a_i, b_i) attaining it."""
-    levels, (delta, binding, _) = _family_box(CommutingFamily((alpha, beta)))
-    return delta, [(float(x), float(y)) for x, y in levels[binding]]
+    return chain_threshold_witness(CommutingFamily((alpha, beta)))
 
 
-def _family_box(fam: CommutingFamily):
-    """A family's joint level vectors ``(dim, members)`` and their ``box_radius``,
-    with each member's ``_zero_tol`` as its zero threshold."""
+def chain_threshold_witness(fam: CommutingFamily) -> tuple[float, list[tuple[float, ...]]]:
+    """``chain_threshold`` plus the joint level vectors (one level per member)
+    attaining it: ``box_radius`` over the family's joint levels, with each
+    member's ``_zero_tol`` as its zero threshold.  Trusts the family, whose
+    commutation was checked on construction."""
     levels = joint_diagonalize(fam).levels.T
-    return levels, box_radius(levels, np.array([_zero_tol(m.entries) for m in fam.members]))
+    delta, binding, _ = box_radius(levels, np.array([_zero_tol(m.entries) for m in fam.members]))
+    return delta, [tuple(row) for row in levels[binding].tolist()]
 
 
 @dataclass(frozen=True)
@@ -359,36 +369,92 @@ class KernelEqualityReport:
     projector_distance: float
 
 
+def _step_sizes(eps) -> np.ndarray:
+    """eps as a 1-D float array of finite positive step sizes; a scalar is one row."""
+    try:
+        arr = np.asarray(eps)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise GmlInputError(f"eps must be a number or a 1-D array of numbers, got {eps!r}")
+    arr = np.atleast_1d(arr).astype(float)
+    if arr.ndim != 1:
+        raise GmlInputError(f"eps must be a number or a 1-D array, got shape {arr.shape}")
+    bad = np.flatnonzero(~(arr > 0))
+    if bad.size:
+        raise NonPositiveEpsilon(f"eps must be strictly positive, got {arr[bad[0]]}")
+    if not np.isfinite(arr).all():
+        raise GmlInputError("eps must be finite, got inf")
+    return arr
+
+
+def _tolerance(value, name: str) -> float:
+    """A tolerance as a float: a finite real number >= 0, else GmlInputError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0)):
+        raise GmlInputError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
                          kernel_tol: float | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at each of
-    the step sizes ``eps (m,)``.
+    the step sizes ``eps``, a number (one row) or a 1-D array ``(m,)``.
 
-    Commutation, ``Ker alpha ∩ Ker beta`` and its projector are computed
-    once; the m shifted matrices are validated and eigendecomposed as one
-    ``(m, n, n)`` stack.  Returns ``holds (m,)``, ``dims (m, 3)`` as in
+    The public boundary of ``family_kernel_rows``: raises NonPositiveEpsilon
+    for a step size that is not > 0 (NaN included), GmlInputError for any
+    other bad eps or for a ``tol`` or ``kernel_tol`` that is not a finite
+    number >= 0, and CommutationViolation through the ``CommutingFamily``
+    it builds.  Returns ``holds (m,)``, ``dims (m, 3)`` as in
     ``KernelEqualityReport``, and the projector distances ``(m,)``.
     """
-    eps = np.asarray(eps, dtype=float)
-    bad = np.flatnonzero(~(eps > 0))
-    if bad.size:
-        raise NonPositiveEpsilon(f"eps must be strictly positive, got {eps[bad[0]]}")
-    CommutingFamily((alpha, beta))  # raises CommutationViolation
-    k_int = subspace_intersection(kernel(alpha, tol=kernel_tol), kernel(beta, tol=kernel_tol))
-    p_int = k_int.projector()
-    shifted = _symmetrized(alpha.entries + eps[:, None, None] * beta.entries)
+    eps = _step_sizes(eps)
+    tol = _tolerance(tol, "tol")
+    if kernel_tol is not None:
+        kernel_tol = _tolerance(kernel_tol, "kernel_tol")
+    return family_kernel_rows(CommutingFamily((alpha, beta)), eps, tol, kernel_tol)
+
+
+def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray, tol: float,
+                       kernel_tol: float | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``kernel_equality_rows`` on a pair ``fam = (alpha, beta)`` whose
+    commutation was checked on construction.  Trusts its arguments: eps is
+    a 1-D float array of finite positive step sizes and the tolerances are
+    finite and >= 0.
+
+    One ``np.linalg.eigh`` call decomposes the stack ``[alpha, beta,
+    alpha + eps_1*beta, ...]``; the shifted matrices are bitwise symmetric,
+    as ``SymMat`` entries are, and only a finiteness check (overflow)
+    guards them.  Ker alpha and Ker beta are ``Subspace``s of the first two
+    rows, and ``subspace_intersection`` meets them by principal angles,
+    independently of ``joint_diagonalize``.  Each shifted row keeps its
+    kernel columns (|eigenvalue| at most the row's zero threshold) and
+    zeroes the others.  The projector distance is the largest |eigenvalue|
+    of the difference of the two projectors; ``dims`` counts the kernel
+    columns and the zero principal angles with the intersection.
+    """
+    alpha, beta = (m.entries for m in fam.members)
+    with np.errstate(over="ignore"):  # an overflowing row is rejected below
+        shifted = alpha + eps[:, None, None] * beta
+    if not np.isfinite(shifted).all():
+        raise GmlInputError("matrix entries must be finite")
     # A shifted matrix can be numerically zero (exact cancellation at the
     # threshold step size), so its own entry scale is useless as a zero
     # threshold; floor it by the scale of the inputs instead.
     if kernel_tol is None:
-        shift_tol = 1e-12 * np.maximum(_entry_scale(alpha.entries), eps * _entry_scale(beta.entries))
+        scale_a, scale_b = _entry_scale(alpha), _entry_scale(beta)
+        zero_tol = 1e-12 * np.concatenate([[scale_a, scale_b],
+                                           np.maximum(scale_a, eps * scale_b)])
     else:
-        shift_tol = np.full(eps.shape, kernel_tol)
-    w, v = np.linalg.eigh(shifted)
-    mask = np.abs(w) <= shift_tol[:, None]  # (m, n): the kernel columns of each row
-    vk = v * mask[:, None, :]               # the other columns zeroed
-    dist = np.linalg.norm(vk @ np.swapaxes(v, 1, 2) - p_int, 2, axis=(1, 2))
+        zero_tol = np.full(eps.size + 2, kernel_tol)
+    w, v = np.linalg.eigh(np.concatenate([alpha[None], beta[None], shifted]))
+    mask = np.abs(w) <= zero_tol[:, None]  # (m + 2, n): the kernel columns of each row
+    k_int = subspace_intersection(_eigenspace(v[0], mask[0]), _eigenspace(v[1], mask[1]))
+    mask, v = mask[2:], v[2:]
+    vk = v * mask[:, None, :]  # the other columns zeroed
+    dist = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2) - k_int.projector())).max(axis=1)
     # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
     cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int.basis, compute_uv=False)
     overlap = np.count_nonzero(cosines >= 1.0 - _ANGLE_TOL, axis=1)
@@ -415,7 +481,7 @@ def chain_threshold(fam: CommutingFamily) -> float:
     vectors, one per joint eigenvector: 0.0 when no uniform box exists,
     +infinity when nothing constrains (always for one member).
     """
-    return _family_box(fam)[1][0]
+    return chain_threshold_witness(fam)[0]
 
 
 def random_commuting_family(rng: np.random.Generator, dim: int, members: int = 2

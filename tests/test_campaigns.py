@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gml import campaigns, numerics
+from gml import campaigns, numerics, spectral
 from gml import model as mdl
 from gml import rng as grng
 from gml.campaigns import (
@@ -206,6 +206,34 @@ def test_tolerance_resolution_rejects_unknown_keys():
 
 def test_tolerance_explicit_override():
     assert resolve_tolerances({"eq_tol": 1e-7})["eq_tol"] == 1e-7
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_tolerance_overrides_must_be_finite_and_nonnegative(square_model, value):
+    """The campaigns hand their tolerances to kernels that trust them: a NaN
+    holds_tol would fail every lemma trial silently."""
+    with pytest.raises(GmlInputError, match="holds_tol"):
+        resolve_tolerances({"holds_tol": value})
+    with pytest.raises(GmlInputError, match="holds_tol"):
+        run_campaign_model(square_model, "lemma-linearization", trials=2, seed=0,
+                           tolerances={"holds_tol": value})
+
+
+def test_lemma_trial_checks_commutation_once(square_model, monkeypatch):
+    """The pair is checked when random_commuting_family builds it; the
+    threshold and the kernel rows trust that family."""
+    calls = []
+    original = spectral.commutator_norm
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(spectral, "commutator_norm", counted)
+    trials = 25
+    rep = run_campaign_model(square_model, "lemma-linearization", trials=trials, seed=4)
+    assert rep.passes == trials
+    assert len(calls) == trials
 
 
 def test_describe_square_model(square_file):

@@ -252,6 +252,21 @@ def test_delta_malformed_matrix_file_exits_two(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_boolean_matrices_exit_two(tmp_path, capsys):
+    """JSON true/false are not matrix entries, in a @file matrix or in a model."""
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[true, 0], [0, false]]")
+    code, out, err = run_cli(capsys, "delta", "--alpha", f"@{matrix}", "--beta", "diag:1,1")
+    assert_input_error(code, err)
+    assert out == ""
+    model = tmp_path / "flag.json"
+    model.write_text(json.dumps({"name": "flag", "num_coords": 2, "torus_dim": 1,
+                                 "weights": [[True], [False]], "subalgebra": [[1]]}))
+    code, out, err = run_cli(capsys, "describe", str(model))
+    assert_input_error(code, err)
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("describe",),
     ("run", "--campaign", "convexity", "--model"),

@@ -26,7 +26,7 @@ from conftest import POOL_SEED, make_segment_model, make_square_model  # noqa: E
 from gml import campaigns, random_weighted_model  # noqa: E402
 from gml.campaigns import run_campaign_model  # noqa: E402
 from gml.rng import substream  # noqa: E402
-from gml.spectral import delta_threshold_witness  # noqa: E402
+from gml.spectral import chain_threshold_witness  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 POOL_PICKS = ("random-11", "random-14")
@@ -69,14 +69,14 @@ def _report_text(model, campaign, trials, seed, probe, tolerances=None) -> str:
 @contextmanager
 def _halved_thresholds():
     """Let the lemma campaign see every threshold halved, witnesses unchanged."""
-    def halved(alpha, beta):
-        delta, witnesses = delta_threshold_witness(alpha, beta)
+    def halved(fam):
+        delta, witnesses = chain_threshold_witness(fam)
         return delta / 2.0, witnesses
-    campaigns.delta_threshold_witness = halved
+    campaigns.chain_threshold_witness = halved
     try:
         yield
     finally:
-        campaigns.delta_threshold_witness = delta_threshold_witness
+        campaigns.chain_threshold_witness = chain_threshold_witness
 
 
 def _lemma_text(trials, seed, tolerances, halve) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gml.errors import GmlInputError
-from gml.rng import open_uniform, substream, trial_streams, unit_vector
+from gml.rng import open_uniform, open_uniform_array, substream, trial_streams, unit_vector
 
 
 def test_substream_reproducible():
@@ -32,6 +32,30 @@ def test_open_uniform_stays_interior():
     for _ in range(200):
         v = open_uniform(rng, 0.0, 1.0)
         assert 0.0 < v < 1.0
+
+
+def _position(rng):
+    """A Philox generator's place in its stream: counter and buffered words."""
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer"].tolist(), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.0, 3.7e-3), (0.0, 10.0),
+                                       (1.0, 1.0 + 4 * np.finfo(float).eps)],
+                         ids=["unit", "small", "ten", "four-ulp"])
+def test_open_uniform_array_replays_the_scalar_loop(low, high):
+    """Same values and same generator position as ``size`` open_uniform
+    calls; on (1, 1 + 4 ulp) draws land on an end and are redrawn."""
+    redrawn = 0
+    for k in range(100):
+        size = 1 + k % 12
+        block, loop = substream(13, k), substream(13, k)
+        got = open_uniform_array(block, low, high, size)
+        want = [open_uniform(loop, low, high) for _ in range(size)]
+        assert got.tolist() == want, k
+        assert _position(block) == _position(loop), k
+        redrawn += int(substream(13, k).uniform(low, high, size).tolist() != want)
+    assert (redrawn > 50) == (high - low < 1e-12)
 
 
 def test_unit_vector_is_normalized():

@@ -124,6 +124,23 @@ def test_boolean_dimension_is_rejected(field):
         parse_model_obj(obj)
 
 
+@pytest.mark.parametrize("field, value", [("weights", [[True], [False]]),
+                                          ("weights", [[1], [False]]),
+                                          ("subalgebra", [[True]])])
+def test_boolean_matrix_entries_are_rejected(field, value):
+    # numpy reads true/false as 1.0/0.0: the model would load as another model
+    obj = {"name": "flag", "num_coords": 2, "torus_dim": 1,
+           "weights": [[1], [0]], "subalgebra": [[1]], field: value}
+    with pytest.raises(ModelParseError, match=f"'{field}' is not a numeric matrix"):
+        parse_model_obj(obj)
+
+
+def test_boolean_matrix_from_obj_is_rejected():
+    with pytest.raises(ModelParseError, match="not a numeric matrix"):
+        matrix_from_obj([[True, 0], [0, False]])
+    assert matrix_from_obj([[1, 0], [0, 0]]).entries.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+
 def test_read_json_rejects_text_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))

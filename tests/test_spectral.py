@@ -30,7 +30,9 @@ from gml.spectral import (
     Subspace,
     _canonical_sign_columns,
     box_radius,
+    chain_threshold_witness,
     delta_threshold_witness,
+    family_kernel_rows,
     kernel_equality_rows,
 )
 
@@ -81,6 +83,14 @@ def test_commutator_norm_dim_mismatch():
 def test_symmat_rejects_asymmetric_entries():
     with pytest.raises(Exception):
         SymMat([[0, 1], [0, 0]])
+
+
+def test_symmat_rejects_an_overflowing_asymmetry_without_warning():
+    # m - m.T overflows here: the defect is measured on the halved entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GmlInputError, match="not symmetric"):
+            SymMat([[1e308, 1e308], [-1e308, 1.0]])
 
 
 def test_symmat_symmetrizes_near_the_float_limit_without_overflow():
@@ -368,6 +378,56 @@ def test_kernel_equality_rows_rejects_noncommuting_pair():
         kernel_equality_rows(SymMat.diag([1, 0]), SymMat([[0, 1], [1, 0]]), [0.5])
 
 
+@pytest.mark.parametrize("eps", [[[0.5, 0.25]], np.full((2, 1), 0.5), "abc", [None], [0.5, "x"],
+                                 [[0.5], [0.5, 0.25]], [True], math.inf, [0.5, math.inf],
+                                 [0.5, 1e308]],
+                         ids=["2-D", "column", "string", "None", "mixed", "ragged", "bool",
+                              "inf", "inf-row", "overflow"])
+def test_kernel_equality_rows_reject_bad_eps_without_warning(eps):
+    a, b = SymMat.diag([1, 0]), SymMat.diag([0, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GmlInputError):
+            kernel_equality_rows(a, b, eps)
+
+
+@pytest.mark.parametrize("name", ["tol", "kernel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-9, "1e-8", True],
+                         ids=["nan", "inf", "negative", "string", "bool"])
+def test_kernel_equality_rows_reject_bad_tolerances(name, value):
+    a, b = SymMat.diag([1, 0]), SymMat.diag([0, 2])
+    with pytest.raises(GmlInputError, match=name):
+        kernel_equality_rows(a, b, [0.5], **{name: value})
+
+
+def test_kernel_equality_rows_take_a_scalar_eps_as_one_row():
+    a, b = SymMat.diag([2, 0, 1]), SymMat.diag([1, 3, -1])
+    for eps in (0.5, np.float64(0.5), 1):
+        holds, dims, dist = kernel_equality_rows(a, b, eps)
+        want = kernel_equality_rows(a, b, [float(eps)])
+        assert holds.shape == (1,)
+        assert [x.tolist() for x in (holds, dims, dist)] == [x.tolist() for x in want]
+    with pytest.raises(NonPositiveEpsilon):
+        kernel_equality_rows(a, b, 0.0)
+    with pytest.raises(NonPositiveEpsilon):
+        kernel_equality_rows(a, b, math.nan)
+
+
+def test_symmat_entries_are_bitwise_symmetric():
+    """The shifted stack alpha + eps*beta relies on it: it is not symmetrized again."""
+    for trial in range(200):
+        rng = substream(111, trial)
+        n = int(rng.integers(1, 13))
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        m = (q * rng.uniform(-5, 5, n)) @ q.T  # symmetric up to rounding
+        for entries in (m, m + 1e-13 * rng.standard_normal((n, n)), np.triu(m) + np.triu(m, 1).T):
+            sym = SymMat(entries).entries
+            assert np.array_equal(sym, sym.T), trial
+            eps = rng.uniform(0.0, 10.0)
+            shifted = sym + eps * SymMat(m.T).entries
+            assert np.array_equal(shifted, shifted.T), trial
+
+
 def test_perturbed_kernel_dim_never_below_joint_dim():
     for trial in range(30):
         rng = substream(105, trial)
@@ -380,21 +440,26 @@ def test_perturbed_kernel_dim_never_below_joint_dim():
 
 
 def test_kernel_equality_rows_match_the_per_row_loop():
-    """The eigenvalue-mask kernel against one orthonormal kernel basis per
-    step size, on 1000 random pairs with step sizes below, at and above
-    delta: equal verdicts and dimensions, distances within 1e-12."""
+    """The family-level eigenvalue-mask kernel, on the family the lemma
+    campaign passes it, against one orthonormal kernel basis per step size
+    (2-norm projector distances), on 1000 random pairs with step sizes
+    below, at and above delta: equal verdicts and dimensions, distances
+    within 1e-14; the public boundary returns the same arrays."""
     for trial in range(1000):
         rng = substream(109, trial)
-        alpha, beta = random_commuting_family(rng, int(rng.integers(2, 13))).members
-        delta = delta_threshold(alpha, beta)
+        fam = random_commuting_family(rng, int(rng.integers(2, 13)))
+        alpha, beta = fam.members
+        delta = chain_threshold_witness(fam)[0]
         eps = [0.5 * delta, delta, 2.0 * delta] if math.isfinite(delta) else [0.1, 1.0, 10.0]
         for kernel_tol in (None, 1e-9):
-            holds, dims, dist = kernel_equality_rows(alpha, beta, eps, kernel_tol=kernel_tol)
+            holds, dims, dist = family_kernel_rows(fam, np.array(eps), 1e-8, kernel_tol)
             want_holds, want_dims, want_dist = kernel_equality_loop(
                 alpha.entries, beta.entries, eps, kernel_tol=kernel_tol)
             assert holds.tolist() == want_holds, (trial, kernel_tol)
             assert [tuple(row) for row in dims.tolist()] == want_dims, (trial, kernel_tol)
-            assert np.all(np.abs(dist - want_dist) <= 1e-12 * np.maximum(1.0, dist)), trial
+            assert np.all(np.abs(dist - want_dist) <= 1e-14), trial
+            public = kernel_equality_rows(alpha, beta, eps, kernel_tol=kernel_tol)
+            assert all(np.array_equal(x, y) for x, y in zip(public, (holds, dims, dist)))
 
 
 # ------------------------------------------------------------ chain threshold
