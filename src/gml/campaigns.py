@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,9 +18,9 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as num
-from .errors import GmlInputError, ReportIoError, UnknownCampaign
+from .errors import GmlInputError, ReportIoError, UnknownCampaign, check_integer, check_real
 from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
-from .rng import check_key, open_uniform, open_uniform_array, substream, trial_streams, unit_vector
+from .rng import open_uniform, open_uniform_array, substream, trial_streams, unit_vector
 from .serialization import jsonify, load_model
 from .spectral import chain_threshold_witness, family_kernel_rows, random_commuting_family
 
@@ -45,9 +44,7 @@ def resolve_tolerances(overrides: dict | None = None) -> dict:
         for key, val in overrides.items():
             if key not in tols:
                 raise GmlInputError(f"unknown tolerance key '{key}'")
-            tols[key] = float(val)
-            if not (math.isfinite(tols[key]) and tols[key] >= 0.0):
-                raise GmlInputError(f"tolerance '{key}' must be a finite number >= 0, got {val!r}")
+            tols[key] = check_real(val, f"tolerance '{key}'", ">= 0")
     return tols
 
 
@@ -57,7 +54,6 @@ class CampaignConfig:
     campaign: str
     trials: int = 100
     seed: int = 0
-    tolerances: dict | None = None
     output_path: str | None = None
     probe_tightness: bool = False
 
@@ -67,14 +63,8 @@ class CampaignConfig:
 
 def _check_run(trials: int, seed: int) -> tuple[int, int]:
     """The trial count and seed as Python ints: at least one trial, and a
-    seed that keys trial streams (``rng.check_key``)."""
-    try:
-        count = operator.index(trials)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise GmlInputError(f"trials must be an integer >= 1, got {trials!r}")
-    return count, check_key(seed)
+    seed that keys trial streams."""
+    return check_integer(trials, "trials", 1), check_integer(seed, "seed")
 
 
 @dataclass(eq=False)
@@ -302,7 +292,6 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     """Run one campaign from a config pointing at a model file."""
     model = load_model(config.model_path)
     report = run_campaign_model(model, config.campaign, config.trials, config.seed,
-                                tolerances=config.tolerances,
                                 probe_tightness=config.probe_tightness)
     if config.output_path is not None:
         try:

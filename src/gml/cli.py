@@ -23,9 +23,11 @@ from .spectral import SymMat, delta_threshold
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    """Comma-separated numbers, no field empty; a blank text is the empty vector."""
+    fields = text.split(",") if text.strip() else []
     try:
-        vec = np.array([float(p) for p in text.replace(" ", "").split(",") if p], dtype=float)
-    except ValueError:
+        vec = np.array([float(p) for p in fields], dtype=float)
+    except ValueError:  # an empty field too
         raise GmlInputError(
             f"cannot parse vector '{text}'; expected comma-separated numbers") from None
     if not np.isfinite(vec).all():
@@ -34,7 +36,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_vectors(text: str) -> np.ndarray:
-    rows = [_parse_vector(part) for part in text.split(";") if part.strip()]
+    """Semicolon-separated vectors of one length, no row blank."""
+    parts = text.split(";")
+    if not all(part.strip() for part in parts):
+        raise GmlInputError(f"vectors '{text}' have an empty row")
+    rows = [_parse_vector(part) for part in parts]
     if len({row.size for row in rows}) > 1:
         raise GmlInputError(f"vectors '{text}' have unequal lengths")
     return np.array(rows)

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the three input checks that raise them."""
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 
 class GmlError(Exception):
@@ -76,3 +82,50 @@ class UnknownCampaign(GmlError):
 
 class ReportIoError(GmlError):
     """A verification report could not be written."""
+
+
+def check_integer(value, name: str, low: int = 0) -> int:
+    """``value`` as an int in ``[low, 2**64)``, the range of one Philox key
+    word; a numpy integer counts as its value, a bool as no integer."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or not low <= n < 2**64:
+        raise GmlInputError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+    return n
+
+
+def check_real(value, name: str, bound: str = "") -> float:
+    """``value`` as a float: a finite real number, and ``>= 0`` or ``> 0``
+    as ``bound`` says; a numpy number counts as its value, a bool as none."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and (bound != ">= 0" or x >= 0) and (bound != "> 0" or x > 0)):
+        raise GmlInputError(f"{name} must be a finite number{bound and ' '}{bound}, got {value!r}")
+    return x
+
+
+def check_step_sizes(eps, count: int | None = None) -> np.ndarray:
+    """eps as a 1-D float array of finite step sizes > 0 (a number is one
+    row), of ``count`` rows if given.  NonPositiveEpsilon for a value <= 0
+    or NaN, GmlInputError for any other bad eps; no numpy warning."""
+    try:
+        arr = np.asarray(eps)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim > 1:
+        raise GmlInputError(f"eps must be a number or a 1-D array of numbers, got {eps!r}")
+    arr = np.atleast_1d(arr).astype(float, copy=False)
+    if count is not None and arr.size != count:
+        raise GmlInputError(f"expected {count} step sizes, got {arr.size}")
+    values = arr.tolist()  # tested as a list: cheaper than ufuncs on a few values
+    for v in values:
+        if not v > 0:
+            raise NonPositiveEpsilon(f"eps must be strictly positive, got {v}")
+    if math.inf in values:
+        raise GmlInputError("eps must be finite, got inf")
+    return arr

@@ -31,7 +31,8 @@ from .errors import (
     DependentBasis,
     ExhaustedRetries,
     GmlInputError,
-    NonPositiveEpsilon,
+    check_real,
+    check_step_sizes,
 )
 from .hull import Polytope, first_representatives
 from .rng import substream, unit_vector
@@ -204,9 +205,12 @@ class WeightedModel:
             raise BetaOutsideSubalgebra(f"direction has length {b.size}, expected {self.torus_dim}")
         if self.subalgebra_dim == self.torus_dim:
             return b  # the subalgebra is the whole torus algebra
+        bb = b.dot(b)
+        if not math.isfinite(bb) and not np.isfinite(b).all():  # before inf * 0 warns
+            raise BetaOutsideSubalgebra("direction entries must be finite")
         r = b - self.ortho_basis.T @ (self.ortho_basis @ b)
         residual = math.sqrt(r.dot(r))  # np.linalg.norm, without its overhead
-        if not residual <= 1e-9 * max(1.0, math.sqrt(b.dot(b))):  # NaN fails too
+        if not residual <= 1e-9 * max(1.0, math.sqrt(bb)):
             raise BetaOutsideSubalgebra(
                 f"direction lies outside the subalgebra: residual {residual:.3e}")
         return b
@@ -220,21 +224,29 @@ class WeightedModel:
         if alphas is None:
             return self.subalgebra
         a = np.atleast_2d(np.asarray(alphas, dtype=float))
+        given = a is not self.subalgebra  # the stored rows were checked
+        if given and not np.isfinite(a).all():
+            raise GmlInputError("basis entries must be finite")
         for row in a:
             self.validate_direction(row)
         if a.shape[0] != self.subalgebra_dim:
             raise DependentBasis(
                 f"expected {self.subalgebra_dim} basis directions, got {a.shape[0]}")
-        if a is not self.subalgebra and _rank_deficient(a):  # the stored rows were checked
+        if given and _rank_deficient(a):
             raise DependentBasis("directions are linearly dependent")
         return a
 
 
+def _rank(svals: np.ndarray) -> int:
+    """The rank rule: the count of singular values (descending, as ``np.linalg.svd``
+    returns them, at least one) above 1e-10 * max(1, largest)."""
+    return int(np.count_nonzero(svals > 1e-10 * max(1.0, float(svals[0]))))
+
+
 def _rank_deficient(rows: np.ndarray) -> bool:
-    """The full-rank rule for a basis: rows (k, m) are dependent when their
-    smallest singular value is at most 1e-10 * max(1, largest)."""
-    svals = np.linalg.svd(rows, compute_uv=False)
-    return svals[-1] <= 1e-10 * max(1.0, svals[0])
+    """The full-rank rule for a basis: rows (k, m), k <= m, are dependent when
+    ``_rank`` of their singular values is below k."""
+    return _rank(np.linalg.svd(rows, compute_uv=False)) < rows.shape[0]
 
 
 def _vector_labels(rows: np.ndarray) -> np.ndarray:
@@ -334,8 +346,7 @@ def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
 
 def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
     """Normalized linear flow exp(t*B)x, overflow-safe via max-level shift."""
-    if not np.isfinite(t):
-        raise GmlInputError("flow time must be finite")
+    t = check_real(t, "flow time t")
     b = model.levels(beta)
     try:
         return ProjPoint(flow_rows(b[None, :], t, model.require_point(x).coords)[0])
@@ -372,11 +383,7 @@ def composed_limit(model: WeightedModel, alphas, x: ProjPoint) -> ProjPoint:
 def perturbed_limit(model: WeightedModel, alphas, eps, x: ProjPoint) -> ProjPoint:
     """Flow limit along alphas[0] + sum_k eps[k-1] * alphas[k]."""
     a = model.require_basis(alphas)
-    e = np.asarray(eps, dtype=float).ravel()
-    if e.size != a.shape[0] - 1:
-        raise GmlInputError(f"expected {a.shape[0] - 1} step sizes, got {e.size}")
-    if e.size and not (e > 0).all():
-        raise NonPositiveEpsilon("all step sizes must be strictly positive")
+    e = check_step_sizes(eps, a.shape[0] - 1)
     beta = a[0] + (e @ a[1:] if e.size else 0.0)
     return flow_limit(model, beta, x)
 
@@ -438,9 +445,7 @@ def stabilizer_algebra(model: WeightedModel, x: ProjPoint) -> Subspace:
         return Subspace.full(d)
     rows = model.projected_weights[supp[1:]] - model.projected_weights[supp[0]]
     _, svals, vt = np.linalg.svd(rows)
-    scale = max(1.0, float(svals[0]) if svals.size else 0.0)
-    rank = int(np.count_nonzero(svals > 1e-10 * scale))
-    basis = vt[rank:].T  # (d, d-rank)
+    basis = vt[_rank(svals):].T  # (d, d-rank)
     return Subspace(d, _canonical_sign_columns(basis))
 
 

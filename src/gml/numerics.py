@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge
+from .errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge, check_real
 from .model import (
     ProjPoint,
     WeightedModel,
@@ -29,13 +29,6 @@ DT_DEFAULT = 1e-2
 T_MAX_DEFAULT = 1e4
 FIX_TOL = 1e-10  # field norm below which a point counts as fixed
 _RENORM_LIMIT = 0.1  # reject a step when renormalization moves the point >10%
-
-
-def _require_positive(**values) -> None:
-    """Boundary check: every named value is a finite positive number."""
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0):
-            raise GmlInputError(f"{name} must be finite and positive, got {v!r}")
 
 
 def _norms(y: np.ndarray):
@@ -126,9 +119,7 @@ class Trajectory:
 def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
                    dt: float = DT_DEFAULT) -> Trajectory:
     """Classical RK4 with per-step renormalization back to the sphere."""
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise GmlInputError(f"t_end must be finite and nonnegative, got {t_end!r}")
-    _require_positive(dt=dt)
+    t_end, dt = check_real(t_end, "t_end", ">= 0"), check_real(dt, "dt", "> 0")
     levels = model.levels(beta)
     times = [0.0]
     x = x0.coords
@@ -162,7 +153,9 @@ def numeric_limit_rows(levels: np.ndarray, x: np.ndarray, tol: float = 1e-8,
     its field norm there.  For a stack, StepTooLarge, HorizonExceeded and
     GmlInputError name the first failing row.
     """
-    _require_positive(tol=tol, dt=dt, t_max=t_max)
+    tol = check_real(tol, "tol", "> 0")
+    dt = check_real(dt, "dt", "> 0")
+    t_max = check_real(t_max, "t_max", "> 0")
     stacked = x.ndim == 2
     x = np.array(x, dtype=float, ndmin=2)
     lv = np.broadcast_to(levels, x.shape)
@@ -241,7 +234,7 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
     in an orthonormal tangent frame; the round-metric estimate is divided
     by 2 per the model's metric convention.  Residual is O(h^2).
     """
-    _require_positive(h=h)
+    h = check_real(h, "h", "> 0")
     levels = model.levels(beta)
     y = x.coords
     frame = _tangent_frame(y)
@@ -289,7 +282,7 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint,
     At a coordinate point e_j the eigenvalues are the speed differences
     <lambda_i - lambda_j, beta> over i != j.
     """
-    _require_positive(h=h)
+    h = check_real(h, "h", "> 0")
     levels = model.levels(beta)
     base = x_fixed.coords
     res = float(np.linalg.norm(action_field(levels, base)))

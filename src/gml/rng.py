@@ -9,25 +9,10 @@ failed trial needs only its ``(seed, trial_index)`` pair.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .errors import GmlInputError
-
-
-def check_key(value, name: str = "seed") -> int:
-    """A seed or trial index as a Python int in [0, 2**64), the range of one
-    Philox key word; numpy integers count as their value.  Anything else
-    raises GmlInputError, since a key outside the range would alias one
-    inside it."""
-    try:
-        key = operator.index(value)
-    except TypeError:
-        key = -1
-    if not 0 <= key < 2**64:
-        raise GmlInputError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    return key
+from .errors import GmlInputError, check_integer
 
 
 def _key(seed: int, trial_index: int) -> np.ndarray:
@@ -37,7 +22,7 @@ def _key(seed: int, trial_index: int) -> np.ndarray:
 
 def substream(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent generator for one trial, keyed by (seed, trial_index)."""
-    key = _key(check_key(seed), check_key(trial_index, "trial index"))
+    key = _key(check_integer(seed, "seed"), check_integer(trial_index, "trial index"))
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -51,7 +36,7 @@ def trial_streams(seed: int, n: int):
     valid until the next iteration: the next step re-keys it, so keep
     draws, never the generator.
     """
-    seed = check_key(seed)
+    seed = check_integer(seed, "seed")
     bitgen = np.random.Philox(key=_key(seed, 0))
     gen = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -73,8 +58,16 @@ def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
             return v / nrm
 
 
+def _require_interior(low: float, high: float) -> None:
+    """Some float lies strictly inside (low, high), else GmlInputError: the
+    draws below would never land inside."""
+    if not math.nextafter(low, math.inf) < high:
+        raise GmlInputError(f"no float lies strictly inside ({low!r}, {high!r})")
+
+
 def open_uniform(rng: np.random.Generator, low: float, high: float) -> float:
     """Uniform draw guaranteed to land strictly inside (low, high)."""
+    _require_interior(low, high)
     while True:
         x = float(rng.uniform(low, high))
         if low < x < high:
@@ -88,6 +81,7 @@ def open_uniform_array(rng: np.random.Generator, low: float, high: float, size: 
     count is drawn again, so the values and the generator's position after
     them are those of ``size`` ``open_uniform`` calls.
     """
+    _require_interior(low, high)
     x = np.empty(0)
     while x.size < size:
         draws = rng.uniform(low, high, size - x.size)

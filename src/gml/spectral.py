@@ -8,7 +8,6 @@ to ``Ker A ∩ Ker B``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +18,8 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     GmlInputError,
-    NonPositiveEpsilon,
+    check_real,
+    check_step_sizes,
 )
 
 # Fixed seed for the random mixing combination inside joint_diagonalize,
@@ -144,6 +144,14 @@ class CommutingFamily:
         return self.members[0].dim
 
 
+def _require_orthonormal(cols: np.ndarray) -> None:
+    """The orthonormality rule: ``|Q^T Q - I|`` at most 1e-9 in every entry."""
+    if cols.shape[1]:  # an empty basis passes, at no cost
+        defect = float(np.abs(cols.T @ cols - np.eye(cols.shape[1])).max())
+        if defect > 1e-9:
+            raise ValueError(f"basis is not orthonormal: defect {defect:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class JointSpectrum:
     """Shared orthonormal eigenbasis with per-member eigenvalue rows."""
@@ -158,9 +166,7 @@ class JointSpectrum:
             raise ValueError(f"basis must be square, got {q.shape}")
         if e.ndim != 2 or e.shape[1] != q.shape[0]:
             raise ValueError(f"levels shape {e.shape} does not match basis {q.shape}")
-        defect = float(np.abs(q.T @ q - np.eye(q.shape[0])).max())
-        if defect > 1e-9:
-            raise ValueError(f"basis is not orthonormal: defect {defect:.3e}")
+        _require_orthonormal(q)
         q.flags.writeable = False
         e.flags.writeable = False
         object.__setattr__(self, "basis", q)
@@ -178,10 +184,7 @@ class Subspace:
         b = np.array(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise ValueError(f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}")
-        if b.shape[1]:
-            defect = float(np.abs(b.T @ b - np.eye(b.shape[1])).max())
-            if defect > 1e-9:
-                raise ValueError(f"basis is not orthonormal: defect {defect:.3e}")
+        _require_orthonormal(b)
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
@@ -369,33 +372,6 @@ class KernelEqualityReport:
     projector_distance: float
 
 
-def _step_sizes(eps) -> np.ndarray:
-    """eps as a 1-D float array of finite positive step sizes; a scalar is one row."""
-    try:
-        arr = np.asarray(eps)
-    except ValueError:  # ragged rows
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf":
-        raise GmlInputError(f"eps must be a number or a 1-D array of numbers, got {eps!r}")
-    arr = np.atleast_1d(arr).astype(float)
-    if arr.ndim != 1:
-        raise GmlInputError(f"eps must be a number or a 1-D array, got shape {arr.shape}")
-    bad = np.flatnonzero(~(arr > 0))
-    if bad.size:
-        raise NonPositiveEpsilon(f"eps must be strictly positive, got {arr[bad[0]]}")
-    if not np.isfinite(arr).all():
-        raise GmlInputError("eps must be finite, got inf")
-    return arr
-
-
-def _tolerance(value, name: str) -> float:
-    """A tolerance as a float: a finite real number >= 0, else GmlInputError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value >= 0)):
-        raise GmlInputError(f"{name} must be a finite number >= 0, got {value!r}")
-    return float(value)
-
-
 def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
                          kernel_tol: float | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,10 +385,10 @@ def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
     it builds.  Returns ``holds (m,)``, ``dims (m, 3)`` as in
     ``KernelEqualityReport``, and the projector distances ``(m,)``.
     """
-    eps = _step_sizes(eps)
-    tol = _tolerance(tol, "tol")
+    eps = check_step_sizes(eps)
+    tol = check_real(tol, "tol", ">= 0")
     if kernel_tol is not None:
-        kernel_tol = _tolerance(kernel_tol, "kernel_tol")
+        kernel_tol = check_real(kernel_tol, "kernel_tol", ">= 0")
     return family_kernel_rows(CommutingFamily((alpha, beta)), eps, tol, kernel_tol)
 
 

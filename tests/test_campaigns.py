@@ -1,10 +1,15 @@
 """Campaign runner: accounting, determinism, tolerances, and reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gml
 from gml import campaigns, numerics, spectral
 from gml import model as mdl
 from gml import rng as grng
@@ -144,7 +149,7 @@ def test_config_validation(square_file):
 
 
 @pytest.mark.parametrize("trials, seed", [(1, -1), (1, 2**64), (0, 5), (3, 1.5), (2.5, 3),
-                                          (1, np.float64(3.0))])
+                                          (1, np.float64(3.0)), (True, 3), (1, True)])
 def test_run_campaign_model_rejects_seeds_outside_64_bits(square_model, trials, seed):
     """Trial streams are keyed by 64 seed bits: seed 2**64 + 5 would replay seed 5.
     A seed or trial count that is not an integer is an input error too."""
@@ -208,7 +213,7 @@ def test_tolerance_explicit_override():
     assert resolve_tolerances({"eq_tol": 1e-7})["eq_tol"] == 1e-7
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, True, "1e-9"])
 def test_tolerance_overrides_must_be_finite_and_nonnegative(square_model, value):
     """The campaigns hand their tolerances to kernels that trust them: a NaN
     holds_tol would fail every lemma trial silently."""
@@ -217,6 +222,23 @@ def test_tolerance_overrides_must_be_finite_and_nonnegative(square_model, value)
     with pytest.raises(GmlInputError, match="holds_tol"):
         run_campaign_model(square_model, "lemma-linearization", trials=2, seed=0,
                            tolerances={"holds_tol": value})
+
+
+@pytest.mark.parametrize("cap", [0.0, 5e-324])
+def test_theorem2_without_room_for_a_step_size_raises(cap):
+    """No float lies inside (0, cap), so no step size can be drawn: the run
+    raises GmlInputError instead of drawing forever.  It runs in a child
+    process with a timeout, so a regression fails instead of hanging."""
+    code = ("from gml import WeightedModel\n"
+            "from gml.campaigns import run_campaign_model\n"
+            "m = WeightedModel('square', [[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]])\n"
+            f"run_campaign_model(m, 'theorem2', 2, 0, tolerances={{'eps_cap': {cap!r}}})\n")
+    src = str(Path(gml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 1
+    assert "GmlInputError: no float lies strictly inside" in out.stderr
 
 
 def test_lemma_trial_checks_commutation_once(square_model, monkeypatch):

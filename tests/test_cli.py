@@ -182,6 +182,32 @@ def test_run_seed_beyond_64_bits_exits_two(square_file, capsys):
     assert_input_error(code, err)
 
 
+@pytest.mark.parametrize("cmd, flag, text", [
+    ("limit", "--beta", "1,,0"), ("limit", "--beta", "1,0,"), ("limit", "--point", ",1,1,1,1"),
+    ("limit", "--beta", "1 0,0"), ("composed", "--alphas", "1,0;;0,1"),
+    ("composed", "--alphas", "1,0;0,1;"),
+], ids=["beta-inner", "beta-trailing", "point-leading", "beta-space", "alphas-inner",
+        "alphas-trailing"])
+def test_empty_vector_fields_exit_two(square_file, capsys, cmd, flag, text):
+    """An empty field is an input error, not a dropped entry: "1,,0" would run
+    as beta (1, 0).  A space inside a number is one too: "1 0" read as 10."""
+    opts = {"--point": "1,1,1,1", **({"--beta": "1,0"} if cmd == "limit" else {}), flag: text}
+    code, out, err = run_cli(capsys, cmd, "--model", str(square_file),
+                             *[s for item in opts.items() for s in item])
+    assert_input_error(code, err)
+    assert out == ""
+
+
+def test_blank_eps_is_no_step_size(tmp_path, capsys):
+    """A one-row basis takes no step sizes: a blank --eps is the empty vector."""
+    path = tmp_path / "line.json"
+    save_model(WeightedModel("line", [[0, 0], [1, 0], [0, 1]], [[1, 0]]), path)
+    code, out, _ = run_cli(capsys, "perturbed", "--model", str(path), "--point", "1,1,1",
+                           "--eps", "")
+    assert code == 0
+    assert json.loads(out)["support"] == [1]
+
+
 def test_limit_nan_point_exits_two(square_file, capsys):
     code, _, err = run_cli(capsys, "limit", "--model", str(square_file),
                            "--beta", "1,0", "--point", "1,nan,1,1")

@@ -146,6 +146,9 @@ def test_field_rejects_directions_outside_subalgebra():
     # a NaN residual must not pass the residual test
     with pytest.raises(BetaOutsideSubalgebra):
         model.validate_direction([1.0, math.nan])
+    # nor an infinite entry, which raises before inf * 0 can warn
+    with pytest.raises(BetaOutsideSubalgebra, match="finite"):
+        model.validate_direction([math.inf, 0.0])
 
 
 @pytest.mark.parametrize("weights,subalgebra", [
@@ -318,6 +321,46 @@ def test_perturbed_limit_rejects_nonpositive_steps(square_model):
         perturbed_limit(square_model, None, [0.0], x)
     with pytest.raises(NonPositiveEpsilon):
         perturbed_limit(square_model, None, [-0.2], x)
+
+
+@pytest.mark.parametrize("eps", [[[0.5]], np.full((1, 1), 0.5), "abc", [None], ["x"],
+                                 [[0.5], [0.5, 0.25]], [True], math.inf, [math.inf],
+                                 [0.5, 0.25]],
+                         ids=["2-D", "column", "string", "None", "mixed", "ragged", "bool",
+                              "inf", "inf-row", "count"])
+def test_perturbed_limit_rejects_bad_eps_without_warning(square_model, eps):
+    """The step-size contract of kernel_equality_rows, with one step size per
+    later basis row; a numpy warning fails the test."""
+    with pytest.raises(GmlInputError):
+        perturbed_limit(square_model, None, eps, P(1, 1, 1, 1))
+
+
+_BASIS_CALLS = {
+    "composed_limit": lambda m, a: composed_limit(m, a, ProjPoint(np.ones(m.num_coords))),
+    "perturbed_limit": lambda m, a: perturbed_limit(m, a, [0.5], ProjPoint(np.ones(m.num_coords))),
+    "model_chain_threshold": model_chain_threshold,
+    "deterministic_generic_direction": deterministic_generic_direction,
+}
+
+
+# two-row bases: of the whole algebra, and of a plane in a 3-torus algebra
+_BASIS_MODELS = {
+    "whole-algebra": ([[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]]),
+    "proper": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("func", _BASIS_CALLS)
+@pytest.mark.parametrize("kind", _BASIS_MODELS)
+def test_non_finite_basis_is_an_input_error(kind, func, bad):
+    """Rejected before the rank test's SVD (LinAlgError) and before the
+    subalgebra test (a numpy warning fails the test)."""
+    model = WeightedModel(kind, *_BASIS_MODELS[kind])
+    alphas = np.array(model.subalgebra)
+    alphas[0, 0] = bad
+    with pytest.raises(GmlInputError, match="finite"):
+        _BASIS_CALLS[func](model, alphas)
 
 
 def test_composition_identity_on_random_models(model_pool):

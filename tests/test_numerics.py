@@ -295,7 +295,8 @@ _INPUT_CALLS = {
     ("gradient_fd_check", "h"): lambda m, v: gradient_fd_check(m, BETA, _X, h=v),
     ("linearization_at", "h"): lambda m, v: linearization_at(m, BETA, P(0, 0, 0, 1), h=v),
 }
-_BAD_VALUES = {"zero": 0.0, "negative": -0.5, "nan": math.nan, "inf": math.inf}
+_BAD_VALUES = {"zero": 0.0, "negative": -0.5, "nan": math.nan, "inf": math.inf,
+               "bool": True, "str": "0.5", "none": None}
 # a zero-time trajectory is valid: it holds the start point
 _BAD_INPUTS = [(func, arg, bad) for func, arg in _INPUT_CALLS for bad in _BAD_VALUES
                if (arg, bad) != ("t_end", "zero")]

@@ -58,6 +58,30 @@ def test_open_uniform_array_replays_the_scalar_loop(low, high):
     assert (redrawn > 50) == (high - low < 1e-12)
 
 
+class _BoundedDraws:
+    """A generator that fails the test after 100 draws instead of drawing forever."""
+
+    def __init__(self):
+        self.rng, self.calls = substream(14, 0), 0
+
+    def uniform(self, low, high, size=None):
+        self.calls += 1
+        assert self.calls <= 100, "no float lies inside: the draws never end"
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 0.0), (0.0, 5e-324), (1.0, np.nextafter(1.0, 2.0)),
+                                       (1.0, 0.5), (0.0, np.nan)],
+                         ids=["empty", "subnormal", "one-ulp", "reversed", "nan"])
+def test_open_interval_without_a_float_inside_raises(low, high):
+    for draw in (lambda rng: open_uniform(rng, low, high),
+                 lambda rng: open_uniform_array(rng, low, high, 3)):
+        rng = _BoundedDraws()
+        with pytest.raises(GmlInputError, match="strictly inside"):
+            draw(rng)
+        assert rng.calls == 0
+
+
 def test_unit_vector_is_normalized():
     rng = substream(12, 0)
     for dim in (1, 2, 5):
@@ -66,14 +90,15 @@ def test_unit_vector_is_normalized():
 
 
 @pytest.mark.parametrize("seed, trial_index", [(-1, 3), (2**64, 3), (5, -1), (5, 2**64),
-                                               (1.5, 0), (5, 2.0), ("5", 0), (None, 0)])
+                                               (1.5, 0), (5, 2.0), ("5", 0), (None, 0),
+                                               (True, 0), (5, True)])
 def test_substream_rejects_keys_outside_64_bits(seed, trial_index):
     """substream(-1, 3) would draw what substream(2**64 - 1, 3) draws."""
     with pytest.raises(GmlInputError):
         substream(seed, trial_index)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2.0])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.0, True])
 def test_trial_streams_rejects_seeds_outside_64_bits(seed):
     with pytest.raises(GmlInputError, match="seed"):
         list(trial_streams(seed, 3))
