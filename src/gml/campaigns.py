@@ -3,7 +3,8 @@
 Each campaign runs seeded trials, counts passes, and records every
 failure with enough detail (seed, trial index, inputs, expected vs
 actual) to replay it.  Reports serialize with a fixed key order so two
-runs with the same (config, seed) are byte-identical except wall_time.
+runs with the same (campaign, model, trials, seed) are byte-identical
+except wall_time.
 """
 
 from __future__ import annotations
@@ -12,59 +13,20 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import model as mdl
 from . import numerics as num
-from .errors import GmlInputError, ReportIoError, UnknownCampaign, check_integer, check_real
+from . import spectral
+from .errors import GmlInputError, UnknownCampaign, check_integer
+from .hull import HULL_TOL
 from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
 from .rng import open_uniform, open_uniform_array, substream, trial_streams, unit_vector
 from .serialization import jsonify, load_model
 from .spectral import chain_threshold_witness, family_kernel_rows, random_commuting_family
 
 CAMPAIGNS = ("theorem1", "theorem2", "lemma-linearization", "convexity", "numerics")
-
-_DEFAULT_TOLS = {
-    "eq_tol": 1e-12,      # coordinate agreement between closed-form limits
-    "hull_tol": 1e-9,     # polytope containment slack
-    "holds_tol": 1e-8,    # projector distance for kernel equality
-    "numeric_tol": 1e-6,  # field-norm target for numeric limits
-    "numeric_eq_tol": 1e-8,  # agreement between numeric and closed-form limits
-    "eps_cap": 1.0,       # sampling cap when a threshold is +infinity
-}
-
-
-def resolve_tolerances(overrides: dict | None = None) -> dict:
-    """Defaults, then explicit per-key overrides, each a finite number >= 0.
-    The campaigns pass these on to kernels that trust them."""
-    tols = dict(_DEFAULT_TOLS)
-    if overrides:
-        for key, val in overrides.items():
-            if key not in tols:
-                raise GmlInputError(f"unknown tolerance key '{key}'")
-            tols[key] = check_real(val, f"tolerance '{key}'", ">= 0")
-    return tols
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    model_path: str
-    campaign: str
-    trials: int = 100
-    seed: int = 0
-    output_path: str | None = None
-    probe_tightness: bool = False
-
-    def __post_init__(self):
-        _check_run(self.trials, self.seed)
-
-
-def _check_run(trials: int, seed: int) -> tuple[int, int]:
-    """The trial count and seed as Python ints: at least one trial, and a
-    seed that keys trial streams."""
-    return check_integer(trials, "trials", 1), check_integer(seed, "seed")
 
 
 @dataclass(eq=False)
@@ -114,7 +76,7 @@ def _random_point(rng: np.random.Generator, dim: int) -> mdl.ProjPoint:
             return mdl.ProjPoint(z)
 
 
-def _campaign_theorem1(model, trials, seed, tols, probe_tightness):
+def _campaign_theorem1(model, trials, seed, probe_tightness):
     d = model.subalgebra_dim
     us = np.array([unit_vector(rng, d) for _, rng in trial_streams(seed, trials)])
     certified = mdl.certify_levels(model, us @ model.ortho_basis @ model.weights.T)
@@ -125,12 +87,16 @@ def _campaign_theorem1(model, trials, seed, tols, probe_tightness):
     return failures, thresholds, trials
 
 
-def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
+_EQ_TOL = 1e-12  # coordinate agreement between the composed and perturbed limits
+_EPS_CAP = 1.0   # sampling cap when the threshold is +infinity
+
+
+def _campaign_theorem2(model, trials, seed, probe_tightness):
     alphas = model.subalgebra
     delta, probe_pairs = mdl.model_chain_threshold_witness(model, alphas)
     if delta == 0.0:
         raise GmlInputError("model admits no uniform step-size box for its stored basis")
-    cap = min(delta, tols["eps_cap"]) * (1.0 - 1e-9)
+    cap = min(delta, _EPS_CAP) * (1.0 - 1e-9)
     n_eps = model.subalgebra_dim - 1
     failures = []
     for k in range(trials):
@@ -139,7 +105,7 @@ def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
         eps = np.array([open_uniform(rng, 0.0, cap) for _ in range(n_eps)])
         expected = mdl.composed_limit(model, alphas, x)
         actual = mdl.perturbed_limit(model, alphas, eps, x)
-        if not actual.same_as(expected, tol=tols["eq_tol"]):
+        if not actual.same_as(expected, tol=_EQ_TOL):
             failures.append(_failure(
                 seed, k, {"point": x.coords, "eps": eps},
                 {"support": expected.support, "coords": expected.coords},
@@ -153,15 +119,15 @@ def _campaign_theorem2(model, trials, seed, tols, probe_tightness):
         expected = mdl.composed_limit(model, alphas, x)
         actual = mdl.perturbed_limit(model, alphas, eps, x)
         # a probe that matches is no boundary case, and passes
-        if not actual.same_as(expected, tol=tols["eq_tol"]):
+        if not actual.same_as(expected, tol=_EQ_TOL):
             failures.append(_failure(
                 seed, -1, {"probe": True, "pair": [i, j], "point": x.coords, "eps": eps},
                 {"support": expected.support}, {"support": actual.support}))
-    thresholds = {"chain_threshold": delta, "eps_cap": cap, "eq_tol": tols["eq_tol"]}
+    thresholds = {"chain_threshold": delta, "eps_cap": cap, "eq_tol": _EQ_TOL}
     return failures, thresholds, trials + len(probes)
 
 
-def _campaign_lemma(model, trials, seed, tols, probe_tightness):
+def _campaign_lemma(model, trials, seed, probe_tightness):
     # operator-level campaign; the model only scopes the report
     n_eps = 10
     failures = []
@@ -176,7 +142,7 @@ def _campaign_lemma(model, trials, seed, tols, probe_tightness):
         # tightness probe: at eps = delta the kernel must strictly jump
         probe = math.isfinite(delta) and any(a * b < 0 for a, b in witnesses)
         rows = np.append(eps, delta) if probe else eps
-        holds, dims, _ = family_kernel_rows(fam, rows, tols["holds_tol"])
+        holds, dims, _ = family_kernel_rows(fam, rows)
         detail = None
         if not holds[:n_eps].all():
             i = int(np.argmin(holds[:n_eps]))  # the first failing eps
@@ -188,21 +154,21 @@ def _campaign_lemma(model, trials, seed, tols, probe_tightness):
                                      {"alpha": alpha.entries, "beta": beta.entries,
                                       "delta": delta, **detail},
                                      {"holds": True}, {"holds": False, **detail}))
-    thresholds = {"holds_tol": tols["holds_tol"], "eps_count": n_eps}
+    thresholds = {"holds_tol": spectral.HOLDS_TOL, "eps_count": n_eps}
     return failures, thresholds, trials
 
 
-def _campaign_convexity(model, trials, seed, tols, probe_tightness):
+def _campaign_convexity(model, trials, seed, probe_tightness):
     failures = []
     for k, rng in trial_streams(seed, trials):
-        _, mp_ok = mdl.moment_polytope_check(model, 32, rng, hull_tol=tols["hull_tol"])
+        _, mp_ok = mdl.moment_polytope_check(model, 32, rng)
         x = _random_point(rng, model.num_coords)
-        orbit_ok = mdl.orbit_hull_check(model, x, 16, rng, hull_tol=tols["hull_tol"])
+        orbit_ok = mdl.orbit_hull_check(model, x, 16, rng)
         if not (mp_ok and orbit_ok):
             failures.append(_failure(seed, k, {"point": x.coords},
                                      {"polytope": True, "orbit": True},
                                      {"polytope": mp_ok, "orbit": orbit_ok}))
-    thresholds = {"hull_tol": tols["hull_tol"]}
+    thresholds = {"hull_tol": HULL_TOL}
     return failures, thresholds, trials
 
 
@@ -229,7 +195,11 @@ def _order_ratio(model, beta, x) -> float | None:
     return ratio
 
 
-def _campaign_numerics(model, trials, seed, tols, probe_tightness):
+_NUMERIC_TOL = 1e-6      # field-norm target of the numeric limits
+_NUMERIC_EQ_TOL = 1e-8   # agreement between numeric and closed-form limits
+
+
+def _campaign_numerics(model, trials, seed, probe_tightness):
     drawn = []  # (trial, beta, point) of every trial with a gapped direction
     for k, rng in trial_streams(seed, trials):
         beta = _gapped_direction(model, rng)
@@ -237,13 +207,13 @@ def _campaign_numerics(model, trials, seed, tols, probe_tightness):
             drawn.append((k, beta, _random_point(rng, model.num_coords)))
     levels = np.array([model.levels(beta) for _, beta, _ in drawn]).reshape(-1, model.num_coords)
     coords = np.array([x.coords for _, _, x in drawn]).reshape(levels.shape)
-    snapped = num.numeric_limit_rows(levels, coords, tol=tols["numeric_tol"])[0]
+    snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL)[0]
     failures = []
     for (k, beta, x), limit in zip(drawn, snapped):
         detail = {}
         expected = mdl.flow_limit(model, beta, x)
         actual = mdl.ProjPoint(limit)
-        if not actual.same_as(expected, tol=tols["numeric_eq_tol"]):
+        if not actual.same_as(expected, tol=_NUMERIC_EQ_TOL):
             detail["limit"] = {"expected": expected.support, "actual": actual.support}
         if not num.monotonicity_check(num.integrate_flow(model, beta, x, t_end=3.0, dt=0.05)):
             detail["monotone"] = False
@@ -258,7 +228,7 @@ def _campaign_numerics(model, trials, seed, tols, probe_tightness):
             failures.append(_failure(seed, k, {"beta": beta, "point": x.coords},
                                      {"all_checks": True}, detail))
     # a trial without a gapped direction tests nothing and counts as a pass
-    thresholds = {"numeric_tol": tols["numeric_tol"], "numeric_eq_tol": tols["numeric_eq_tol"]}
+    thresholds = {"numeric_tol": _NUMERIC_TOL, "numeric_eq_tol": _NUMERIC_EQ_TOL}
     return failures, thresholds, trials
 
 
@@ -272,33 +242,19 @@ _CAMPAIGN_FUNCS = {
 
 
 def run_campaign_model(model: mdl.WeightedModel, campaign: str, trials: int, seed: int,
-                       tolerances: dict | None = None,
                        probe_tightness: bool = False) -> VerificationReport:
-    """Run one campaign against an in-memory model."""
+    """Run one campaign against an in-memory model: at least one trial, and
+    a seed that keys trial streams (``check_integer``)."""
     if campaign not in _CAMPAIGN_FUNCS:
         raise UnknownCampaign(f"unknown campaign '{campaign}'; choose from {CAMPAIGNS}")
-    trials, seed = _check_run(trials, seed)
-    tols = resolve_tolerances(tolerances)
+    trials, seed = check_integer(trials, "trials", 1), check_integer(seed, "seed")
     start = time.perf_counter()
     failures, thresholds, total = _CAMPAIGN_FUNCS[campaign](
-        model, trials, seed, tols, probe_tightness)
+        model, trials, seed, probe_tightness)
     wall = time.perf_counter() - start
     return VerificationReport(campaign=campaign, model_name=model.name, trials=total,
                               passes=total - len(failures), failures=failures,
                               thresholds_used=thresholds, wall_time=wall)
-
-
-def run_campaign(config: CampaignConfig) -> VerificationReport:
-    """Run one campaign from a config pointing at a model file."""
-    model = load_model(config.model_path)
-    report = run_campaign_model(model, config.campaign, config.trials, config.seed,
-                                probe_tightness=config.probe_tightness)
-    if config.output_path is not None:
-        try:
-            Path(config.output_path).write_text(report.dumps())
-        except OSError as exc:
-            raise ReportIoError(f"cannot write report to {config.output_path}: {exc}") from None
-    return report
 
 
 def describe_model(source) -> dict:

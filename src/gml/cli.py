@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import model as mdl
-from .campaigns import CAMPAIGNS, CampaignConfig, describe_model, run_campaign
-from .errors import GmlError, GmlInputError
+from .campaigns import CAMPAIGNS, describe_model, run_campaign_model
+from .errors import GmlError, GmlInputError, ReportIoError
 from .serialization import jsonify, load_model, matrix_from_obj, read_json, subspace_to_obj
 from .spectral import SymMat, delta_threshold
 
@@ -139,13 +140,15 @@ def _dispatch(args) -> int:
         _emit(describe_model(args.model))
         return 0
     if cmd == "run":
-        config = CampaignConfig(model_path=args.model, campaign=args.campaign,
-                                trials=args.trials, seed=args.seed,
-                                output_path=args.out, probe_tightness=args.probe_tightness)
-        report = run_campaign(config)
+        report = run_campaign_model(load_model(args.model), args.campaign, args.trials,
+                                    args.seed, probe_tightness=args.probe_tightness)
         if args.out is None:
             print(report.dumps(), end="")
         else:
+            try:
+                Path(args.out).write_text(report.dumps())
+            except OSError as exc:
+                raise ReportIoError(f"cannot write report to {args.out}: {exc}") from None
             print(f"{report.campaign}: {report.passes}/{report.trials} passed "
                   f"-> {args.out}")
         return 0 if not report.failures else 1

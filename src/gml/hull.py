@@ -21,6 +21,8 @@ import numpy as np
 _BLOCK = 4096
 # slack of a build: near-duplicate points, the affine rank and facet incidence
 _TOL = 1e-9
+# slack of a containment query, and of every hull check of the campaigns
+HULL_TOL = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -183,12 +185,12 @@ class Polytope:
         residual = np.linalg.norm(rel - loc @ self._frame.T, axis=1)
         return residual, self._facet_values(loc).max(axis=1, initial=-np.inf)
 
-    def contains_batch(self, xs, tol: float = 1e-9) -> np.ndarray:
+    def contains_batch(self, xs, tol: float = HULL_TOL) -> np.ndarray:
         """Per row of an (S, d) array: inside the hull up to tol."""
         residual, worst = self._placement(xs)
         return (residual <= tol) & (worst <= tol)
 
-    def strictly_inside_batch(self, xs, tol: float = 1e-9) -> np.ndarray:
+    def strictly_inside_batch(self, xs, tol: float = HULL_TOL) -> np.ndarray:
         """Per row of an (S, d) array: in the relative interior, i.e. inside
         the affine hull (up to tol) and beyond every facet by more than
         ``64 * eps * max(1, max |frame coordinate of the points|)``, so
@@ -201,10 +203,10 @@ class Polytope:
         """normal · y + offset per row and facet; <= 0 inside."""
         return loc @ self._equations[:, :-1].T + self._equations[:, -1]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = HULL_TOL) -> bool:
         return bool(self.contains_batch(np.reshape(x, (1, -1)), tol)[0])
 
-    def strictly_inside(self, x, tol: float = 1e-9) -> bool:
+    def strictly_inside(self, x, tol: float = HULL_TOL) -> bool:
         """Relative-interior test: inside the affine hull and off every face."""
         return bool(self.strictly_inside_batch(np.reshape(x, (1, -1)), tol)[0])
 

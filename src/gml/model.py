@@ -34,7 +34,7 @@ from .errors import (
     check_real,
     check_step_sizes,
 )
-from .hull import Polytope, first_representatives
+from .hull import HULL_TOL, Polytope, first_representatives
 from .rng import substream, unit_vector
 from .spectral import Subspace, _canonical_sign_columns, box_radius
 
@@ -219,6 +219,13 @@ class WeightedModel:
         """Speeds <lambda_i, beta> of all homogeneous coordinates."""
         return self.weights @ self.validate_direction(beta)
 
+    def finite_levels(self, beta) -> np.ndarray:
+        """``levels(beta)`` under the speeds-finite rule (``finite_speeds``),
+        with no numpy warning on the way."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = self.levels(beta)
+        return finite_speeds(b)
+
     def require_basis(self, alphas=None) -> np.ndarray:
         """Validate an ordered basis of the subalgebra (default: stored rows)."""
         if alphas is None:
@@ -235,6 +242,18 @@ class WeightedModel:
         if given and _rank_deficient(a):
             raise DependentBasis("directions are linearly dependent")
         return a
+
+
+def finite_speeds(levels: np.ndarray) -> np.ndarray:
+    """The speeds-finite rule: ``levels``, speeds (n,) or one row of speeds per
+    point (N, n), when every speed is finite; else GmlInputError, naming the
+    first such row of a stack.  On a model whose subalgebra is the whole torus
+    algebra, ``validate_direction`` passes a NaN direction: this rule stops it."""
+    finite = np.isfinite(levels).all(axis=-1)
+    if not finite.all():
+        where = f"row {int(np.argmin(finite))}: " if levels.ndim == 2 else ""
+        raise GmlInputError(f"{where}direction is too large or not finite: a speed is not finite")
+    return levels
 
 
 def _rank(svals: np.ndarray) -> int:
@@ -341,7 +360,7 @@ def action_field(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
     """Infinitesimal action field beta_X(x) = Bx - <x, Bx> x."""
-    return action_field(model.levels(beta), model.require_point(x).coords)
+    return action_field(model.finite_levels(beta), model.require_point(x).coords)
 
 
 def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
@@ -420,9 +439,7 @@ def model_chain_threshold_witness(model: WeightedModel, alphas=None):
 def fixed_components(model: WeightedModel, beta) -> list[FixedComponent]:
     """Fixed components of one direction: coordinate classes of equal speed,
     ordered by speed descending."""
-    b = model.levels(beta)
-    if not np.isfinite(b).all():
-        raise GmlInputError("direction is too large: a speed overflows")
+    b = model.finite_levels(beta)
     order, _, breaks = _level_chains(b[None, :])
     classes = [sorted(g.tolist()) for g in np.split(order[0], np.flatnonzero(breaks[0]) + 1)]
     return [FixedComponent(indices=tuple(g), level=float(b[g[0]])) for g in classes]
@@ -452,7 +469,7 @@ def stabilizer_algebra(model: WeightedModel, x: ProjPoint) -> Subspace:
 def direction_certificate(model: WeightedModel, beta) -> bool:
     """True iff the speed partition of beta equals the joint partition,
     i.e. beta separates exactly what the whole subalgebra separates."""
-    return bool(certify_levels(model, model.levels(beta)[None, :])[0])
+    return bool(certify_levels(model, model.finite_levels(beta)[None, :])[0])
 
 
 def _first_direction(model: WeightedModel, rng: np.random.Generator, attempts: int, accept):
@@ -523,18 +540,18 @@ def moment_polytope(model: WeightedModel) -> Polytope:
     return model.moment_polytope
 
 
-def moment_polytope_check(model: WeightedModel, sample_count: int, rng: np.random.Generator,
-                          hull_tol: float = 1e-9) -> tuple[Polytope, bool]:
+def moment_polytope_check(model: WeightedModel, sample_count: int,
+                          rng: np.random.Generator) -> tuple[Polytope, bool]:
     """Sampled containment plus exact vertex attainment.
 
     Checks that gradient-map images of ``sample_count`` random points,
-    drawn from ``rng``, lie in the hull of the projected weights, and that
-    each hull vertex is attained exactly by the corresponding coordinate
-    point.
+    drawn from ``rng``, lie in the hull of the projected weights (up to
+    ``HULL_TOL``), and that each hull vertex is attained exactly by the
+    corresponding coordinate point.
     """
     poly = model.moment_polytope
     z = rng.standard_normal((sample_count, model.num_coords))
-    holds = bool(poly.contains_batch(gradient_rows(model, _unit_rows(z)), tol=hull_tol).all())
+    holds = bool(poly.contains_batch(gradient_rows(model, _unit_rows(z))).all())
     # the image of coordinate point e_i is projected weight i itself
     pw = model.projected_weights
     verts = poly.vertices
@@ -545,14 +562,14 @@ def moment_polytope_check(model: WeightedModel, sample_count: int, rng: np.rando
 
 
 def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
-                     rng: np.random.Generator, hull_tol: float = 1e-9) -> bool:
+                     rng: np.random.Generator) -> bool:
     """Orbit-closure image test for the hull of the support's weights.
 
     (a) gradient-map images of flowed points stay in the relative
     interior of the predicted hull for sampled directions, and (b) flow
     limits along supporting and sampled integer directions attain every
-    vertex of the predicted hull.  Each part draws its samples from
-    ``rng`` first and then evaluates them all at once.
+    vertex of the predicted hull (within ``HULL_TOL``).  Each part draws
+    its samples from ``rng`` first and then evaluates them all at once.
     """
     model.require_point(x)
     supp = x.support_mask
@@ -569,8 +586,7 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
     # (a) interior: moderate |beta| keeps images resolvably off the boundary
     lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
     flowed = flow_rows(lv, 1.0, x.coords)
-    if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed)),
-                                      tol=hull_tol).all():
+    if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
     # (b) vertex attainment along supporting directions, with perturbed retries
     centroid = poly.vertices.mean(axis=0)
@@ -581,13 +597,13 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
     us = np.array(cands)
     us[np.linalg.norm(us, axis=1) < 1e-12] = 1.0  # 0-dimensional hull: any direction works
     miss = np.abs(limit_images(speeds(us)) - np.repeat(poly.vertices, 10, axis=0)).max(axis=1)
-    if not (miss <= hull_tol).reshape(-1, 10).any(axis=1).all():
+    if not (miss <= HULL_TOL).reshape(-1, 10).any(axis=1).all():
         return False
     # sampled integer directions (zero draws skipped) must land inside the predicted hull
     us = np.reshape([rng.integers(-9, 10, size=d).astype(float) for _ in range(sample_count)],
                     (-1, d))
     lv = speeds(us[us.any(axis=1)])
-    return bool(poly.contains_batch(limit_images(lv), tol=hull_tol).all())
+    return bool(poly.contains_batch(limit_images(lv)).all())
 
 
 def certified_fraction(model: WeightedModel, trials: int, seed: int) -> float:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge, check_real
+from .errors import HorizonExceeded, NotAFixedPoint, StepTooLarge, check_real
 from .model import (
     ProjPoint,
     WeightedModel,
     _level_chains,
     action_field,
+    finite_speeds,
     fixed_components,  # unused here; benchmarks/test_tracer.py checks the tracer wraps it here
 )
 
@@ -46,7 +47,8 @@ def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     row of a stack (N, n), with speeds (n,) or one row of speeds per row.
 
     Raises StepTooLarge when renormalization would move a point by more
-    than 10%; for a stack the message names the first such row.
+    than 10%, or the step is not finite; for a stack the message names the
+    first such row.
     """
     k1 = action_field(levels, x)
     k2 = action_field(levels, x + (0.5 * h) * k1)
@@ -55,10 +57,10 @@ def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     nrm = _norms(y)
     if y.ndim == 1:
-        if abs(nrm - 1.0) > _RENORM_LIMIT:
+        if not abs(nrm - 1.0) <= _RENORM_LIMIT:  # a NaN norm too
             raise StepTooLarge(_renorm_message(nrm, h))
         return y / nrm
-    off = np.abs(nrm - 1.0) > _RENORM_LIMIT
+    off = ~(np.abs(nrm - 1.0) <= _RENORM_LIMIT)
     if off.any():
         k = int(off.argmax())
         raise StepTooLarge(_renorm_message(nrm[k], h), row=k)
@@ -66,6 +68,8 @@ def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def _renorm_message(nrm: float, h: float) -> str:
+    if not math.isfinite(nrm):
+        return f"the step is not finite; reduce dt={h}"
     return f"renormalization correction {abs(nrm - 1.0):.2%} exceeds 10%; reduce dt={h}"
 
 
@@ -120,18 +124,19 @@ def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
                    dt: float = DT_DEFAULT) -> Trajectory:
     """Classical RK4 with per-step renormalization back to the sphere."""
     t_end, dt = check_real(t_end, "t_end", ">= 0"), check_real(dt, "dt", "> 0")
-    levels = model.levels(beta)
+    levels = model.finite_levels(beta)
     times = [0.0]
     x = x0.coords
     rows = [x]
     t = 0.0
     eps = 1e-12 * max(1.0, t_end)
-    while t < t_end - eps:
-        step = min(dt, t_end - t)
-        x = _rk4_step(levels, x, step)
-        t += step
-        times.append(t)
-        rows.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows raises StepTooLarge
+        while t < t_end - eps:
+            step = min(dt, t_end - t)
+            x = _rk4_step(levels, x, step)
+            t += step
+            times.append(t)
+            rows.append(x)
     return Trajectory(times=np.array(times), coords=np.array(rows),
                       beta=np.asarray(beta, dtype=float), model=model)
 
@@ -159,34 +164,33 @@ def numeric_limit_rows(levels: np.ndarray, x: np.ndarray, tol: float = 1e-8,
     stacked = x.ndim == 2
     x = np.array(x, dtype=float, ndmin=2)
     lv = np.broadcast_to(levels, x.shape)
-    finite = np.isfinite(lv).all(axis=1)
-    if not finite.all():
-        where = f"row {np.argmin(finite)}: " if stacked else ""
-        raise GmlInputError(f"{where}direction is too large: a speed overflows")
-    res = _norms(action_field(lv, x))
-    t_final = np.zeros(len(x))
-    rows = np.flatnonzero(res >= tol)
-    t, horizon = 0.0, 1.0
-    while rows.size:
-        if t >= t_max:
-            k = int(rows[0])
-            raise HorizonExceeded(
-                f"field norm {res[k]:.3e} still above tol {tol:.3e} at t = {t:.6g}",
-                t_final=t, residual=float(res[k]), row=k if stacked else None)
-        target = min(horizon, t_max)
-        nsteps = max(1, math.ceil((target - t) / dt - 1e-9))
-        h = (target - t) / nsteps
-        # a lone active row steps as one point: the same bits, cheaper steps
-        y, ly = (x[rows[0]], lv[rows[0]]) if rows.size == 1 else (x[rows], lv[rows])
-        try:
-            for _ in range(nsteps):
-                y = rk4_rows(ly, y, h)
-        except StepTooLarge as exc:
-            raise StepTooLarge(exc.reason, int(rows[exc.row or 0]) if stacked else None) from None
-        t = target
-        x[rows], res[rows], t_final[rows] = y, _norms(action_field(ly, y)), t
-        rows = rows[res[rows] >= tol]
-        horizon *= 2.0
+    finite_speeds(lv if stacked else lv[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows raises StepTooLarge
+        res = _norms(action_field(lv, x))
+        t_final = np.zeros(len(x))
+        rows = np.flatnonzero(res >= tol)
+        t, horizon = 0.0, 1.0
+        while rows.size:
+            if t >= t_max:
+                k = int(rows[0])
+                raise HorizonExceeded(
+                    f"field norm {res[k]:.3e} still above tol {tol:.3e} at t = {t:.6g}",
+                    t_final=t, residual=float(res[k]), row=k if stacked else None)
+            target = min(horizon, t_max)
+            nsteps = max(1, math.ceil((target - t) / dt - 1e-9))
+            h = (target - t) / nsteps
+            # a lone active row steps as one point: the same bits, cheaper steps
+            y, ly = (x[rows[0]], lv[rows[0]]) if rows.size == 1 else (x[rows], lv[rows])
+            try:
+                for _ in range(nsteps):
+                    y = rk4_rows(ly, y, h)
+            except StepTooLarge as exc:
+                raise StepTooLarge(exc.reason,
+                                   int(rows[exc.row or 0]) if stacked else None) from None
+            t = target
+            x[rows], res[rows], t_final[rows] = y, _norms(action_field(ly, y)), t
+            rows = rows[res[rows] >= tol]
+            horizon *= 2.0
     order, _, breaks = _level_chains(lv)
     rank = np.zeros_like(order)  # class number at each sorted position
     rank[:, 1:] = np.cumsum(breaks, axis=1)
@@ -208,7 +212,7 @@ def numeric_limit_details(model: WeightedModel, beta, x0: ProjPoint, tol: float 
     The snap picks the fixed component carrying most of the terminal mass
     and renormalizes the restriction of the terminal point to it.
     """
-    snapped, raw, t_final, residual = numeric_limit_rows(model.levels(beta), x0.coords,
+    snapped, raw, t_final, residual = numeric_limit_rows(model.finite_levels(beta), x0.coords,
                                                          tol=tol, dt=dt, t_max=t_max)
     return ProjPoint(snapped), raw, t_final, residual
 
@@ -235,7 +239,7 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
     by 2 per the model's metric convention.  Residual is O(h^2).
     """
     h = check_real(h, "h", "> 0")
-    levels = model.levels(beta)
+    levels = model.finite_levels(beta)
     y = x.coords
     frame = _tangent_frame(y)
     ch, sh = math.cos(h), math.sin(h)
@@ -283,7 +287,7 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint,
     <lambda_i - lambda_j, beta> over i != j.
     """
     h = check_real(h, "h", "> 0")
-    levels = model.levels(beta)
+    levels = model.finite_levels(beta)
     base = x_fixed.coords
     res = float(np.linalg.norm(action_field(levels, base)))
     if res > FIX_TOL:

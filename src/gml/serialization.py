@@ -35,18 +35,6 @@ def jsonify(value):
     return value
 
 
-def encode_threshold(x: float):
-    return jsonify(float(x))
-
-
-def parse_threshold(obj) -> float:
-    if obj == "inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
-    return float(obj)
-
-
 def _require_field(obj: dict, field: str, source: str):
     if field not in obj:
         raise ModelParseError(f"{source}: missing field '{field}'")

@@ -18,7 +18,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     GmlInputError,
-    check_real,
     check_step_sizes,
 )
 
@@ -27,6 +26,8 @@ from .errors import (
 _MIX_SEED = 0x5EEDED
 # Principal angles below this (as 1 - cosine) count as zero in intersections.
 _ANGLE_TOL = 1e-9
+# Kernel equality holds when the two kernels' projectors are this close.
+HOLDS_TOL = 1e-8
 
 
 def _entry_scale(entries: np.ndarray) -> float:
@@ -89,6 +90,8 @@ def commutator_norm(a: SymMat, b: SymMat) -> float:
 
 
 def _pair_comm_tol(a: SymMat, b: SymMat, unit: float = 1.0) -> float:
+    """The commutation rule: ``|[A,B]|_F`` may reach ``1e-10 * max(unit,
+    |A|_F |B|_F)``."""
     fro = np.linalg.norm(a.entries, "fro") * np.linalg.norm(b.entries, "fro")
     return 1e-10 * max(unit, float(fro))
 
@@ -99,23 +102,21 @@ def _binary_exponent(entries: np.ndarray) -> int:
     return int(np.frexp(_entry_scale(entries))[1])
 
 
-def _scaled_commutator(a: SymMat, b: SymMat, comm_tol: float | None) -> tuple[float, float]:
+def _scaled_commutator(a: SymMat, b: SymMat) -> tuple[float, float]:
     """``|[A,B]|_F`` and its tolerance, both times ``2^-(ea+eb)``, from the
     members scaled by ``2^-ea`` and ``2^-eb`` (``_binary_exponent``), whose
     product cannot overflow."""
     ea, eb = _binary_exponent(a.entries), _binary_exponent(b.entries)
     a_s, b_s = SymMat(np.ldexp(a.entries, -ea)), SymMat(np.ldexp(b.entries, -eb))
-    tol = (math.ldexp(comm_tol, -(ea + eb)) if comm_tol is not None
-           else _pair_comm_tol(a_s, b_s, math.ldexp(1.0, -(ea + eb))))
-    return commutator_norm(a_s, b_s), tol
+    return commutator_norm(a_s, b_s), _pair_comm_tol(a_s, b_s, math.ldexp(1.0, -(ea + eb)))
 
 
 @dataclass(frozen=True, eq=False)
 class CommutingFamily:
-    """Tuple of symmetric matrices with pairwise commutators below tolerance."""
+    """Tuple of symmetric matrices with pairwise commutators below tolerance
+    (``_pair_comm_tol``)."""
 
     members: tuple[SymMat, ...]
-    comm_tol: float | None = None
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -128,11 +129,10 @@ class CommutingFamily:
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 a, b = members[i], members[j]
-                tol = self.comm_tol if self.comm_tol is not None else _pair_comm_tol(a, b)
-                nrm = commutator_norm(a, b)
+                tol, nrm = _pair_comm_tol(a, b), commutator_norm(a, b)
                 scaled = not (math.isfinite(nrm) and math.isfinite(tol))
                 if scaled:  # the products overflow: check the pair scaled by powers of two
-                    nrm, tol = _scaled_commutator(a, b, self.comm_tol)
+                    nrm, tol = _scaled_commutator(a, b)
                 if not nrm <= tol:
                     raise CommutationViolation(
                         f"members {i} and {j} do not commute: |[A,B]| = {nrm:.3e} > tol {tol:.3e}"
@@ -270,12 +270,10 @@ def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
     return JointSpectrum(basis=q, levels=levels)
 
 
-def kernel(a: SymMat, tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the eigenspace with |eigenvalue| <= tol."""
-    if tol is None:
-        tol = _zero_tol(a.entries)
+def kernel(a: SymMat) -> Subspace:
+    """Orthonormal basis of the eigenspace with |eigenvalue| <= ``_zero_tol``."""
     w, v = np.linalg.eigh(a.entries)
-    return _eigenspace(v, np.abs(w) <= tol)
+    return _eigenspace(v, np.abs(w) <= _zero_tol(a.entries))
 
 
 def _eigenspace(v: np.ndarray, mask: np.ndarray) -> Subspace:
@@ -372,33 +370,25 @@ class KernelEqualityReport:
     projector_distance: float
 
 
-def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps, tol: float = 1e-8,
-                         kernel_tol: float | None = None
+def kernel_equality_rows(alpha: SymMat, beta: SymMat, eps
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at each of
     the step sizes ``eps``, a number (one row) or a 1-D array ``(m,)``.
 
     The public boundary of ``family_kernel_rows``: raises NonPositiveEpsilon
     for a step size that is not > 0 (NaN included), GmlInputError for any
-    other bad eps or for a ``tol`` or ``kernel_tol`` that is not a finite
-    number >= 0, and CommutationViolation through the ``CommutingFamily``
+    other bad eps, and CommutationViolation through the ``CommutingFamily``
     it builds.  Returns ``holds (m,)``, ``dims (m, 3)`` as in
     ``KernelEqualityReport``, and the projector distances ``(m,)``.
     """
-    eps = check_step_sizes(eps)
-    tol = check_real(tol, "tol", ">= 0")
-    if kernel_tol is not None:
-        kernel_tol = check_real(kernel_tol, "kernel_tol", ">= 0")
-    return family_kernel_rows(CommutingFamily((alpha, beta)), eps, tol, kernel_tol)
+    return family_kernel_rows(CommutingFamily((alpha, beta)), check_step_sizes(eps))
 
 
-def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray, tol: float,
-                       kernel_tol: float | None = None
+def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``kernel_equality_rows`` on a pair ``fam = (alpha, beta)`` whose
     commutation was checked on construction.  Trusts its arguments: eps is
-    a 1-D float array of finite positive step sizes and the tolerances are
-    finite and >= 0.
+    a 1-D float array of finite positive step sizes.
 
     One ``np.linalg.eigh`` call decomposes the stack ``[alpha, beta,
     alpha + eps_1*beta, ...]``; the shifted matrices are bitwise symmetric,
@@ -408,8 +398,9 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray, tol: float,
     independently of ``joint_diagonalize``.  Each shifted row keeps its
     kernel columns (|eigenvalue| at most the row's zero threshold) and
     zeroes the others.  The projector distance is the largest |eigenvalue|
-    of the difference of the two projectors; ``dims`` counts the kernel
-    columns and the zero principal angles with the intersection.
+    of the difference of the two projectors, and kernel equality holds
+    when it is at most ``HOLDS_TOL``; ``dims`` counts the kernel columns
+    and the zero principal angles with the intersection.
     """
     alpha, beta = (m.entries for m in fam.members)
     with np.errstate(over="ignore"):  # an overflowing row is rejected below
@@ -419,12 +410,8 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray, tol: float,
     # A shifted matrix can be numerically zero (exact cancellation at the
     # threshold step size), so its own entry scale is useless as a zero
     # threshold; floor it by the scale of the inputs instead.
-    if kernel_tol is None:
-        scale_a, scale_b = _entry_scale(alpha), _entry_scale(beta)
-        zero_tol = 1e-12 * np.concatenate([[scale_a, scale_b],
-                                           np.maximum(scale_a, eps * scale_b)])
-    else:
-        zero_tol = np.full(eps.size + 2, kernel_tol)
+    scale_a, scale_b = _entry_scale(alpha), _entry_scale(beta)
+    zero_tol = 1e-12 * np.concatenate([[scale_a, scale_b], np.maximum(scale_a, eps * scale_b)])
     w, v = np.linalg.eigh(np.concatenate([alpha[None], beta[None], shifted]))
     mask = np.abs(w) <= zero_tol[:, None]  # (m + 2, n): the kernel columns of each row
     k_int = subspace_intersection(_eigenspace(v[0], mask[0]), _eigenspace(v[1], mask[1]))
@@ -435,14 +422,12 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray, tol: float,
     cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int.basis, compute_uv=False)
     overlap = np.count_nonzero(cosines >= 1.0 - _ANGLE_TOL, axis=1)
     dims = np.column_stack([mask.sum(axis=1), np.full(eps.shape, k_int.dim), overlap])
-    return dist <= tol, dims, dist
+    return dist <= HOLDS_TOL, dims, dist
 
 
-def perturbed_kernel_equality(alpha: SymMat, beta: SymMat, eps: float,
-                              tol: float = 1e-8, kernel_tol: float | None = None
-                              ) -> KernelEqualityReport:
+def perturbed_kernel_equality(alpha: SymMat, beta: SymMat, eps: float) -> KernelEqualityReport:
     """Check ``Ker(alpha + eps*beta) == Ker alpha ∩ Ker beta`` at one eps."""
-    holds, dims, dist = kernel_equality_rows(alpha, beta, [eps], tol=tol, kernel_tol=kernel_tol)
+    holds, dims, dist = kernel_equality_rows(alpha, beta, [eps])
     return KernelEqualityReport(holds=bool(holds[0]), dims=tuple(dims[0].tolist()),
                                 projector_distance=float(dist[0]))
 

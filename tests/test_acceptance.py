@@ -24,7 +24,8 @@ from gml import (
     orbit_hull_check,
     random_commuting_family,
 )
-from gml.campaigns import CampaignConfig, resolve_tolerances, run_campaign, run_campaign_model
+from gml.campaigns import run_campaign_model
+from gml.cli import main
 from gml.model import model_chain_threshold
 from gml.numerics import (
     gradient_fd_check,
@@ -34,9 +35,6 @@ from gml.numerics import (
 )
 from gml.rng import open_uniform, substream
 from gml.spectral import delta_threshold_witness, kernel_equality_rows
-
-
-TOLS = resolve_tolerances({})
 
 
 def _report(name: str, detail: str) -> None:
@@ -59,8 +57,7 @@ def test_criterion_1_kernel_perturbation_suite():
         eps = [open_uniform(rng, 0.0, cap) for _ in range(10)]
         # one call per pair: the 10 step sizes, then the eps = delta probe
         probe = math.isfinite(delta) and any(a * b < 0 for a, b in witness)
-        holds, dims, _ = kernel_equality_rows(alpha, beta, eps + [delta] if probe else eps,
-                                              tol=TOLS["holds_tol"])
+        holds, dims, _ = kernel_equality_rows(alpha, beta, eps + [delta] if probe else eps)
         for e, row_holds, row_dims in zip(eps, holds, dims.tolist()):
             assert row_holds, (trial, e, row_dims)
             assert row_dims[0] == row_dims[1]
@@ -95,14 +92,12 @@ def test_criterion_3_composition_identity(model_pool, tmp_path):
     start = time.perf_counter()
     total = 0
     for model in model_pool:
-        rep = run_campaign_model(model, "theorem2", trials=1000, seed=42,
-                                 tolerances=TOLS)
+        rep = run_campaign_model(model, "theorem2", trials=1000, seed=42)
         assert rep.passes == 1000, (model.name, rep.failures[:1])
         total += rep.passes
     # tightness probe on the square model: the tie point fails at eps = delta
     square = model_pool[0]
-    rep = run_campaign_model(square, "theorem2", trials=10, seed=42,
-                             tolerances=TOLS, probe_tightness=True)
+    rep = run_campaign_model(square, "theorem2", trials=10, seed=42, probe_tightness=True)
     assert len(rep.failures) == 1
     probe_point = np.array(rep.failures[0]["inputs"]["point"], dtype=float)
     s2 = 1 / math.sqrt(2)
@@ -114,11 +109,11 @@ def test_criterion_3_composition_identity(model_pool, tmp_path):
 
 
 def test_criterion_4_convexity(model_pool):
-    """Moment polytope and orbit-hull checks with hull_tol = 1e-9."""
+    """Moment polytope and orbit-hull checks, containment up to 1e-9."""
     start = time.perf_counter()
     orbit_checks = 0
     for k, model in enumerate(model_pool):
-        poly, holds = moment_polytope_check(model, 32, substream(400 + k, 0), hull_tol=1e-9)
+        poly, holds = moment_polytope_check(model, 32, substream(400 + k, 0))
         assert holds, model.name
         # vertex attainment, re-derived: every vertex is a projected weight,
         # i.e. the image of a coordinate fixed point
@@ -134,7 +129,7 @@ def test_criterion_4_convexity(model_pool):
             z[:2] = 1.0
             probes.append(ProjPoint(z))
         for x in probes:
-            assert orbit_hull_check(model, x, 16, substream(600 + k, 0), hull_tol=1e-9), \
+            assert orbit_hull_check(model, x, 16, substream(600 + k, 0)), \
                 (model.name, x.support)
             orbit_checks += 1
     elapsed = time.perf_counter() - start
@@ -175,7 +170,7 @@ def test_criterion_5_numerics(model_pool):
             got = ProjPoint(limit)
             want = flow_limit(model, beta, x)
             assert got.support == want.support, (model.name, k)
-            assert got.same_as(want, tol=TOLS["numeric_tol"])
+            assert got.same_as(want, tol=1e-6)
             agreed += 1
     assert agreed == 1000
 
@@ -235,16 +230,17 @@ def test_criterion_5_numerics(model_pool):
             f"{measured} fd ratios, {len(trajectories)} monotone trajectories, {elapsed:.1f}s")
 
 
-def test_criterion_6_reproducibility(square_file, tmp_path):
-    """Identical (config, seed) produce byte-identical reports except wall_time."""
+def test_criterion_6_reproducibility(square_file, tmp_path, capsys):
+    """Identical (campaign, model, trials, seed) produce byte-identical
+    reports except wall_time."""
     start = time.perf_counter()
     texts = []
     for k in range(2):
         out = tmp_path / f"rep-{k}.json"
-        config = CampaignConfig(model_path=str(square_file), campaign="theorem2",
-                                trials=250, seed=31337, output_path=str(out))
-        run_campaign(config)
+        assert main(["run", "--campaign", "theorem2", "--model", str(square_file),
+                     "--trials", "250", "--seed", "31337", "--out", str(out)]) == 0
         texts.append(out.read_text())
+    capsys.readouterr()
     stripped = [re.sub(r'^\s*"wall_time":.*$', "", t, flags=re.M) for t in texts]
     assert stripped[0] == stripped[1]
     assert texts[0] != ""

@@ -1,38 +1,21 @@
-"""Campaign runner: accounting, determinism, tolerances, and reporting."""
+"""Campaign runner: accounting, determinism, and reporting."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gml
-from gml import campaigns, numerics, spectral
+from gml import campaigns, cli, numerics, spectral
 from gml import model as mdl
 from gml import rng as grng
-from gml.campaigns import (
-    CAMPAIGNS,
-    CampaignConfig,
-    VerificationReport,
-    describe_model,
-    resolve_tolerances,
-    run_campaign,
-    run_campaign_model,
-)
-from gml.errors import GmlInputError, ReportIoError, UnknownCampaign
+from gml.campaigns import CAMPAIGNS, VerificationReport, describe_model, run_campaign_model
+from gml.errors import GmlInputError, UnknownCampaign
 from gml.model import action_field
-
-
-TOLS = resolve_tolerances({})
 
 
 def test_accounting_single_trial(square_model):
     for campaign in CAMPAIGNS:
-        rep = run_campaign_model(square_model, campaign, trials=1, seed=0,
-                                 tolerances=TOLS)
+        rep = run_campaign_model(square_model, campaign, trials=1, seed=0)
         assert rep.trials == 1
         assert rep.passes + len(rep.failures) == 1
 
@@ -44,16 +27,14 @@ def test_report_invariant_enforced():
 
 
 def test_theorem2_thousand_trials_all_pass(square_model):
-    rep = run_campaign_model(square_model, "theorem2", trials=1000, seed=42,
-                             tolerances=TOLS)
+    rep = run_campaign_model(square_model, "theorem2", trials=1000, seed=42)
     assert rep.passes == 1000
     assert rep.failures == []
     assert rep.thresholds_used["chain_threshold"] == 1.0
 
 
 def test_theorem2_tightness_probe_records_failure(square_model):
-    rep = run_campaign_model(square_model, "theorem2", trials=20, seed=3,
-                             tolerances=TOLS, probe_tightness=True)
+    rep = run_campaign_model(square_model, "theorem2", trials=20, seed=3, probe_tightness=True)
     assert rep.trials == 21  # probe appended as an extra trial
     assert len(rep.failures) == 1
     failure = rep.failures[0]
@@ -66,21 +47,18 @@ def test_theorem2_tightness_probe_records_failure(square_model):
 
 def test_theorem1_campaign_passes(square_model, segment_model):
     for model in (square_model, segment_model):
-        rep = run_campaign_model(model, "theorem1", trials=300, seed=5,
-                                 tolerances=TOLS)
+        rep = run_campaign_model(model, "theorem1", trials=300, seed=5)
         assert rep.passes == 300
 
 
 def test_lemma_campaign_passes(square_model):
-    rep = run_campaign_model(square_model, "lemma-linearization", trials=30,
-                             seed=5, tolerances=TOLS)
+    rep = run_campaign_model(square_model, "lemma-linearization", trials=30, seed=5)
     assert rep.passes == 30
 
 
 def test_convexity_campaign_passes(square_model, segment_model):
     for model in (square_model, segment_model):
-        rep = run_campaign_model(model, "convexity", trials=8, seed=5,
-                                 tolerances=TOLS)
+        rep = run_campaign_model(model, "convexity", trials=8, seed=5)
         assert rep.passes == 8
 
 
@@ -101,8 +79,7 @@ def test_convexity_opens_no_stream_besides_its_trial_streams(square_model, segme
 
 
 def test_numerics_campaign_passes(square_model):
-    rep = run_campaign_model(square_model, "numerics", trials=4, seed=5,
-                             tolerances=TOLS)
+    rep = run_campaign_model(square_model, "numerics", trials=4, seed=5)
     assert rep.passes == 4
 
 
@@ -118,7 +95,7 @@ def _kutta3_rows(levels, x, h):
 def _order_gate_runs(model_pool):
     """The numerics campaign on random-1 and random-3, 20 trials each, whose
     speed spreads put h = 0.1 outside RK4's asymptotic range."""
-    return [run_campaign_model(model_pool[i], "numerics", trials=20, seed=0, tolerances=TOLS)
+    return [run_campaign_model(model_pool[i], "numerics", trials=20, seed=0)
             for i in (3, 5)]
 
 
@@ -137,15 +114,7 @@ def test_numerics_order_gate_rejects_a_third_order_step(model_pool, monkeypatch)
 
 def test_unknown_campaign_rejected(square_model):
     with pytest.raises(UnknownCampaign):
-        run_campaign_model(square_model, "nonsense", trials=1, seed=0,
-                           tolerances=TOLS)
-
-
-def test_config_validation(square_file):
-    with pytest.raises(ValueError):
-        CampaignConfig(model_path=str(square_file), campaign="theorem1", trials=0)
-    with pytest.raises(ValueError):
-        CampaignConfig(model_path=str(square_file), campaign="theorem1", seed=-1)
+        run_campaign_model(square_model, "nonsense", trials=1, seed=0)
 
 
 @pytest.mark.parametrize("trials, seed", [(1, -1), (1, 2**64), (0, 5), (3, 1.5), (2.5, 3),
@@ -155,8 +124,6 @@ def test_run_campaign_model_rejects_seeds_outside_64_bits(square_model, trials, 
     A seed or trial count that is not an integer is an input error too."""
     with pytest.raises(GmlInputError):
         run_campaign_model(square_model, "lemma-linearization", trials=trials, seed=seed)
-    with pytest.raises(GmlInputError):
-        CampaignConfig(model_path="unused.json", campaign="theorem1", trials=trials, seed=seed)
 
 
 @pytest.mark.parametrize("campaign", ["theorem1", "theorem2", "numerics"])
@@ -172,73 +139,32 @@ def test_largest_seed_runs(square_model):
     assert rep.passes == 2
 
 
-def test_run_campaign_writes_report(square_file, tmp_path):
+def _run_out(model_file, out, trials, seed) -> int:
+    """``gml run --campaign theorem2 ... --out out``, in this process."""
+    return cli.main(["run", "--campaign", "theorem2", "--model", str(model_file),
+                     "--trials", str(trials), "--seed", str(seed), "--out", str(out)])
+
+
+def test_run_campaign_writes_report(square_file, tmp_path, capsys):
     out = tmp_path / "report.json"
-    config = CampaignConfig(model_path=str(square_file), campaign="theorem2",
-                            trials=25, seed=9, output_path=str(out))
-    rep = run_campaign(config)
-    assert rep.passes == 25
+    assert _run_out(square_file, out, 25, 9) == 0
+    assert capsys.readouterr().out == f"theorem2: 25/25 passed -> {out}\n"
     obj = json.loads(out.read_text())
+    assert obj["passes"] == 25
     assert list(obj) == ["campaign", "model", "trials", "passes", "failures",
                          "thresholds_used", "wall_time"]
     assert obj["model"] == "unit-square"
 
 
-def test_run_campaign_unwritable_output(square_file, tmp_path):
-    config = CampaignConfig(model_path=str(square_file), campaign="theorem2",
-                            trials=2, seed=9, output_path=str(tmp_path))
-    with pytest.raises(ReportIoError):
-        run_campaign(config)
-
-
-def test_reports_identical_modulo_wall_time(square_file, tmp_path):
+def test_reports_identical_modulo_wall_time(square_file, tmp_path, capsys):
     outs = []
     for k in range(2):
         out = tmp_path / f"report-{k}.json"
-        config = CampaignConfig(model_path=str(square_file), campaign="theorem2",
-                                trials=50, seed=1234, output_path=str(out))
-        run_campaign(config)
+        assert _run_out(square_file, out, 50, 1234) == 0
         obj = json.loads(out.read_text())
         obj.pop("wall_time")
         outs.append(json.dumps(obj, indent=2))
     assert outs[0] == outs[1]
-
-
-def test_tolerance_resolution_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        resolve_tolerances({"no_such_tol": 1.0})
-
-
-def test_tolerance_explicit_override():
-    assert resolve_tolerances({"eq_tol": 1e-7})["eq_tol"] == 1e-7
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, True, "1e-9"])
-def test_tolerance_overrides_must_be_finite_and_nonnegative(square_model, value):
-    """The campaigns hand their tolerances to kernels that trust them: a NaN
-    holds_tol would fail every lemma trial silently."""
-    with pytest.raises(GmlInputError, match="holds_tol"):
-        resolve_tolerances({"holds_tol": value})
-    with pytest.raises(GmlInputError, match="holds_tol"):
-        run_campaign_model(square_model, "lemma-linearization", trials=2, seed=0,
-                           tolerances={"holds_tol": value})
-
-
-@pytest.mark.parametrize("cap", [0.0, 5e-324])
-def test_theorem2_without_room_for_a_step_size_raises(cap):
-    """No float lies inside (0, cap), so no step size can be drawn: the run
-    raises GmlInputError instead of drawing forever.  It runs in a child
-    process with a timeout, so a regression fails instead of hanging."""
-    code = ("from gml import WeightedModel\n"
-            "from gml.campaigns import run_campaign_model\n"
-            "m = WeightedModel('square', [[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]])\n"
-            f"run_campaign_model(m, 'theorem2', 2, 0, tolerances={{'eps_cap': {cap!r}}})\n")
-    src = str(Path(gml.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60)
-    assert out.returncode == 1
-    assert "GmlInputError: no float lies strictly inside" in out.stderr
 
 
 def test_lemma_trial_checks_commutation_once(square_model, monkeypatch):

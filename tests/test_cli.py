@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ import pytest
 
 import gml
 from gml import WeightedModel
+from gml.campaigns import run_campaign_model
 from gml.cli import main
-from gml.serialization import save_model
+from gml.serialization import load_model, save_model
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +117,29 @@ def test_run_writes_report_and_exits_zero(square_file, tmp_path, capsys):
     assert code == 0
     assert "40/40 passed" in out
     assert json.loads(out_path.read_text())["passes"] == 40
+
+
+def test_run_out_file_is_the_report(square_file, tmp_path, capsys):
+    """The file holds run_campaign_model's report text, wall_time apart."""
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "run", "--campaign", "theorem2", "--model", str(square_file),
+                         "--trials", "30", "--seed", "8", "--probe-tightness",
+                         "--out", str(out_path))
+    assert code == 1  # the tightness probe fails
+    report = run_campaign_model(load_model(square_file), "theorem2", 30, 8,
+                                probe_tightness=True)
+    wall = re.compile(r'^  "wall_time": .*$', re.M)
+    text = out_path.read_text()
+    assert len(wall.findall(text)) == 1
+    assert wall.sub("", text) == wall.sub("", report.dumps())
+
+
+def test_run_unwritable_out_exits_two(square_file, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", "--campaign", "theorem2", "--model",
+                             str(square_file), "--trials", "2", "--out", str(tmp_path))
+    assert_input_error(code, err)
+    assert err.startswith(f"error: cannot write report to {tmp_path}: ")
+    assert out == ""
 
 
 def test_run_without_out_prints_report(square_file, capsys):

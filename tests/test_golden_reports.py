@@ -4,11 +4,12 @@ The goldens in ``tests/data/golden_reports.json`` pin replay of the
 theorem1, theorem2 (with tightness probes, so failure records are
 pinned too) and convexity campaigns on the two canonical models and two
 acceptance-pool models.  They also pin the lemma-linearization campaign,
-which draws its own operator pairs: once with the default tolerances,
-once with ``holds_tol = 0`` (failing eps rows are recorded), and once
-with ``holds_tol = 0`` and every threshold halved (each ``eps = delta``
-tightness probe then sits inside the safe range and fails, and is
-recorded only for trials whose eps rows all hold).  Regenerate
+which draws its own operator pairs: once as it runs, once with the
+holds threshold ``spectral.HOLDS_TOL`` patched to 0 (failing eps rows
+are recorded), and once with that threshold at 0 and every threshold
+halved (each ``eps = delta`` tightness probe then sits inside the safe
+range and fails, and is recorded only for trials whose eps rows all
+hold).  Regenerate
 them only when a report is meant to change, with
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
@@ -23,10 +24,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import POOL_SEED, make_segment_model, make_square_model  # noqa: E402
-from gml import campaigns, random_weighted_model  # noqa: E402
+from gml import campaigns, random_weighted_model, spectral  # noqa: E402
 from gml.campaigns import run_campaign_model  # noqa: E402
 from gml.rng import substream  # noqa: E402
-from gml.spectral import chain_threshold_witness  # noqa: E402
+from gml.spectral import HOLDS_TOL, chain_threshold_witness  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 POOL_PICKS = ("random-11", "random-14")
@@ -37,11 +38,11 @@ RUNS = (
     ("theorem2", 60, 12, True),
     ("convexity", 3, 13, False),
 )
-# (case id, trials, seed, tolerance overrides, halve every threshold)
+# (case id, trials, seed, holds threshold at 0, halve every threshold)
 LEMMA_RUNS = (
-    ("lemma-linearization/unit-square", 30, 14, None, False),
-    ("lemma-linearization/holds_tol=0", 10, 15, {"holds_tol": 0.0}, False),
-    ("lemma-linearization/halved-delta", 10, 17, {"holds_tol": 0.0}, True),
+    ("lemma-linearization/unit-square", 30, 14, False, False),
+    ("lemma-linearization/holds_tol=0", 10, 15, True, False),
+    ("lemma-linearization/halved-delta", 10, 17, True, True),
 )
 
 
@@ -59,9 +60,8 @@ def _case_id(model_name: str, campaign: str) -> str:
     return f"{campaign}/{model_name}"
 
 
-def _report_text(model, campaign, trials, seed, probe, tolerances=None) -> str:
-    obj = run_campaign_model(model, campaign, trials, seed, tolerances=tolerances,
-                             probe_tightness=probe).to_obj()
+def _report_text(model, campaign, trials, seed, probe) -> str:
+    obj = run_campaign_model(model, campaign, trials, seed, probe_tightness=probe).to_obj()
     obj.pop("wall_time")
     return json.dumps(obj, indent=2) + "\n"
 
@@ -79,10 +79,20 @@ def _halved_thresholds():
         campaigns.chain_threshold_witness = chain_threshold_witness
 
 
-def _lemma_text(trials, seed, tolerances, halve) -> str:
-    with _halved_thresholds() if halve else nullcontext():
-        return _report_text(make_square_model(), "lemma-linearization", trials, seed, False,
-                            tolerances)
+@contextmanager
+def _zero_holds_threshold():
+    """Let kernel equality hold only at projector distance 0."""
+    spectral.HOLDS_TOL = 0.0
+    try:
+        yield
+    finally:
+        spectral.HOLDS_TOL = HOLDS_TOL
+
+
+def _lemma_text(trials, seed, zero_holds, halve) -> str:
+    zero = _zero_holds_threshold() if zero_holds else nullcontext()
+    with zero, _halved_thresholds() if halve else nullcontext():
+        return _report_text(make_square_model(), "lemma-linearization", trials, seed, False)
 
 
 def _all_reports() -> dict:
@@ -110,10 +120,10 @@ def test_report_matches_golden(goldens, models, model_name, campaign, trials, se
     assert got == goldens[_case_id(model_name, campaign)]
 
 
-@pytest.mark.parametrize("case,trials,seed,tolerances,halve", LEMMA_RUNS,
+@pytest.mark.parametrize("case,trials,seed,zero_holds,halve", LEMMA_RUNS,
                          ids=[r[0].split("/")[1] for r in LEMMA_RUNS])
-def test_lemma_report_matches_golden(goldens, case, trials, seed, tolerances, halve):
-    assert _lemma_text(trials, seed, tolerances, halve) == goldens[case]
+def test_lemma_report_matches_golden(goldens, case, trials, seed, zero_holds, halve):
+    assert _lemma_text(trials, seed, zero_holds, halve) == goldens[case]
 
 
 def test_goldens_pin_failure_records(goldens):

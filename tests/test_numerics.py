@@ -10,8 +10,10 @@ from gml import (
     ProjPoint,
     Trajectory,
     WeightedModel,
+    direction_certificate,
     flow,
     flow_limit,
+    fundamental_field,
     gapped_direction,
     integrate_flow,
     numeric_limit,
@@ -78,6 +80,22 @@ def test_integrate_fixed_point_is_constant(square_model):
 def test_integrate_rejects_oversized_steps(square_model):
     with pytest.raises(StepTooLarge):
         integrate_flow(square_model, [3.0, 1.5], P(1, 1, 1, 1), 10.0, dt=5.0)
+
+
+def test_a_step_that_overflows_is_too_large(square_model):
+    """Speeds of 1e150 overflow inside the first RK4 step, whose norm is then
+    NaN: the renormalization guard rejects it (a NaN is not within 10%), and
+    no numpy warning escapes."""
+    x, beta = P(1, 1, 1, 1), [1e150, 0.0]
+    with pytest.raises(StepTooLarge, match="^the step is not finite"):
+        integrate_flow(square_model, beta, x, 0.05, dt=0.01)
+    with pytest.raises(StepTooLarge, match="^the step is not finite"):
+        numeric_limit(square_model, beta, x)
+    # two moving rows step as a stack, and the second one fails
+    levels = np.array([square_model.levels(BETA), square_model.levels(beta)])
+    with pytest.raises(StepTooLarge, match="^row 1: the step is not finite") as err:
+        numeric_limit_rows(levels, np.full((2, 4), 0.5))
+    assert err.value.row == 1
 
 
 def test_integrate_convergence_is_fourth_order(square_model):
@@ -306,6 +324,29 @@ _BAD_INPUTS = [(func, arg, bad) for func, arg in _INPUT_CALLS for bad in _BAD_VA
 def test_numerics_rejects_bad_step_sizes_and_tolerances(square_model, func, arg, bad):
     with pytest.raises(GmlInputError, match=arg):
         _INPUT_CALLS[func, arg](square_model, _BAD_VALUES[bad])
+
+
+# every call that takes the speeds of a direction under the speeds-finite rule
+_SPEED_CALLS = {
+    "fundamental_field": lambda m, b: fundamental_field(m, b, _X),
+    "integrate_flow": lambda m, b: integrate_flow(m, b, _X, 1.0),
+    "gradient_fd_check": lambda m, b: gradient_fd_check(m, b, _X),
+    "direction_certificate": direction_certificate,
+    "linearization_at": lambda m, b: linearization_at(m, b, P(0, 0, 0, 1)),
+    "fixed_components": fixed_components,
+    "numeric_limit": lambda m, b: numeric_limit(m, b, _X),
+}
+_BAD_DIRECTIONS = {"nan": [math.nan, 0.0], "inf": [math.inf, 0.0], "overflow": [1e308, 1e308]}
+
+
+@pytest.mark.parametrize("bad", _BAD_DIRECTIONS)
+@pytest.mark.parametrize("func", _SPEED_CALLS)
+def test_non_finite_speeds_are_an_input_error(square_model, func, bad):
+    """The square's subalgebra is the whole torus algebra, so
+    validate_direction passes these directions as they are; the speeds-finite
+    rule rejects them, and no numpy warning escapes on the way."""
+    with pytest.raises(GmlInputError, match="^direction is too large or not finite"):
+        _SPEED_CALLS[func](square_model, _BAD_DIRECTIONS[bad])
 
 
 # ------------------------------------------- array forms against loop references

@@ -153,18 +153,17 @@ def commuting_pairs(draw):
     return tuple(SymMat((q * np.array(draw(levels), dtype=float)) @ q.T) for _ in range(2))
 
 
-@given(commuting_pairs(), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
-       st.sampled_from([None, 1e-9]))
-def test_kernel_equality_rows_agree_with_scalar_checks(pair, steps, kernel_tol):
+@given(commuting_pairs(), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6))
+def test_kernel_equality_rows_agree_with_scalar_checks(pair, steps):
     # steps are multiples of delta, so rows fall on both sides of it;
     # eps = delta itself is the last row whenever delta is finite
     alpha, beta = pair
     delta = delta_threshold(alpha, beta)
     eps = [s * delta for s in steps] + [delta] if math.isfinite(delta) else steps
-    holds, dims, dist = kernel_equality_rows(alpha, beta, eps, kernel_tol=kernel_tol)
+    holds, dims, dist = kernel_equality_rows(alpha, beta, eps)
     assert holds.shape == dist.shape == (len(eps),) and dims.shape == (len(eps), 3)
     for e, row_holds, row_dims, row_dist in zip(eps, holds, dims, dist):
-        rep = perturbed_kernel_equality(alpha, beta, e, kernel_tol=kernel_tol)
+        rep = perturbed_kernel_equality(alpha, beta, e)
         assert row_holds == rep.holds
         assert tuple(row_dims) == rep.dims
         assert row_dist.tobytes() == np.float64(rep.projector_distance).tobytes()

@@ -9,14 +9,12 @@ import pytest
 from gml import SymMat, WeightedModel
 from gml.errors import ModelParseError
 from gml.serialization import (
-    encode_threshold,
     jsonify,
     load_model,
     matrix_from_obj,
     matrix_to_obj,
     model_to_obj,
     parse_model_obj,
-    parse_threshold,
     read_json,
     save_model,
     subspace_to_obj,
@@ -79,12 +77,6 @@ def test_jsonify_infinities_and_arrays():
 def test_jsonify_rejects_nan():
     with pytest.raises(ValueError):
         jsonify(float("nan"))
-
-
-def test_threshold_encoding_round_trip():
-    assert parse_threshold(encode_threshold(math.inf)) == math.inf
-    assert parse_threshold(encode_threshold(-math.inf)) == -math.inf
-    assert parse_threshold(encode_threshold(0.25)) == 0.25
 
 
 def test_matrix_round_trip():
