@@ -22,7 +22,7 @@ from . import spectral
 from .errors import GmlInputError, UnknownCampaign, check_integer
 from .hull import HULL_TOL
 from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
-from .rng import open_uniform, open_uniform_array, substream, trial_streams, unit_vector
+from .rng import open_uniform, open_uniform_array, substream, trial_streams, unit_draws, unit_vector
 from .serialization import jsonify, load_model
 from .spectral import chain_threshold_witness, family_kernel_rows, random_commuting_family
 
@@ -78,7 +78,12 @@ def _random_point(rng: np.random.Generator, dim: int) -> mdl.ProjPoint:
 
 def _campaign_theorem1(model, trials, seed, probe_tightness):
     d = model.subalgebra_dim
-    us = np.array([unit_vector(rng, d) for _, rng in trial_streams(seed, trials)])
+    draws = np.array([rng.standard_normal(d) for _, rng in trial_streams(seed, trials)])
+    rows, kept = unit_draws(draws)
+    us = np.empty_like(draws)
+    us[kept] = rows
+    for k in np.flatnonzero(~kept):  # unit_vector redraws a null draw from the trial's stream
+        us[k] = unit_vector(substream(seed, int(k)), d)
     certified = mdl.certify_levels(model, us @ model.ortho_basis @ model.weights.T)
     failures = [_failure(seed, int(k), {"beta": model.ortho_basis.T @ us[k]},
                          {"certified": True}, {"certified": False})

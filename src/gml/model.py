@@ -35,7 +35,7 @@ from .errors import (
     check_step_sizes,
 )
 from .hull import HULL_TOL, Polytope, first_representatives
-from .rng import substream, unit_vector
+from .rng import substream, unit_vector, unit_vector_array
 from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
@@ -477,20 +477,15 @@ def _first_direction(model: WeightedModel, rng: np.random.Generator, attempts: i
     kernel ``accept(levels (A, n)) -> (A,) bool`` passes, or None.  One block decides
     all draws; the direction and the generator's position after it are those of a loop
     of ``unit_vector`` draws, as the draws up to the accepted one are replayed."""
-    d = model.subalgebra_dim
     state = rng.bit_generator.state
-    v, nrm = np.empty((0, d)), np.empty(0)
-    while np.count_nonzero(nrm > 1e-12) < attempts:  # unit_vector redraws null rows
-        v = np.concatenate([v, rng.standard_normal((attempts - np.count_nonzero(nrm > 1e-12), d))])
-        nrm = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
-    rows = np.flatnonzero(nrm > 1e-12)
-    # stacked products evaluate each row as v.dot(v) and B.T @ u do, bit for bit
-    beta = (model.ortho_basis.T @ (v[rows] / nrm[rows, None])[:, :, None])[:, :, 0]
+    u = unit_vector_array(rng, model.subalgebra_dim, attempts)
+    # stacked products evaluate each row as B.T @ u does, bit for bit
+    beta = (model.ortho_basis.T @ u[:, :, None])[:, :, 0]
     hits = np.flatnonzero(accept((model.weights @ beta[:, :, None])[:, :, 0]))
     if not hits.size:
         return None
     rng.bit_generator.state = state
-    rng.standard_normal((rows[hits[0]] + 1, d))
+    unit_vector_array(rng, model.subalgebra_dim, hits[0] + 1)
     return beta[hits[0]]
 
 
@@ -569,11 +564,14 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
     interior of the predicted hull for sampled directions, and (b) flow
     limits along supporting and sampled integer directions attain every
     vertex of the predicted hull (within ``HULL_TOL``).  Each part draws
-    its samples from ``rng`` first and then evaluates them all at once.
+    its samples from ``rng`` first and then evaluates them all at once;
+    the perturbed supporting directions and the integer directions are one
+    block draw each, with the values and generator position of one draw
+    per sample.  A full support's hull is the cached moment polytope.
     """
     model.require_point(x)
     supp = x.support_mask
-    poly = Polytope(model.projected_weights[supp])
+    poly = model.moment_polytope if supp.all() else Polytope(model.projected_weights[supp])
     d = model.subalgebra_dim
 
     def speeds(draws) -> np.ndarray:
@@ -583,25 +581,25 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
         lim = np.where(limit_support(lv, supp[None, :]), x.coords, 0.0)
         return gradient_rows(model, _unit_rows(lim))
 
-    # (a) interior: moderate |beta| keeps images resolvably off the boundary
+    # (a) interior: moderate |beta| keeps images resolvably off the boundary;
+    # the stream interleaves each direction with its length, so one sample at a time
     lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
     flowed = flow_rows(lv, 1.0, x.coords)
     if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
-    # (b) vertex attainment along supporting directions, with perturbed retries
-    centroid = poly.vertices.mean(axis=0)
-    cands = []
-    for vi, v in enumerate(poly.vertices):
-        sd = poly.supporting_direction(vi)
-        cands += [sd, v - centroid] + [sd + 1e-3 * unit_vector(rng, d) for _ in range(8)]
-    us = np.array(cands)
+    # (b) vertex attainment along supporting directions, each vertex with its
+    # centroid direction and 8 perturbed retries
+    verts = poly.vertices
+    sd = np.array([poly.supporting_direction(vi) for vi in range(len(verts))])[:, None, :]
+    jitter = unit_vector_array(rng, d, 8 * len(verts)).reshape(len(verts), 8, d)
+    us = np.concatenate([sd, (verts - verts.mean(axis=0))[:, None, :], sd + 1e-3 * jitter],
+                        axis=1).reshape(-1, d)
     us[np.linalg.norm(us, axis=1) < 1e-12] = 1.0  # 0-dimensional hull: any direction works
-    miss = np.abs(limit_images(speeds(us)) - np.repeat(poly.vertices, 10, axis=0)).max(axis=1)
+    miss = np.abs(limit_images(speeds(us)) - np.repeat(verts, 10, axis=0)).max(axis=1)
     if not (miss <= HULL_TOL).reshape(-1, 10).any(axis=1).all():
         return False
     # sampled integer directions (zero draws skipped) must land inside the predicted hull
-    us = np.reshape([rng.integers(-9, 10, size=d).astype(float) for _ in range(sample_count)],
-                    (-1, d))
+    us = rng.integers(-9, 10, size=(sample_count, d)).astype(float)
     lv = speeds(us[us.any(axis=1)])
     return bool(poly.contains_batch(limit_images(lv)).all())
 

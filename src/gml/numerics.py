@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceeded, NotAFixedPoint, StepTooLarge, check_real
+from .errors import GmlInputError, HorizonExceeded, NotAFixedPoint, StepTooLarge, check_real
 from .model import (
     ProjPoint,
     WeightedModel,
@@ -236,17 +236,24 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
 
     The value function is f(y) = sum_i levels_i y_i^2 along geodesic steps
     in an orthonormal tangent frame; the round-metric estimate is divided
-    by 2 per the model's metric convention.  Residual is O(h^2).
+    by 2 per the model's metric convention.  Residual is O(h^2).  Finite
+    speeds near the float limit can overflow the difference or the residual:
+    GmlInputError then, without a numpy warning.
     """
     h = check_real(h, "h", "> 0")
     levels = model.finite_levels(beta)
     y = x.coords
     frame = _tangent_frame(y)
     ch, sh = math.cos(h), math.sin(h)
-    fp = ((ch * y + sh * frame) ** 2) @ levels
-    fm = ((ch * y - sh * frame) ** 2) @ levels
-    grad = ((fp - fm) / (2.0 * h)) @ frame
-    return float(np.linalg.norm(grad / 2.0 - action_field(levels, y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = ((ch * y + sh * frame) ** 2) @ levels
+        fm = ((ch * y - sh * frame) ** 2) @ levels
+        grad = ((fp - fm) / (2.0 * h)) @ frame
+        residual = float(np.linalg.norm(grad / 2.0 - action_field(levels, y)))
+    if not math.isfinite(residual):
+        raise GmlInputError(f"the finite-difference residual of the speeds {levels.tolist()} "
+                            "is not finite; use a smaller beta")
+    return residual
 
 
 def monotonicity_check(traj: Trajectory) -> bool:

@@ -58,6 +58,30 @@ def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
             return v / nrm
 
 
+def unit_draws(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (N, dim) normal draws that ``unit_vector`` keeps, scaled to
+    unit norm as it scales them, and the mask of those rows: ``unit_vector``
+    redraws a draw of norm at most 1e-12.  A stacked ``(1, dim) @ (dim, 1)``
+    product gives each row's norm the bits of the 1-row dot."""
+    nrm = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+    kept = nrm > 1e-12
+    return v[kept] / nrm[kept, None], kept
+
+
+def unit_vector_array(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:
+    """``size`` uniform draws from the unit sphere in R^dim, as (size, dim) rows
+    of one block draw.
+
+    A null draw is dropped in order and exactly the missing count is drawn
+    again, so the rows and the generator's position after them are those of
+    ``size`` ``unit_vector`` calls.
+    """
+    u = np.empty((0, dim))
+    while len(u) < size:
+        u = np.concatenate([u, unit_draws(rng.standard_normal((size - len(u), dim)))[0]])
+    return u
+
+
 def _require_interior(low: float, high: float) -> None:
     """Some float lies strictly inside (low, high), else GmlInputError: the
     draws below would never land inside."""

@@ -8,7 +8,11 @@ from direct combinatorics on the weight table.  The loop forms of the
 package's array kernels (near-duplicate representatives, trajectory
 values, finite-difference probes, perturbed kernels, RK4 steps and the
 numeric limit search) are kept here, one row at a time, and box radii are
-computed exactly in rationals.
+computed exactly in rationals.  ``orbit_hull_loop`` is the one exception:
+it keeps the package's hull and flow kernels and pins only the sampling of
+``orbit_hull_check``, one generator call per sample on a hull built afresh.
+``ScriptedNormals`` stands in for a generator, so that the samplers meet
+chosen draws, null ones among them.
 """
 
 import math
@@ -19,6 +23,25 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from gml.errors import HorizonExceeded, StepTooLarge
+from gml.hull import HULL_TOL, Polytope
+from gml.model import _unit_rows, flow_rows, gradient_rows, limit_support
+from gml.rng import unit_vector
+
+
+class ScriptedNormals:
+    """Generator stand-in that hands out a fixed list of normals in order;
+    its state is the read position."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.bit_generator = self
+        self.state = 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out = self.values[self.state:self.state + n]
+        self.state += n
+        return out.reshape(shape)
 
 
 def kernel_dim(entries, tol: float = 1e-9) -> int:
@@ -425,3 +448,37 @@ def linearization_loop(levels, x, h, fix_tol: float = 1e-10, sym_tol: float = 1e
     if float(np.abs(jac - jac.T).max()) > sym_tol * max(1.0, float(np.abs(jac).max())):
         return None
     return frame, (jac + jac.T) / 2.0
+
+
+def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
+    """``orbit_hull_check`` drawing one sample per generator call, on the hull
+    of the support's projected weights built afresh (a full support too)."""
+    supp = x.support_mask
+    poly = Polytope(model.projected_weights[supp])
+    d = model.subalgebra_dim
+
+    def speeds(draws):
+        return np.reshape(draws, (-1, d)) @ model.ortho_basis @ model.weights.T
+
+    def limit_images(lv):
+        lim = np.where(limit_support(lv, supp[None, :]), x.coords, 0.0)
+        return gradient_rows(model, _unit_rows(lim))
+
+    lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
+    flowed = flow_rows(lv, 1.0, x.coords)
+    if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
+        return False
+    centroid = poly.vertices.mean(axis=0)
+    cands = []
+    for vi, v in enumerate(poly.vertices):
+        sd = poly.supporting_direction(vi)
+        cands += [sd, v - centroid] + [sd + 1e-3 * unit_vector(rng, d) for _ in range(8)]
+    us = np.array(cands)
+    us[np.linalg.norm(us, axis=1) < 1e-12] = 1.0
+    miss = np.abs(limit_images(speeds(us)) - np.repeat(poly.vertices, 10, axis=0)).max(axis=1)
+    if not (miss <= HULL_TOL).reshape(-1, 10).any(axis=1).all():
+        return False
+    us = np.reshape([rng.integers(-9, 10, size=d).astype(float) for _ in range(sample_count)],
+                    (-1, d))
+    lv = speeds(us[us.any(axis=1)])
+    return bool(poly.contains_batch(limit_images(lv)).all())

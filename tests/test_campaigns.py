@@ -12,6 +12,8 @@ from gml.campaigns import CAMPAIGNS, VerificationReport, describe_model, run_cam
 from gml.errors import GmlInputError, UnknownCampaign
 from gml.model import action_field
 
+from _oracles import ScriptedNormals
+
 
 def test_accounting_single_trial(square_model):
     for campaign in CAMPAIGNS:
@@ -49,6 +51,26 @@ def test_theorem1_campaign_passes(square_model, segment_model):
     for model in (square_model, segment_model):
         rep = run_campaign_model(model, "theorem1", trials=300, seed=5)
         assert rep.passes == 300
+
+
+def test_theorem1_redraws_a_null_draw_from_the_trial_stream(square_model, monkeypatch):
+    """A trial whose first draw has norm <= 1e-12 takes the direction
+    unit_vector takes on its stream; a draw just above that is kept.  On the
+    square, (1, 0) and (0, 1) tie speeds and fail the certificate."""
+    draws = {0: [3.0, 4.0], 1: [1e-13, 0.0, 0.0, 5.0], 2: [3.0, 4.0], 3: [2e-12, 0.0, 0.0, 5.0]}
+    reopened = []
+
+    def scripted(seed, k):
+        reopened.append(k)
+        return ScriptedNormals(draws[k])
+
+    monkeypatch.setattr(campaigns, "trial_streams",
+                        lambda seed, n: ((k, ScriptedNormals(draws[k])) for k in range(n)))
+    monkeypatch.setattr(campaigns, "substream", scripted)
+    rep = run_campaign_model(square_model, "theorem1", trials=4, seed=9)
+    assert reopened == [1]
+    assert [(f["trial_index"], f["inputs"]["beta"]) for f in rep.failures] == [
+        (1, [0.0, 1.0]), (3, [1.0, 0.0])]
 
 
 def test_lemma_campaign_passes(square_model):

@@ -29,7 +29,7 @@ from gml import (
     stabilizer_algebra,
     unstable_component,
 )
-from gml.campaigns import run_campaign_model
+from gml.campaigns import _random_point, run_campaign_model
 from gml.errors import (
     BetaOutsideSubalgebra,
     DependentBasis,
@@ -40,7 +40,7 @@ from gml.errors import (
 from gml.model import _vector_labels, certify_levels, model_chain_threshold_witness
 from gml.rng import substream
 
-from _oracles import first_accepted_loop, speeds_separated
+from _oracles import ScriptedNormals, first_accepted_loop, orbit_hull_loop, speeds_separated
 
 from _oracles import lex_argmax_support
 
@@ -541,22 +541,6 @@ def test_gapped_direction_matches_one_draw_at_a_time(model_pool, min_gap, attemp
         assert not all(outcomes)
 
 
-class _ScriptedNormals:
-    """Generator stand-in that hands out a fixed list of normals in order;
-    its state is the read position."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.bit_generator = self
-        self.state = 0
-
-    def standard_normal(self, shape):
-        n = int(np.prod(shape))
-        out = self.values[self.state:self.state + n]
-        self.state += n
-        return out.reshape(shape)
-
-
 def test_gapped_direction_redraws_null_rows_like_unit_vector(segment_model):
     # unit_vector redraws a draw of norm <= 1e-12, so it is no attempt
     rows = substream(5, 0).standard_normal((60, 2))
@@ -564,7 +548,7 @@ def test_gapped_direction_redraws_null_rows_like_unit_vector(segment_model):
     outcomes = []
     for min_gap in (0.05, 0.95, 2.0):
         for attempts in (1, 2, 5, 20):
-            rng, ref = _ScriptedNormals(rows.ravel()), _ScriptedNormals(rows.ravel())
+            rng, ref = ScriptedNormals(rows.ravel()), ScriptedNormals(rows.ravel())
             got = gapped_direction(segment_model, rng, min_gap=min_gap, attempts=attempts)
             want = first_accepted_loop(
                 segment_model, ref, attempts,
@@ -663,6 +647,30 @@ def test_orbit_hull_fixed_orbit(square_model):
 
 def test_orbit_hull_segment_orbit(square_model):
     assert orbit_hull_check(square_model, P(S2, S2, 0, 0), 16, substream(5, 0))
+
+
+def _philox_state(rng) -> dict:
+    """``bit_generator.state`` of a Philox generator with its arrays as lists."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist()}
+
+
+def test_orbit_hull_check_matches_one_draw_per_sample(model_pool):
+    """Block draws and the cached moment polytope leave the outcome and the
+    generator's state as one generator call per sample on a fresh hull."""
+    supports = []
+    for m, model in enumerate(model_pool):
+        for s in range(6):
+            rng = substream(800 + s, m)
+            x = _random_point(rng, model.num_coords)
+            ref = substream(800 + s, m)
+            ref.bit_generator.state = rng.bit_generator.state
+            got = orbit_hull_check(model, x, 16, rng)
+            assert got == orbit_hull_loop(model, x, 16, ref), (model.name, s)
+            assert _philox_state(rng) == _philox_state(ref), (model.name, s)
+            supports.append(len(x.support) == model.num_coords)
+    assert len(supports) >= 300 and any(supports) and not all(supports)
 
 
 # ------------------------------------------------------------- random models

@@ -98,6 +98,18 @@ def test_a_step_that_overflows_is_too_large(square_model):
     assert err.value.row == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("speed", [1e306, 1e200])
+def test_an_overflowing_central_difference_is_an_input_error(square_model, speed):
+    """Finite speeds near the float limit overflow the central difference
+    (1e306) or the norm of the residual (1e200): GmlInputError, and no numpy
+    warning escapes.  Speeds of 1e150 still give a finite residual."""
+    x = P(0.7, 0.7, 0.1, 0.1)
+    with pytest.raises(GmlInputError, match="^the finite-difference residual .* is not finite"):
+        gradient_fd_check(square_model, [speed, 0.0], x)
+    assert math.isfinite(gradient_fd_check(square_model, [1e150, 0.0], x))
+
+
 def test_integrate_convergence_is_fourth_order(square_model):
     x = P(0.5, 0.5, 0.5, 0.5)
     exact = flow(square_model, BETA, 2.0, x)

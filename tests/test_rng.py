@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from gml.errors import GmlInputError
-from gml.rng import open_uniform, open_uniform_array, substream, trial_streams, unit_vector
+from gml.rng import (
+    open_uniform,
+    open_uniform_array,
+    substream,
+    trial_streams,
+    unit_vector,
+    unit_vector_array,
+)
+
+from _oracles import ScriptedNormals
 
 
 def test_substream_reproducible():
@@ -87,6 +96,30 @@ def test_unit_vector_is_normalized():
     for dim in (1, 2, 5):
         v = unit_vector(rng, dim)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_unit_vector_array_replays_the_scalar_loop(dim):
+    """Same rows, bit for bit, and same generator position as ``size``
+    unit_vector calls."""
+    for k in range(100):
+        size = k % 12
+        block, loop = substream(15, k), substream(15, k)
+        got = unit_vector_array(block, dim, size)
+        want = np.reshape([unit_vector(loop, dim) for _ in range(size)], (size, dim))
+        assert got.shape == (size, dim) and got.tobytes() == want.tobytes(), k
+        assert _position(block) == _position(loop), k
+
+
+def test_unit_vector_array_redraws_null_rows_like_unit_vector():
+    """A null first row, and null rows in the redraw, are dropped in order:
+    the block reads the same 6 rows as three unit_vector calls."""
+    rows = [[0.0, 0.0], [3.0, 4.0], [1e-13, 0.0], [0.0, 0.0], [0.0, -2.0], [5.0, 12.0], [1.0, 1.0]]
+    block, loop = ScriptedNormals(np.ravel(rows)), ScriptedNormals(np.ravel(rows))
+    got = unit_vector_array(block, 2, 3)
+    want = [unit_vector(loop, 2) for _ in range(3)]
+    assert got.tolist() == [w.tolist() for w in want] == [[0.6, 0.8], [0.0, -1.0], [5 / 13, 12 / 13]]
+    assert block.state == loop.state == 12
 
 
 @pytest.mark.parametrize("seed, trial_index", [(-1, 3), (2**64, 3), (5, -1), (5, 2**64),
