@@ -22,7 +22,7 @@ from . import spectral
 from .errors import GmlInputError, UnknownCampaign, check_integer
 from .hull import HULL_TOL
 from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
-from .rng import open_uniform, open_uniform_array, substream, trial_streams, unit_draws, unit_vector
+from .rng import open_uniform_array, substream, trial_streams, unit_draws, unit_vector
 from .serialization import jsonify, load_model
 from .spectral import chain_threshold_witness, family_kernel_rows, random_commuting_family
 
@@ -104,17 +104,22 @@ def _campaign_theorem2(model, trials, seed, probe_tightness):
     cap = min(delta, _EPS_CAP) * (1.0 - 1e-9)
     n_eps = model.subalgebra_dim - 1
     failures = []
-    for k in range(trials):
-        rng = substream(seed, k)
-        x = _random_point(rng, model.num_coords)
-        eps = np.array([open_uniform(rng, 0.0, cap) for _ in range(n_eps)])
-        expected = mdl.composed_limit(model, alphas, x)
-        actual = mdl.perturbed_limit(model, alphas, eps, x)
-        if not actual.same_as(expected, tol=_EQ_TOL):
-            failures.append(_failure(
-                seed, k, {"point": x.coords, "eps": eps},
-                {"support": expected.support, "coords": expected.coords},
-                {"support": actual.support, "coords": actual.coords}))
+    if n_eps == 0:
+        # one basis row: the perturbed direction is alphas[0] itself, so every
+        # trial compares a flow limit with itself and passes, finite speeds given
+        model.finite_levels(alphas[0])
+    else:
+        for k in range(trials):
+            rng = substream(seed, k)
+            x = _random_point(rng, model.num_coords)
+            eps = open_uniform_array(rng, 0.0, cap, n_eps)
+            expected = mdl.composed_limit(model, alphas, x)
+            actual = mdl.perturbed_limit(model, alphas, eps, x)
+            if not actual.same_as(expected, tol=_EQ_TOL):
+                failures.append(_failure(
+                    seed, k, {"point": x.coords, "eps": eps},
+                    {"support": expected.support, "coords": expected.coords},
+                    {"support": actual.support, "coords": actual.coords}))
     probes = probe_pairs if probe_tightness else []
     for i, j in probes:
         z = np.zeros(model.num_coords)

@@ -8,9 +8,12 @@ from direct combinatorics on the weight table.  The loop forms of the
 package's array kernels (near-duplicate representatives, trajectory
 values, finite-difference probes, perturbed kernels, RK4 steps and the
 numeric limit search) are kept here, one row at a time, and box radii are
-computed exactly in rationals.  ``orbit_hull_loop`` is the one exception:
-it keeps the package's hull and flow kernels and pins only the sampling of
-``orbit_hull_check``, one generator call per sample on a hull built afresh.
+computed exactly in rationals.  ``orbit_hull_loop`` and ``theorem2_loop``
+are the exceptions: they keep the package's kernels and pin only the
+sampling.  ``orbit_hull_loop`` makes one generator call per sample of
+``orbit_hull_check``, on a hull built afresh; ``theorem2_loop`` runs every
+theorem2 trial on its own stream, one step size per generator call, a
+one-direction basis included.
 ``ScriptedNormals`` stands in for a generator, so that the samplers meet
 chosen draws, null ones among them.
 """
@@ -22,10 +25,12 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from gml.errors import HorizonExceeded, StepTooLarge
+from gml import campaigns
+from gml import model as mdl
+from gml.errors import GmlInputError, HorizonExceeded, StepTooLarge
 from gml.hull import HULL_TOL, Polytope
 from gml.model import _unit_rows, flow_rows, gradient_rows, limit_support
-from gml.rng import unit_vector
+from gml.rng import open_uniform, substream, unit_vector
 
 
 class ScriptedNormals:
@@ -482,3 +487,44 @@ def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
                     (-1, d))
     lv = speeds(us[us.any(axis=1)])
     return bool(poly.contains_batch(limit_images(lv)).all())
+
+
+def theorem2_loop(model, trials: int, seed: int, probe_tightness: bool):
+    """The theorem2 campaign's report, one trial at a time: a substream per
+    trial, one ``open_uniform`` call per step size, and the composed limit
+    against the perturbed one, whatever the basis length; then the probes."""
+    alphas = model.subalgebra
+    delta, probe_pairs = mdl.model_chain_threshold_witness(model, alphas)
+    if delta == 0.0:
+        raise GmlInputError("model admits no uniform step-size box for its stored basis")
+    cap = min(delta, campaigns._EPS_CAP) * (1.0 - 1e-9)
+    n_eps = model.subalgebra_dim - 1
+    failures = []
+    for k in range(trials):
+        rng = substream(seed, k)
+        x = campaigns._random_point(rng, model.num_coords)
+        eps = np.array([open_uniform(rng, 0.0, cap) for _ in range(n_eps)])
+        expected = mdl.composed_limit(model, alphas, x)
+        actual = mdl.perturbed_limit(model, alphas, eps, x)
+        if not actual.same_as(expected, tol=campaigns._EQ_TOL):
+            failures.append(campaigns._failure(
+                seed, k, {"point": x.coords, "eps": eps},
+                {"support": expected.support, "coords": expected.coords},
+                {"support": actual.support, "coords": actual.coords}))
+    probes = probe_pairs if probe_tightness else []
+    for i, j in probes:
+        z = np.zeros(model.num_coords)
+        z[i] = z[j] = 1.0
+        x = mdl.ProjPoint(z)
+        eps = np.full(n_eps, delta)
+        expected = mdl.composed_limit(model, alphas, x)
+        actual = mdl.perturbed_limit(model, alphas, eps, x)
+        if not actual.same_as(expected, tol=campaigns._EQ_TOL):
+            failures.append(campaigns._failure(
+                seed, -1, {"probe": True, "pair": [i, j], "point": x.coords, "eps": eps},
+                {"support": expected.support}, {"support": actual.support}))
+    total = trials + len(probes)
+    return campaigns.VerificationReport(
+        campaign="theorem2", model_name=model.name, trials=total,
+        passes=total - len(failures), failures=failures,
+        thresholds_used={"chain_threshold": delta, "eps_cap": cap, "eq_tol": campaigns._EQ_TOL})

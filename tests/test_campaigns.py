@@ -12,7 +12,7 @@ from gml.campaigns import CAMPAIGNS, VerificationReport, describe_model, run_cam
 from gml.errors import GmlInputError, UnknownCampaign
 from gml.model import action_field
 
-from _oracles import ScriptedNormals
+from _oracles import ScriptedNormals, theorem2_loop
 
 
 def test_accounting_single_trial(square_model):
@@ -45,6 +45,54 @@ def test_theorem2_tightness_probe_records_failure(square_model):
     s2 = 1 / np.sqrt(2)
     assert np.allclose(np.sort(np.abs(point)), [0, 0, s2, s2], atol=1e-12)
     assert failure["inputs"]["eps"] == [1.0]
+
+
+def _without_wall_time(report) -> dict:
+    obj = report.to_obj()
+    del obj["wall_time"]
+    return obj
+
+
+def test_theorem2_matches_the_trial_loop(model_pool):
+    """Reports equal the one-trial-at-a-time oracle on every pool model (bases
+    of one to four directions), with and without the tightness probes."""
+    assert {m.subalgebra_dim for m in model_pool} == {1, 2, 3, 4}
+    for model in model_pool:
+        for seed in (42, 20260825):
+            for probe in (False, True):
+                got = run_campaign_model(model, "theorem2", 20, seed, probe_tightness=probe)
+                want = theorem2_loop(model, 20, seed, probe)
+                assert _without_wall_time(got) == _without_wall_time(want), (model.name, seed)
+
+
+def test_theorem2_matches_the_trial_loop_past_the_box(model_pool, monkeypatch):
+    """With the threshold patched to +infinity and step sizes drawn up to 10,
+    trials on two or more directions fail, and the failure records (points and
+    step sizes) equal the oracle's."""
+    witness = mdl.model_chain_threshold_witness
+    monkeypatch.setattr(mdl, "model_chain_threshold_witness",
+                        lambda model, alphas: (float("inf"), witness(model, alphas)[1]))
+    monkeypatch.setattr(campaigns, "_EPS_CAP", 10.0)
+    failed = 0
+    for model in model_pool:
+        got = run_campaign_model(model, "theorem2", 20, 3)
+        assert _without_wall_time(got) == _without_wall_time(theorem2_loop(model, 20, 3, False))
+        failed += len(got.failures)
+    assert failed >= 100
+
+
+def test_theorem2_on_one_direction_draws_nothing(monkeypatch):
+    """With one basis row nothing is composed: no trial opens a stream or draws
+    a point, and every trial passes."""
+    def no_draws(*args):
+        raise AssertionError("a one-direction theorem2 trial drew")
+    monkeypatch.setattr(campaigns, "substream", no_draws)
+    monkeypatch.setattr(campaigns, "_random_point", no_draws)
+    model = mdl.WeightedModel(name="line", weights=[[0, 0], [1, 0], [0, 1], [1, 2]],
+                              subalgebra=[[1, 2]])
+    for probe in (False, True):
+        rep = run_campaign_model(model, "theorem2", trials=30, seed=5, probe_tightness=probe)
+        assert (rep.trials, rep.passes, rep.failures) == (30, 30, [])
 
 
 def test_theorem1_campaign_passes(square_model, segment_model):

@@ -273,6 +273,19 @@ def test_theorem2_without_uniform_box_exits_two(tmp_path, capsys):
     assert "uniform step-size box" in err
 
 
+def test_theorem2_on_overflowing_speeds_exits_two(tmp_path, capsys):
+    # one basis row whose speeds 3e308 and -3e308 overflow to infinities
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"name": "overflow", "num_coords": 3, "torus_dim": 2,
+                                "weights": [[1e308, 0], [-1e308, 0], [0, 1]],
+                                "subalgebra": [[3, 0]]}))
+    code, out, err = run_cli(capsys, "run", "--campaign", "theorem2",
+                             "--model", str(path), "--trials", "20")
+    assert_input_error(code, err)
+    assert "not finite" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("alpha", ["[[1,2],[0,1]]", "[[1,2]]", "diag:1,nan"],
                          ids=["non-symmetric", "non-square", "non-finite"])
 def test_delta_bad_matrix_exits_two(capsys, alpha):
