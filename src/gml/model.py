@@ -366,9 +366,11 @@ def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
 def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
     """Normalized linear flow exp(t*B)x, overflow-safe via max-level shift."""
     t = check_real(t, "flow time t")
-    b = model.levels(beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
+        b = model.levels(beta)
+        rows = flow_rows(b[None, :], t, model.require_point(x).coords)
     try:
-        return ProjPoint(flow_rows(b[None, :], t, model.require_point(x).coords)[0])
+        return ProjPoint(rows[0])
     except GmlInputError:  # only t * speeds that overflow leave no finite coordinate
         raise GmlInputError(f"flow time t = {t!r} times the speeds {b.tolist()} is not finite; "
                             "use a smaller |t| or beta") from None

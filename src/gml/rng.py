@@ -103,10 +103,15 @@ def open_uniform_array(rng: np.random.Generator, low: float, high: float, size: 
 
     A draw that lands on an end is dropped in order and exactly the missing
     count is drawn again, so the values and the generator's position after
-    them are those of ``size`` ``open_uniform`` calls.
+    them are those of ``size`` ``open_uniform`` calls.  A first block with
+    no such draw, nearly always, is the answer as drawn; on the 1 to 10
+    values callers draw, a float loop checks it faster than numpy calls.
     """
     _require_interior(low, high)
-    x = np.empty(0)
+    x = rng.uniform(low, high, size)
+    if all(low < v < high for v in x.tolist()):
+        return x
+    x = x[(low < x) & (x < high)]
     while x.size < size:
         draws = rng.uniform(low, high, size - x.size)
         x = np.concatenate([x, draws[(low < draws) & (draws < high)]])

@@ -30,6 +30,13 @@ _ANGLE_TOL = 1e-9
 HOLDS_TOL = 1e-8
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, bit for bit ``np.linalg.norm(x, "fro")`` (its own code
+    path, an overflowing dot warning as there) without its overhead."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _entry_scale(entries: np.ndarray) -> float:
     return float(np.abs(entries).max()) if entries.size else 0.0
 
@@ -86,14 +93,13 @@ def commutator_norm(a: SymMat, b: SymMat) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
     prod = a.entries @ b.entries
-    return float(np.linalg.norm(prod - prod.T, "fro"))
+    return _fro(prod - prod.T)
 
 
 def _pair_comm_tol(a: SymMat, b: SymMat, unit: float = 1.0) -> float:
     """The commutation rule: ``|[A,B]|_F`` may reach ``1e-10 * max(unit,
     |A|_F |B|_F)``."""
-    fro = np.linalg.norm(a.entries, "fro") * np.linalg.norm(b.entries, "fro")
-    return 1e-10 * max(unit, float(fro))
+    return 1e-10 * max(unit, _fro(a.entries) * _fro(b.entries))
 
 
 def _binary_exponent(entries: np.ndarray) -> int:
@@ -206,23 +212,29 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim))
 
 
-def _eig_clusters(eigvals: np.ndarray, tol: float) -> list[slice]:
-    """Slices of an ascending eigenvalue list, split at gaps larger than tol.
-    Gaps are compared halved, which is exact and cannot overflow."""
-    half = eigvals / 2
-    cuts = [0, *(np.flatnonzero(half[1:] - half[:-1] > tol / 2) + 1).tolist(), eigvals.size]
+def _eig_clusters(eigvals: np.ndarray) -> list[slice]:
+    """Slices of a nonempty ascending eigenvalue list, split at gaps larger
+    than ``1e-8 * max(1, max |eigenvalue|)``.  Gaps are compared halved,
+    which is exact and cannot overflow; a dozen values take float
+    arithmetic, with the bits of the array form, faster than numpy calls."""
+    w = eigvals.tolist()
+    half_tol = 1e-8 * max(1.0, -w[0], w[-1]) / 2
+    cuts = [0, *(i for i in range(1, len(w)) if w[i] / 2 - w[i - 1] / 2 > half_tol), len(w)]
     return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+
+
+def _hstack(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.hstack(parts)``; one part, a C-order product, is returned as is."""
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
 def _refine(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
     """Recursively split ``basis`` into joint eigenspaces of ``mats``."""
     if basis.shape[1] <= 1 or not mats:
         return basis
-    a = basis.T @ mats[0] @ basis
-    a = a / 2.0 + a.T / 2.0  # (a + a.T) / 2 without its overflow
-    w, v = np.linalg.eigh(a)
-    ctol = 1e-8 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    return np.hstack([_refine(mats[1:], basis @ v[:, s]) for s in _eig_clusters(w, ctol)])
+    half = (basis.T @ mats[0] @ basis) / 2.0
+    w, v = np.linalg.eigh(half + half.T)  # (a + a.T) / 2 without its overflow
+    return _hstack([_refine(mats[1:], basis @ v[:, s]) for s in _eig_clusters(w)])
 
 
 @lru_cache(maxsize=None)
@@ -246,27 +258,33 @@ def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
     not reconstructed within 1e-10 times its Frobenius norm (at least 1).
     """
     arrays = [m.entries for m in fam.members]  # commutation was checked on construction
-    n = fam.dim
     mix = sum(c * a for c, a in zip(_mix_coeffs(len(arrays)), arrays))
-    q = _refine([mix, *arrays], np.eye(n))
-    levels = np.vstack([np.diag(q.T @ a @ q) for a in arrays])
+    # The first level refines the identity: mix is bitwise symmetric, so
+    # half + half is the symmetrized eye.T @ mix @ eye bit for bit (a
+    # subnormal entry's rounding included), and eye @ v[:, s] is v[:, s].
+    half = mix / 2.0
+    w, v = np.linalg.eigh(half + half)
+    clusters = _eig_clusters(w)
+    q = v if len(clusters) == w.size else _hstack(
+        [v[:, s] if s.stop - s.start == 1 else _refine(arrays, np.ascontiguousarray(v[:, s]))
+         for s in clusters])
+    levels = np.vstack([(q.T @ a @ q).diagonal() for a in arrays])
     # descending lexicographic order on eigenvalue tuples (first member primary)
     order = np.lexsort(np.flipud(levels))[::-1]
     q = _canonical_sign_columns(q[:, order])
     levels = levels[:, order]
-    for k, a in enumerate(arrays):
-        diff = a - (q * levels[k]) @ q.T
-        with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
-            residual, size, e = float(np.linalg.norm(diff, "fro")), float(np.linalg.norm(a, "fro")), 0
-        if not (math.isfinite(residual) and math.isfinite(size)):
-            # a norm overflowed: compare both sides times 2^-e, which is exact
-            e = _binary_exponent(a)
-            residual = float(np.linalg.norm(np.ldexp(diff, -e), "fro"))
-            size = float(np.linalg.norm(np.ldexp(a, -e), "fro"))
-        bound = 1e-10 * max(math.ldexp(1.0, -e), size)
-        if not residual <= bound:  # NaN fails too
-            raise ConvergenceFailure(f"member {k} not reconstructed: residual {residual:.3e} "
-                                     f"> tol {bound:.3e}" + (f" (both times 2^{-e})" if e else ""))
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+        for k, a in enumerate(arrays):
+            diff = a - (q * levels[k]) @ q.T
+            residual, size, e = _fro(diff), _fro(a), 0
+            if not (math.isfinite(residual) and math.isfinite(size)):
+                # a norm overflowed: compare both sides times 2^-e, which is exact
+                e = _binary_exponent(a)
+                residual, size = _fro(np.ldexp(diff, -e)), _fro(np.ldexp(a, -e))
+            bound = 1e-10 * max(math.ldexp(1.0, -e), size)
+            if not residual <= bound:  # NaN fails too
+                raise ConvergenceFailure(f"member {k} not reconstructed: residual {residual:.3e} "
+                                         f"> tol {bound:.3e}" + (f" (both times 2^{-e})" if e else ""))
     return JointSpectrum(basis=q, levels=levels)
 
 
@@ -278,6 +296,8 @@ def kernel(a: SymMat) -> Subspace:
 
 def _eigenspace(v: np.ndarray, mask: np.ndarray) -> Subspace:
     """The span of the eigenvector columns ``v[:, mask]``, sign-canonical."""
+    if not mask.any():
+        return Subspace.empty(v.shape[0])
     return Subspace(v.shape[0], _canonical_sign_columns(v[:, mask]))
 
 
@@ -286,6 +306,8 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     the span of the left singular vectors whose cosine is >= 1 - _ANGLE_TOL."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}")
+    if not (u.dim and v.dim):  # no principal angle at all
+        return Subspace.empty(u.ambient_dim)
     w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
     count = int(np.count_nonzero(s >= 1.0 - _ANGLE_TOL))
     if count == 0:
@@ -411,7 +433,10 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray
     # threshold step size), so its own entry scale is useless as a zero
     # threshold; floor it by the scale of the inputs instead.
     scale_a, scale_b = _entry_scale(alpha), _entry_scale(beta)
-    zero_tol = 1e-12 * np.concatenate([[scale_a, scale_b], np.maximum(scale_a, eps * scale_b)])
+    zero_tol = np.empty(eps.size + 2)
+    zero_tol[:2] = scale_a, scale_b
+    np.maximum(scale_a, eps * scale_b, out=zero_tol[2:])
+    zero_tol *= 1e-12
     w, v = np.linalg.eigh(np.concatenate([alpha[None], beta[None], shifted]))
     mask = np.abs(w) <= zero_tol[:, None]  # (m + 2, n): the kernel columns of each row
     k_int = subspace_intersection(_eigenspace(v[0], mask[0]), _eigenspace(v[1], mask[1]))
@@ -420,8 +445,10 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray
     dist = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2) - k_int.projector())).max(axis=1)
     # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
     cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int.basis, compute_uv=False)
-    overlap = np.count_nonzero(cosines >= 1.0 - _ANGLE_TOL, axis=1)
-    dims = np.column_stack([mask.sum(axis=1), np.full(eps.shape, k_int.dim), overlap])
+    dims = np.empty((eps.size, 3), dtype=int)
+    mask.sum(axis=1, out=dims[:, 0])
+    dims[:, 1] = k_int.dim
+    (cosines >= 1.0 - _ANGLE_TOL).sum(axis=1, out=dims[:, 2])
     return dist <= HOLDS_TOL, dims, dist
 
 

@@ -13,7 +13,12 @@ are the exceptions: they keep the package's kernels and pin only the
 sampling.  ``orbit_hull_loop`` makes one generator call per sample of
 ``orbit_hull_check``, on a hull built afresh; ``theorem2_loop`` runs every
 theorem2 trial on its own stream, one step size per generator call, a
-one-direction basis included.
+one-direction basis included.  ``joint_diagonalize_loop`` and
+``family_kernel_rows_loop`` also keep the package's helpers and pin only
+the order of the calls: one recursive call and one ``basis @ v[:, s]``
+per cluster from ``np.eye(n)``; thresholds and ``dims`` assembled by
+concatenation, and an empty kernel built and met like any other, so that
+tests can compare bytes.
 ``ScriptedNormals`` stands in for a generator, so that the samplers meet
 chosen draws, null ones among them.
 """
@@ -27,6 +32,7 @@ from scipy.spatial import ConvexHull
 
 from gml import campaigns
 from gml import model as mdl
+from gml import spectral
 from gml.errors import GmlInputError, HorizonExceeded, StepTooLarge
 from gml.hull import HULL_TOL, Polytope
 from gml.model import _unit_rows, flow_rows, gradient_rows, limit_support
@@ -124,6 +130,76 @@ def kernel_equality_loop(alpha, beta, eps_values, tol: float = 1e-8, kernel_tol=
         dims.append((k.shape[1], k_int.shape[1], _zero_angle_count(k, k_int)))
         dists.append(dist)
     return holds, dims, dists
+
+
+def _eig_clusters_loop(eigvals, tol):
+    """Slices of an ascending eigenvalue list, split at gaps larger than tol."""
+    half = eigvals / 2
+    cuts = [0, *(np.flatnonzero(half[1:] - half[:-1] > tol / 2) + 1).tolist(), eigvals.size]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+
+
+def _refine_loop(mats, basis):
+    """Recursively split ``basis`` into joint eigenspaces of ``mats``."""
+    if basis.shape[1] <= 1 or not mats:
+        return basis
+    a = basis.T @ mats[0] @ basis
+    a = a / 2.0 + a.T / 2.0  # (a + a.T) / 2 without its overflow
+    w, v = np.linalg.eigh(a)
+    ctol = 1e-8 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
+    return np.hstack([_refine_loop(mats[1:], basis @ v[:, s])
+                      for s in _eig_clusters_loop(w, ctol)])
+
+
+def joint_diagonalize_loop(fam):
+    """The basis and levels of ``spectral.joint_diagonalize`` (without its
+    certificate) from one recursive call per cluster: the first level
+    refines ``np.eye(n)``, and every cluster forms its own ``basis @ v[:, s]``."""
+    arrays = [m.entries for m in fam.members]
+    mix = sum(c * a for c, a in zip(spectral._mix_coeffs(len(arrays)), arrays))
+    q = _refine_loop([mix, *arrays], np.eye(fam.dim))
+    levels = np.vstack([np.diag(q.T @ a @ q) for a in arrays])
+    order = np.lexsort(np.flipud(levels))[::-1]
+    return spectral._canonical_sign_columns(q[:, order]), levels[:, order]
+
+
+def _subspace_intersection_loop(u, v):
+    """``spectral.subspace_intersection`` with an SVD also when a side is empty."""
+    w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
+    count = int(np.count_nonzero(s >= 1.0 - spectral._ANGLE_TOL))
+    if count == 0:
+        return spectral.Subspace.empty(u.ambient_dim)
+    q, _ = np.linalg.qr(u.basis @ w[:, :count])
+    return spectral.Subspace(u.ambient_dim, spectral._canonical_sign_columns(q))
+
+
+def _eigenspace_loop(v, mask):
+    """``spectral._eigenspace`` with the sign rule applied also to no column."""
+    return spectral.Subspace(v.shape[0], spectral._canonical_sign_columns(v[:, mask]))
+
+
+def family_kernel_rows_loop(fam, eps):
+    """``spectral.family_kernel_rows`` with its zero thresholds and ``dims``
+    assembled by ``concatenate``, ``column_stack`` and ``full``, and an empty
+    kernel built and met like any other (sign rule, SVD)."""
+    alpha, beta = (m.entries for m in fam.members)
+    with np.errstate(over="ignore"):
+        shifted = alpha + eps[:, None, None] * beta
+    if not np.isfinite(shifted).all():
+        raise GmlInputError("matrix entries must be finite")
+    scale_a, scale_b = spectral._entry_scale(alpha), spectral._entry_scale(beta)
+    zero_tol = 1e-12 * np.concatenate([[scale_a, scale_b], np.maximum(scale_a, eps * scale_b)])
+    w, v = np.linalg.eigh(np.concatenate([alpha[None], beta[None], shifted]))
+    mask = np.abs(w) <= zero_tol[:, None]
+    k_int = _subspace_intersection_loop(_eigenspace_loop(v[0], mask[0]),
+                                        _eigenspace_loop(v[1], mask[1]))
+    mask, v = mask[2:], v[2:]
+    vk = v * mask[:, None, :]
+    dist = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2) - k_int.projector())).max(axis=1)
+    cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int.basis, compute_uv=False)
+    overlap = np.count_nonzero(cosines >= 1.0 - spectral._ANGLE_TOL, axis=1)
+    dims = np.column_stack([mask.sum(axis=1), np.full(eps.shape, k_int.dim), overlap])
+    return dist <= spectral.HOLDS_TOL, dims, dist
 
 
 def chain_grid_kernel_equality(mats, eps_grid, tol: float = 1e-9):

@@ -183,6 +183,16 @@ def test_flow_survives_overflow_range(square_model):
     assert y.same_as(P(0, 1, 0, 1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_with_overflowing_speeds_raises_without_a_numpy_warning():
+    # <(2, 2, 2), (1, 1, 1e308)> overflows: the error names the speeds, and
+    # no overflow or invalid-value warning comes first
+    model = WeightedModel(name="cube-corner", weights=[[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2],
+                                                       [2, 2, 2]], subalgebra=np.eye(3))
+    with pytest.raises(GmlInputError, match=r"speeds \[0.0, 2.0, 2.0, inf, inf\] is not finite"):
+        flow(model, [1, 1, 1e308], 1.0, P(1, 1, 1, 1, 1))
+
+
 def test_flow_group_law(model_pool):
     for model in model_pool[:12]:
         rng = substream(303, model.num_coords * 7 + model.torus_dim)

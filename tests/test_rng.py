@@ -67,6 +67,34 @@ def test_open_uniform_array_replays_the_scalar_loop(low, high):
     assert (redrawn > 50) == (high - low < 1e-12)
 
 
+class _ScriptedUniforms:
+    """A generator that hands out a fixed list of uniform draws in order,
+    whatever the interval; its state is the read position."""
+
+    def __init__(self, values):
+        self.values, self.state = list(values), 0
+
+    def uniform(self, low, high, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.state:self.state + n]
+        self.state += n
+        return out[0] if size is None else np.array(out)
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.25, 0.5, 0.75], [1.0, 0.25, 0.5, 0.75],
+                                    [0.0, 0.25, 0.5, 1.0, 0.75]],
+                         ids=["first-on-low", "first-on-high", "low-then-high"])
+def test_open_uniform_array_redraws_a_first_block_draw_on_an_end(values):
+    """A first block with a draw on an end is not returned: that draw is
+    dropped and redrawn, to the values and position of three open_uniform
+    calls."""
+    block, loop = _ScriptedUniforms(values), _ScriptedUniforms(values)
+    got = open_uniform_array(block, 0.0, 1.0, 3)
+    want = [open_uniform(loop, 0.0, 1.0) for _ in range(3)]
+    assert got.tolist() == want == [0.25, 0.5, 0.75]
+    assert block.state == loop.state == len(values)
+
+
 class _BoundedDraws:
     """A generator that fails the test after 100 draws instead of drawing forever."""
 

@@ -26,7 +26,7 @@ from gml.errors import (
     GmlInputError,
     NonPositiveEpsilon,
 )
-from gml.rng import substream
+from gml.rng import open_uniform_array, substream
 from gml.spectral import (
     Subspace,
     _canonical_sign_columns,
@@ -41,6 +41,8 @@ from _oracles import (
     box_radius_exact,
     chain_grid_kernel_equality,
     eps_grid_kernel_equality,
+    family_kernel_rows_loop,
+    joint_diagonalize_loop,
     joint_kernel_dim,
     kernel_dim,
     kernel_equality_loop,
@@ -205,6 +207,37 @@ def test_joint_diagonalize_recovers_constructed_levels():
         got = sorted(map(tuple, np.round(spectrum.levels.T, 8)))
         want = sorted(map(tuple, levels.T))
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_joint_diagonalize_matches_the_per_cluster_recursion():
+    """The first level straight from the mix's eigh, against one recursive
+    call per cluster from np.eye(n): equal basis and level bytes on 2,000
+    families of dimension 1-12 with 1-3 members and integer levels in
+    [-2, 2], so that joint levels repeat.  Every other family shifts some
+    columns along a direction the mixing combination cannot see, so that
+    distinct joint levels share one mix eigenvalue and split at a deeper
+    level, single columns among them; a third are scaled by a random real."""
+    rng = substream(131, 0)
+    n = 2000
+    dims, counts = rng.integers(1, 13, size=n), rng.integers(1, 4, size=n)
+    drawn = rng.integers(-2, 3, size=(n, 3, 12)).astype(float)
+    shifted = rng.random((n, 12)) < 0.5
+    scales = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    # one stacked QR per dimension: random orthogonal bases, consumed in order
+    bases = {d: iter(np.linalg.qr(rng.standard_normal((np.count_nonzero(dims == d), d, d)))[0])
+             for d in range(1, 13)}
+    for trial, (dim, count) in enumerate(zip(dims.tolist(), counts.tolist())):
+        levels = drawn[trial, :count, :dim]
+        if count > 1 and trial % 2:
+            c = spectral._mix_coeffs(count)
+            levels[:2, shifted[trial, :dim]] += [[c[1]], [-c[0]]]
+        if trial % 3 == 0:
+            levels *= scales[trial]
+        q = next(bases[dim])
+        fam = CommutingFamily(tuple(SymMat((q * lv) @ q.T) for lv in levels))
+        got, (want_basis, want_levels) = joint_diagonalize(fam), joint_diagonalize_loop(fam)
+        assert got.basis.tobytes() == want_basis.tobytes(), trial
+        assert got.levels.tobytes() == want_levels.tobytes(), trial
 
 
 # -------------------------------------------------------------------- kernel
@@ -451,6 +484,27 @@ def test_kernel_equality_rows_match_the_per_row_loop():
         assert np.all(np.abs(dist - want_dist) <= 1e-14), trial
         public = kernel_equality_rows(alpha, beta, eps)
         assert all(np.array_equal(x, y) for x, y in zip(public, (holds, dims, dist)))
+
+
+def test_family_kernel_rows_match_the_assembled_body():
+    """Preallocated zero thresholds and dims, and no SVD beside an empty
+    kernel, against the body that assembled them with concatenate,
+    column_stack and full: equal holds, dims and distance bytes on 1,000
+    pairs drawn as the lemma campaign draws them, with 10 step sizes below
+    delta and the eps = delta row; over 100 pairs have an empty Ker alpha
+    or Ker beta."""
+    empty = 0
+    for trial in range(1000):
+        rng = substream(137, trial)
+        fam = random_commuting_family(rng, int(rng.integers(2, 13)))
+        delta = chain_threshold_witness(fam)[0]
+        eps = open_uniform_array(rng, 0.0, delta * (1.0 - 1e-9) if math.isfinite(delta) else 10.0, 10)
+        rows = np.append(eps, delta) if math.isfinite(delta) else eps
+        for got, want in zip(family_kernel_rows(fam, rows), family_kernel_rows_loop(fam, rows)):
+            assert got.dtype == want.dtype and got.shape == want.shape, trial
+            assert got.tobytes() == want.tobytes(), trial
+        empty += min(kernel(m).dim for m in fam.members) == 0
+    assert empty > 100
 
 
 # ------------------------------------------------------------ chain threshold
