@@ -53,6 +53,12 @@ class ProjPoint:
     Coordinates at most ``SUPP_TOL`` are zeroed on ingest, so ``support``
     is exactly the set of nonzero coordinates, and the first supported
     coordinate is made positive to pick one representative of {x, -x}.
+
+    The vector is normalized, zeroed and normalized again.  The norms are
+    numpy sums; the tests of single entries run on Python floats, which
+    compare as float64 does.  Zeroing runs only when it changes a bit (an
+    entry at most ``SUPP_TOL`` that is nonzero or -0.0), and the second
+    division only when the norm is not exactly 1.0.
     """
 
     __slots__ = ("coords", "support")
@@ -64,18 +70,26 @@ class ProjPoint:
         nrm = math.sqrt(x.dot(x))  # bit for bit np.linalg.norm(x), without its overhead
         if not math.isfinite(nrm) or nrm == 0.0:
             raise GmlInputError("cannot normalize a zero or non-finite vector")
-        x = x / nrm
-        x[np.abs(x) <= SUPP_TOL] = 0.0
+        x /= nrm
+        vals = x.tolist()
+        supp, zeroing = [], False
+        for i, v in enumerate(vals):
+            if abs(v) > SUPP_TOL:
+                supp.append(i)
+            elif v or math.copysign(1.0, v) < 0.0:  # zeroing also makes -0.0 into 0.0
+                zeroing = True
+        if zeroing:
+            x[np.abs(x) <= SUPP_TOL] = 0.0
         nrm = math.sqrt(x.dot(x))
         if nrm == 0.0:
             raise GmlInputError("vector has no support above SUPP_TOL")
-        x = x / nrm
-        supp = x.nonzero()[0]
-        if x[supp[0]] < 0:
-            x = -x
+        if nrm != 1.0:
+            x /= nrm
+        if vals[supp[0]] < 0:  # dividing by a norm keeps the sign
+            np.negative(x, out=x)
         x.flags.writeable = False
         object.__setattr__(self, "coords", x)
-        object.__setattr__(self, "support", tuple(supp.tolist()))
+        object.__setattr__(self, "support", tuple(supp))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -91,7 +105,7 @@ class ProjPoint:
     def same_as(self, other: "ProjPoint", tol: float = 1e-12) -> bool:
         """Equality as projective points: identical support, coords within tol."""
         return (self.support == other.support
-                and float(np.abs(self.coords - other.coords).max()) <= tol)
+                and max(map(abs, (self.coords - other.coords).tolist())) <= tol)
 
     def __repr__(self) -> str:
         return f"ProjPoint({np.array2string(self.coords, precision=6)}, support={self.support})"
@@ -201,14 +215,16 @@ class WeightedModel:
     def validate_direction(self, beta) -> np.ndarray:
         """Return beta as an array after checking it lies in the subalgebra."""
         b = np.asarray(beta, dtype=float).ravel()
-        if b.size != self.torus_dim:
-            raise BetaOutsideSubalgebra(f"direction has length {b.size}, expected {self.torus_dim}")
-        if self.subalgebra_dim == self.torus_dim:
+        d, m = self.subalgebra.shape
+        if b.size != m:
+            raise BetaOutsideSubalgebra(f"direction has length {b.size}, expected {m}")
+        if d == m:
             return b  # the subalgebra is the whole torus algebra
         bb = b.dot(b)
         if not math.isfinite(bb) and not np.isfinite(b).all():  # before inf * 0 warns
             raise BetaOutsideSubalgebra("direction entries must be finite")
-        r = b - self.ortho_basis.T @ (self.ortho_basis @ b)
+        q = self.ortho_basis
+        r = b - q.T @ (q @ b)
         residual = math.sqrt(r.dot(r))  # np.linalg.norm, without its overhead
         if not residual <= 1e-9 * max(1.0, math.sqrt(bb)):
             raise BetaOutsideSubalgebra(
@@ -228,12 +244,14 @@ class WeightedModel:
 
     def require_basis(self, alphas=None) -> np.ndarray:
         """Validate an ordered basis of the subalgebra (default: stored rows)."""
+        a = self.subalgebra
         if alphas is None:
-            return self.subalgebra
-        a = np.atleast_2d(np.asarray(alphas, dtype=float))
-        given = a is not self.subalgebra  # the stored rows were checked
-        if given and not np.isfinite(a).all():
-            raise GmlInputError("basis entries must be finite")
+            return a
+        given = alphas is not a  # the stored rows were checked
+        if given:
+            a = np.atleast_2d(np.asarray(alphas, dtype=float))
+            if not np.isfinite(a).all():
+                raise GmlInputError("basis entries must be finite")
         for row in a:
             self.validate_direction(row)
         if a.shape[0] != self.subalgebra_dim:
@@ -378,14 +396,27 @@ def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
 
 def flow_limit(model: WeightedModel, beta, x: ProjPoint) -> ProjPoint:
     """Limit of the flow: restriction of x to the argmax-level part of
-    its support (ties keep the whole argmax class)."""
-    b = model.levels(beta)
-    keep = limit_support(b[None, :], model.require_point(x).support_mask[None, :])[0]
-    try:
-        return ProjPoint(np.where(keep, x.coords, 0.0))
-    except GmlInputError:  # only non-finite speeds keep no coordinate
-        raise GmlInputError(f"the speeds {b.tolist()} of beta are not finite; "
-                            "use a smaller beta") from None
+    its support (ties keep the whole argmax class); GmlInputError, naming
+    the speeds, when a speed is not finite.
+
+    This is ``limit_support``'s rule for one row on Python floats: the top
+    speed over the support, the cut ``top - 1e-12 * max(1, max |speed|)``
+    and the comparisons with it are exact float64 operations, so the same
+    coordinates are kept, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
+        b = model.levels(beta)
+    model.require_point(x)
+    speeds = b.tolist()
+    if not all(map(math.isfinite, speeds)):
+        raise GmlInputError(f"the speeds {speeds} of beta are not finite; use a smaller beta")
+    support = x.support
+    cut = max([speeds[i] for i in support]) - 1e-12 * max(1.0, max(speeds), -min(speeds))
+    vals = x.coords.tolist()
+    kept = [0.0] * len(vals)
+    for i in support:
+        if speeds[i] >= cut:
+            kept[i] = vals[i]
+    return ProjPoint(kept)
 
 
 def composed_limit(model: WeightedModel, alphas, x: ProjPoint) -> ProjPoint:
@@ -405,7 +436,8 @@ def perturbed_limit(model: WeightedModel, alphas, eps, x: ProjPoint) -> ProjPoin
     """Flow limit along alphas[0] + sum_k eps[k-1] * alphas[k]."""
     a = model.require_basis(alphas)
     e = check_step_sizes(eps, a.shape[0] - 1)
-    beta = a[0] + (e @ a[1:] if e.size else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite direction raises below
+        beta = a[0] + (e @ a[1:] if e.size else 0.0)
     return flow_limit(model, beta, x)
 
 

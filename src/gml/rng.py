@@ -8,6 +8,7 @@ failed trial needs only its ``(seed, trial_index)`` pair.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,10 +21,41 @@ def _key(seed: int, trial_index: int) -> np.ndarray:
     return np.array([seed, trial_index], dtype=np.uint64)
 
 
+class _KeySeed:
+    """Seed sequence whose state is a given Philox key.
+
+    ``Philox(key=k)`` first builds a default ``SeedSequence`` from OS
+    entropy and then discards it, about half of a ``substream`` call.
+    ``Philox(_KeySeed(k))`` takes its key from ``generate_state(2,
+    np.uint64)`` instead: the same state and draws, without the entropy.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key  # Philox asks for its key: 2 words of uint64
+
+
+@functools.cache
+def _register_key_seed() -> None:
+    """Make ``_KeySeed`` a numpy ``ISeedSequence``, at the first stream: the
+    base class's module loads ``numpy.random``, which ``import gml`` leaves
+    for later (about 15 ms of a CLI command that draws nothing)."""
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_KeySeed)
+
+
+def _philox(seed: int, trial_index: int) -> np.random.Philox:
+    """Philox bit generator of one trial's stream, from checked keys."""
+    _register_key_seed()
+    return np.random.Philox(_KeySeed(_key(seed, trial_index)))
+
+
 def substream(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent generator for one trial, keyed by (seed, trial_index)."""
-    key = _key(check_integer(seed, "seed"), check_integer(trial_index, "trial index"))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(
+        _philox(check_integer(seed, "seed"), check_integer(trial_index, "trial index")))
 
 
 def trial_streams(seed: int, n: int):
@@ -37,7 +69,7 @@ def trial_streams(seed: int, n: int):
     draws, never the generator.
     """
     seed = check_integer(seed, "seed")
-    bitgen = np.random.Philox(key=_key(seed, 0))
+    bitgen = _philox(seed, 0)
     gen = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
     inner = {"counter": zeros}

@@ -18,7 +18,9 @@ one-direction basis included.  ``joint_diagonalize_loop`` and
 the order of the calls: one recursive call and one ``basis @ v[:, s]``
 per cluster from ``np.eye(n)``; thresholds and ``dims`` assembled by
 concatenation, and an empty kernel built and met like any other, so that
-tests can compare bytes.
+tests can compare bytes.  ``ProjPointArray`` and the ``*_limit_array``
+functions are the scalar limit path on numpy arrays, as it was before its
+one-row steps moved to Python floats, for the same byte comparison.
 ``ScriptedNormals`` stands in for a generator, so that the samplers meet
 chosen draws, null ones among them.
 """
@@ -33,9 +35,9 @@ from scipy.spatial import ConvexHull
 from gml import campaigns
 from gml import model as mdl
 from gml import spectral
-from gml.errors import GmlInputError, HorizonExceeded, StepTooLarge
+from gml.errors import GmlInputError, HorizonExceeded, StepTooLarge, check_step_sizes
 from gml.hull import HULL_TOL, Polytope
-from gml.model import _unit_rows, flow_rows, gradient_rows, limit_support
+from gml.model import SUPP_TOL, _unit_rows, flow_rows, gradient_rows, limit_support
 from gml.rng import open_uniform, substream, unit_vector
 
 
@@ -604,3 +606,71 @@ def theorem2_loop(model, trials: int, seed: int, probe_tightness: bool):
         campaign="theorem2", model_name=model.name, trials=total,
         passes=total - len(failures), failures=failures,
         thresholds_used={"chain_threshold": delta, "eps_cap": cap, "eq_tol": campaigns._EQ_TOL})
+
+
+class ProjPointArray:
+    """``model.ProjPoint`` as it was before its entry tests moved to Python
+    floats: the masked zeroing and the second division always run.  Kept
+    verbatim as the bit-for-bit reference of the scalar limit path."""
+
+    __slots__ = ("coords", "support")
+
+    def __init__(self, vec):
+        x = np.array(vec, dtype=float).ravel()
+        if x.size < 2:
+            raise GmlInputError("a projective point needs at least two homogeneous coordinates")
+        nrm = math.sqrt(x.dot(x))  # bit for bit np.linalg.norm(x), without its overhead
+        if not math.isfinite(nrm) or nrm == 0.0:
+            raise GmlInputError("cannot normalize a zero or non-finite vector")
+        x = x / nrm
+        x[np.abs(x) <= SUPP_TOL] = 0.0
+        nrm = math.sqrt(x.dot(x))
+        if nrm == 0.0:
+            raise GmlInputError("vector has no support above SUPP_TOL")
+        x = x / nrm
+        supp = x.nonzero()[0]
+        if x[supp[0]] < 0:
+            x = -x
+        x.flags.writeable = False
+        object.__setattr__(self, "coords", x)
+        object.__setattr__(self, "support", tuple(supp.tolist()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjPoint is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self.coords.size
+
+    @property
+    def support_mask(self) -> np.ndarray:
+        return self.coords != 0.0
+
+
+def flow_limit_array(model, beta, x):
+    """``model.flow_limit`` through the ``limit_support`` kernel on arrays, as
+    it was before the one-row rule moved to Python floats (verbatim)."""
+    b = model.levels(beta)
+    keep = limit_support(b[None, :], model.require_point(x).support_mask[None, :])[0]
+    try:
+        return ProjPointArray(np.where(keep, x.coords, 0.0))
+    except GmlInputError:  # only non-finite speeds keep no coordinate
+        raise GmlInputError(f"the speeds {b.tolist()} of beta are not finite; "
+                            "use a smaller beta") from None
+
+
+def composed_limit_array(model, alphas, x):
+    """``model.composed_limit`` over ``flow_limit_array`` (verbatim)."""
+    a = model.require_basis(alphas)
+    out = x
+    for row in a:
+        out = flow_limit_array(model, row, out)
+    return out
+
+
+def perturbed_limit_array(model, alphas, eps, x):
+    """``model.perturbed_limit`` over ``flow_limit_array`` (verbatim)."""
+    a = model.require_basis(alphas)
+    e = check_step_sizes(eps, a.shape[0] - 1)
+    beta = a[0] + (e @ a[1:] if e.size else 0.0)
+    return flow_limit_array(model, beta, x)

@@ -1,6 +1,8 @@
 """Weighted torus actions on real projective space: maps, flows, limits."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -37,12 +39,18 @@ from gml.errors import (
     GmlInputError,
     NonPositiveEpsilon,
 )
-from gml.model import _vector_labels, certify_levels, model_chain_threshold_witness
+from gml.model import SUPP_TOL, _vector_labels, certify_levels, model_chain_threshold_witness
 from gml.rng import substream
 
 from _oracles import ScriptedNormals, first_accepted_loop, orbit_hull_loop, speeds_separated
 
-from _oracles import lex_argmax_support
+from _oracles import (
+    ProjPointArray,
+    composed_limit_array,
+    flow_limit_array,
+    lex_argmax_support,
+    perturbed_limit_array,
+)
 
 
 S2 = 1 / math.sqrt(2)
@@ -387,6 +395,147 @@ def test_composition_identity_on_random_models(model_pool):
             b = composed_limit(model, None, x)
             assert a.support == b.support
             assert a.same_as(b, tol=1e-12)
+
+
+# ------------------------------------------- scalar limit path, bit for bit
+
+
+def _outcome(call, warn: str):
+    """The coords bytes and support of the point ``call`` returns, or the type
+    and message of what it raises, with RuntimeWarnings set to ``warn``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        try:
+            p = call()
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            return type(exc), str(exc)
+    return p.coords.tobytes(), p.support
+
+
+def _landing_on(value: float, nrm: float):
+    """An entry e with e / nrm == value exactly, or None if the floats next to
+    value * nrm skip it."""
+    e = value * nrm
+    for _ in range(4):
+        if e / nrm == value:
+            return e
+        e = math.nextafter(e, math.inf if e / nrm < value else -math.inf)
+    return None
+
+
+_TOL_EDGES = (SUPP_TOL, math.nextafter(SUPP_TOL, 0.0), math.nextafter(SUPP_TOL, 1.0))
+
+
+def _point_vectors(rng, n: int) -> list:
+    """Random vectors: full support, exact zeros, -0.0 entries (the first
+    supported entry of either sign), and entries that the first
+    normalization puts at SUPP_TOL or one ulp either side of it."""
+    out = [rng.standard_normal(n) for _ in range(2)]
+    for _ in range(2):
+        z = rng.standard_normal(n)
+        z[rng.random(n) < 0.5] = 0.0
+        out.append(z if z.any() else np.eye(n)[0])
+    for first in (1.0, -1.0):
+        z = rng.standard_normal(n)
+        z[0], z[1:][rng.random(n - 1) < 0.4] = -0.0, -0.0
+        z[1] = first * (abs(z[1]) + 0.1)
+        out.append(z)
+    for edge in _TOL_EDGES:
+        for sign in (1.0, -1.0):
+            e = None
+            while e is None:
+                z = rng.standard_normal(n)
+                j = int(rng.integers(n))
+                z[j] = 0.0
+                e = _landing_on(sign * edge, math.sqrt(z.dot(z)))
+            z[j] = e
+            out.append(z)
+    return out
+
+
+def _directions(model, rng, vectors) -> list:
+    """Subalgebra directions: random ones, ones on which two coordinates of
+    distinct projected weight tie within the level tolerance or just miss
+    it, and a NaN and an overflowing one."""
+    q, pw = model.ortho_basis, model.projected_weights
+    dirs = [rng.standard_normal(model.subalgebra_dim) @ q for _ in range(2)]
+    pairs = [(i, j) for i in range(model.num_coords) for j in range(i)
+             if np.abs(pw[i] - pw[j]).max() > 1e-9]
+    for i, j in pairs[:2]:
+        g = pw[i] - pw[j]
+        c = rng.standard_normal(model.subalgebra_dim)
+        c -= (c @ g) / (g @ g) * g
+        dirs += [(c + s * g / (g @ g)) @ q for s in (0.0, 4e-13, -4e-13, 3e-12)]
+        z = rng.standard_normal(model.num_coords)
+        z[i], z[j] = 2.0, -1.5
+        vectors.append(z)
+    return dirs + [np.full(model.torus_dim, math.nan), dirs[0] / np.abs(dirs[0]).max() * 1e308]
+
+
+def test_scalar_limit_path_matches_its_array_form_bit_for_bit(model_pool):
+    """ProjPoint, flow_limit, composed_limit and perturbed_limit give the coords
+    bytes, support, or exception type and message of their array forms, with
+    no RuntimeWarning.  The one exception: where non-finite speeds leave some
+    coordinate above the array rule's cut, the array form returns a point and
+    the one-row form raises the speeds error."""
+    extra = [WeightedModel("proper-3", [[0, 0, 0, 0], [1, 0, 2, 0], [0, 1, 0, 1], [2, 1, 1, 3],
+                                        [1, 1, 0, 2], [3, 0, 1, 1]],
+                           [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 2]]),
+             WeightedModel("cube-corner", [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [2, 2, 2]],
+                           np.eye(3))]
+    models = model_pool + extra
+    kinds = {(m.subalgebra_dim, m.subalgebra_dim == m.torus_dim) for m in models}
+    assert {k for k, _ in kinds} == {1, 2, 3, 4} and {w for _, w in kinds} == {False, True}
+    speeds_error = r"the speeds \[.*\b(inf|nan)\b.*\] of beta are not finite; use a smaller beta"
+    compared = 0
+    edge_hits = set()
+
+    def check(new, old):
+        nonlocal compared
+        got, want = _outcome(new, "error"), _outcome(old, "ignore")
+        compared += 1
+        if got != want:
+            assert got[0] is GmlInputError and isinstance(want[0], bytes), (got, want)
+            assert re.fullmatch(speeds_error, got[1]), got
+
+    for m, model in enumerate(models):
+        rng = substream(307, m)
+        n, k = model.num_coords, model.subalgebra_dim
+        vectors = _point_vectors(rng, n)
+        dirs = _directions(model, rng, vectors)
+        for v in vectors:
+            first = v / math.sqrt(v.dot(v))
+            edge_hits.update(abs(e) for e in first.tolist() if abs(e) in _TOL_EDGES)
+            check(lambda: ProjPoint(v), lambda: ProjPointArray(v))
+        points = [ProjPoint(v) for v in vectors]
+        for beta in dirs:
+            for x in points:
+                check(lambda: flow_limit(model, beta, x), lambda: flow_limit_array(model, beta, x))
+        delta = model_chain_threshold(model)
+        steps = [rng.uniform(0.0, min(delta, 1.0), k - 1), np.full(k - 1, 1e-14),
+                 np.full(k - 1, 1e308)] + ([np.full(k - 1, delta)] if math.isfinite(delta) else [])
+        for x in points:
+            for alphas in (None, model.subalgebra[::-1]):
+                check(lambda: composed_limit(model, alphas, x),
+                      lambda: composed_limit_array(model, alphas, x))
+            for eps in steps:
+                check(lambda: perturbed_limit(model, None, eps, x),
+                      lambda: perturbed_limit_array(model, None, eps, x))
+    assert compared >= 2000
+    assert edge_hits == set(_TOL_EDGES)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda m, x: perturbed_limit(m, None, [0.5, 1e308], x),
+    lambda m, x: flow_limit(m, [1, 1, 1e308], x),
+    lambda m, x: flow_limit(m, [1e308, 1e308, 0], x),
+], ids=["perturbed", "flow-limit-one-speed", "flow-limit-two-speeds"])
+def test_limits_with_overflowing_speeds_raise_without_a_numpy_warning(call):
+    model = WeightedModel(name="cube-corner", weights=[[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2],
+                                                       [2, 2, 2]], subalgebra=np.eye(3))
+    with pytest.raises(GmlInputError, match=r"the speeds \[.*inf.*\] of beta are not finite"):
+        call(model, P(1, 1, 1, 1, 1))
 
 
 # -------------------------------------------------------- model-level threshold

@@ -150,6 +150,25 @@ def test_unit_vector_array_redraws_null_rows_like_unit_vector():
     assert block.state == loop.state == 12
 
 
+def _plain(state: dict) -> dict:
+    """A bit generator state with its arrays as (dtype, values) pairs."""
+    return {k: _plain(v) if isinstance(v, dict) else
+            (v.dtype.str, v.tolist()) if isinstance(v, np.ndarray) else v
+            for k, v in state.items()}
+
+
+@pytest.mark.parametrize("seed, trial_index", [(0, 0), (2**63, 1), (2**64 - 1, 2**64 - 1)])
+def test_substream_is_the_philox_stream_of_its_key(seed, trial_index):
+    """substream skips Philox's default seed sequence: the state and draws
+    are those of Philox(key=[seed, trial_index])."""
+    got = substream(seed, trial_index)
+    want = np.random.Generator(np.random.Philox(key=[seed, trial_index]))
+    assert _plain(got.bit_generator.state) == _plain(want.bit_generator.state)
+    assert got.standard_normal(7).tolist() == want.standard_normal(7).tolist()
+    assert got.integers(0, 2**62, 5).tolist() == want.integers(0, 2**62, 5).tolist()
+    assert _plain(got.bit_generator.state) == _plain(want.bit_generator.state)
+
+
 @pytest.mark.parametrize("seed, trial_index", [(-1, 3), (2**64, 3), (5, -1), (5, 2**64),
                                                (1.5, 0), (5, 2.0), ("5", 0), (None, 0),
                                                (True, 0), (5, True)])
