@@ -38,17 +38,14 @@ from .model import (
     flow_limit,
     fundamental_field,
     gapped_direction,
-    generic_direction,
     gradient_map,
     model_chain_threshold,
     model_chain_threshold_witness,
-    moment_polytope,
     moment_polytope_check,
     orbit_hull_check,
     perturbed_limit,
     random_weighted_model,
     stabilizer_algebra,
-    unstable_component,
 )
 from .numerics import (
     Linearization,
@@ -58,7 +55,6 @@ from .numerics import (
     linearization_at,
     monotonicity_check,
     numeric_limit,
-    numeric_limit_details,
 )
 from .spectral import (
     CommutingFamily,

@@ -273,7 +273,6 @@ def describe_model(source) -> dict:
     """Human-oriented summary of a model file or in-memory model."""
     model = source if isinstance(source, mdl.WeightedModel) else load_model(source)
     comps = mdl.fixed_set_subalgebra(model)
-    poly = mdl.moment_polytope(model)
     return {
         "name": model.name,
         "num_coords": model.num_coords,
@@ -285,6 +284,6 @@ def describe_model(source) -> dict:
             {"indices": list(c.indices), "mu_value": jsonify(list(c.level)), "dim": c.dim}
             for c in comps
         ],
-        "moment_polytope_vertices": jsonify(poly.vertices),
+        "moment_polytope_vertices": jsonify(model.moment_polytope.vertices),
         "chain_threshold": jsonify(mdl.model_chain_threshold(model)),
     }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .rng import substream, unit_vector, unit_vector_array
 from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
+_UNSCALED_MAX = 2.0 ** 500  # a direction up to this norm is squared as it is
 
 
 def _level_tol(values: np.ndarray, axis: int | None = None):
@@ -103,8 +104,9 @@ class ProjPoint:
         return self.coords != 0.0
 
     def same_as(self, other: "ProjPoint", tol: float = 1e-12) -> bool:
-        """Equality as projective points: identical support, coords within tol."""
-        return (self.support == other.support
+        """Equality as projective points: identical support and dimension, coords
+        within tol."""
+        return (self.support == other.support and self.coords.size == other.coords.size
                 and max(map(abs, (self.coords - other.coords).tolist())) <= tol)
 
     def __repr__(self) -> str:
@@ -213,22 +215,32 @@ class WeightedModel:
         return x
 
     def validate_direction(self, beta) -> np.ndarray:
-        """Return beta as an array after checking it lies in the subalgebra."""
+        """Return beta as an array after checking it lies in the subalgebra: its
+        residual off the subalgebra is at most 1e-9 * max(1, |beta|), at any
+        finite size."""
         b = np.asarray(beta, dtype=float).ravel()
         d, m = self.subalgebra.shape
         if b.size != m:
             raise BetaOutsideSubalgebra(f"direction has length {b.size}, expected {m}")
         if d == m:
             return b  # the subalgebra is the whole torus algebra
-        bb = b.dot(b)
-        if not math.isfinite(bb) and not np.isfinite(b).all():  # before inf * 0 warns
-            raise BetaOutsideSubalgebra("direction entries must be finite")
+        s, e = b, 0
+        vals = b.tolist()
+        if not math.hypot(*vals) <= _UNSCALED_MAX:  # a NaN, an inf, or squares that may overflow
+            if not all(map(math.isfinite, vals)):  # before inf * 0 warns
+                raise BetaOutsideSubalgebra("direction entries must be finite")
+            # test s = b / 2^e, exactly, with the largest entry in [1, 2): no square
+            # overflows, and max(1, |s|) = |s| as max(1, |b|) = |b|
+            e = math.frexp(max(map(abs, vals)))[1] - 1
+            s = np.ldexp(b, -e)
+        ss = s.dot(s)
         q = self.ortho_basis
-        r = b - q.T @ (q @ b)
+        r = s - q.T @ (q @ s)
         residual = math.sqrt(r.dot(r))  # np.linalg.norm, without its overhead
-        if not residual <= 1e-9 * max(1.0, math.sqrt(bb)):
+        if not residual <= 1e-9 * max(1.0, math.sqrt(ss)):
             raise BetaOutsideSubalgebra(
-                f"direction lies outside the subalgebra: residual {residual:.3e}")
+                f"direction lies outside the subalgebra: residual {residual:.3e}"
+                + (f" (direction scaled by 2^{-e})" if e else ""))
         return b
 
     def levels(self, beta) -> np.ndarray:
@@ -533,15 +545,6 @@ def gapped_direction(model: WeightedModel, rng, min_gap: float = 0.05, attempts:
     return _first_direction(model, rng, attempts, gapped)
 
 
-def generic_direction(model: WeightedModel, seed: int, max_retries: int = 64):
-    """Random unit direction in the subalgebra whose flow has the joint
-    fixed set; retries up to ``max_retries`` draws, then gives up."""
-    beta = _first_direction(model, substream(seed, 0), max_retries, partial(certify_levels, model))
-    if beta is None:
-        raise ExhaustedRetries(f"no certified direction found in {max_retries} draws")
-    return beta, True
-
-
 def deterministic_generic_direction(model: WeightedModel, alphas=None):
     """Deterministic certified direction: alphas[0] + sum eps*alphas[k]
     with every step size set to half the uniform box radius (1.0 when the
@@ -553,20 +556,6 @@ def deterministic_generic_direction(model: WeightedModel, alphas=None):
     step = 1.0 if math.isinf(delta) else delta / 2.0
     beta = a[0] + step * a[1:].sum(axis=0) if a.shape[0] > 1 else a[0].copy()
     return beta, direction_certificate(model, beta)
-
-
-def unstable_component(model: WeightedModel, beta, x: ProjPoint) -> FixedComponent:
-    """The fixed component that the flow from x converges into."""
-    target = flow_limit(model, beta, x).support[0]
-    for comp in fixed_components(model, beta):
-        if target in comp.indices:
-            return comp
-    raise RuntimeError("unreachable: every coordinate lies in some component")
-
-
-def moment_polytope(model: WeightedModel) -> Polytope:
-    """Convex hull of the projected weights (cached on the model)."""
-    return model.moment_polytope
 
 
 def moment_polytope_check(model: WeightedModel, sample_count: int,

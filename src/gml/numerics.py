@@ -10,7 +10,6 @@ divided by 2, matching the model's metric convention (see
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -103,22 +102,6 @@ class Trajectory:
     def field_norms(self) -> np.ndarray:
         return np.linalg.norm(action_field(self.model.levels(self.beta), self.coords), axis=1)
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write rows (t, x_0..x_n, mu_beta, field_norm), floats in repr form."""
-        header = ["t", *[f"x_{i}" for i in range(self.model.num_coords)], "mu_beta", "field_norm"]
-        rows = np.column_stack([self.times, self.coords, self.mu_values(), self.field_norms()])
-
-        def _write(fh):
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows.tolist())
-
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", newline="") as fh:
-                _write(fh)
-        else:
-            _write(path_or_buf)
-
 
 def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
                    dt: float = DT_DEFAULT) -> Trajectory:
@@ -204,24 +187,13 @@ def numeric_limit_rows(levels: np.ndarray, x: np.ndarray, tol: float = 1e-8,
     return snapped[0], x[0], float(t_final[0]), float(res[0])
 
 
-def numeric_limit_details(model: WeightedModel, beta, x0: ProjPoint, tol: float = 1e-8,
-                          dt: float = DT_DEFAULT, t_max: float = T_MAX_DEFAULT):
-    """Limit search with doubling horizons: a 1-row ``numeric_limit_rows`` call.
-
-    Returns (snapped ProjPoint, raw terminal coords, t_final, residual).
-    The snap picks the fixed component carrying most of the terminal mass
-    and renormalizes the restriction of the terminal point to it.
-    """
-    snapped, raw, t_final, residual = numeric_limit_rows(model.finite_levels(beta), x0.coords,
-                                                         tol=tol, dt=dt, t_max=t_max)
-    return ProjPoint(snapped), raw, t_final, residual
-
-
 def numeric_limit(model: WeightedModel, beta, x0: ProjPoint, tol: float = 1e-8,
                   dt: float = DT_DEFAULT, t_max: float = T_MAX_DEFAULT) -> ProjPoint:
-    """Numerically detected flow limit, snapped to its fixed component."""
-    snapped, _, _, _ = numeric_limit_details(model, beta, x0, tol=tol, dt=dt, t_max=t_max)
-    return snapped
+    """Numerically detected flow limit, snapped to its fixed component: a
+    1-row ``numeric_limit_rows`` call."""
+    snapped, _, _, _ = numeric_limit_rows(model.finite_levels(beta), x0.coords,
+                                          tol=tol, dt=dt, t_max=t_max)
+    return ProjPoint(snapped)
 
 
 def _tangent_frame(x: np.ndarray) -> np.ndarray:

@@ -114,20 +114,10 @@ def unit_vector_array(rng: np.random.Generator, dim: int, size: int) -> np.ndarr
     return u
 
 
-def _require_interior(low: float, high: float) -> None:
-    """Some float lies strictly inside (low, high), else GmlInputError: the
-    draws below would never land inside."""
-    if not math.nextafter(low, math.inf) < high:
-        raise GmlInputError(f"no float lies strictly inside ({low!r}, {high!r})")
-
-
 def open_uniform(rng: np.random.Generator, low: float, high: float) -> float:
-    """Uniform draw guaranteed to land strictly inside (low, high)."""
-    _require_interior(low, high)
-    while True:
-        x = float(rng.uniform(low, high))
-        if low < x < high:
-            return x
+    """Uniform draw guaranteed to land strictly inside (low, high): a
+    one-value ``open_uniform_array`` draw."""
+    return float(open_uniform_array(rng, low, high, 1)[0])
 
 
 def open_uniform_array(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
@@ -135,11 +125,14 @@ def open_uniform_array(rng: np.random.Generator, low: float, high: float, size: 
 
     A draw that lands on an end is dropped in order and exactly the missing
     count is drawn again, so the values and the generator's position after
-    them are those of ``size`` ``open_uniform`` calls.  A first block with
-    no such draw, nearly always, is the answer as drawn; on the 1 to 10
-    values callers draw, a float loop checks it faster than numpy calls.
+    them are those of ``size`` one-value draws, each redrawn until it lands
+    inside.  A first block with no such draw, nearly always, is the answer as
+    drawn; on the 1 to 10 values callers draw, a float loop checks it faster
+    than numpy calls.  GmlInputError when no float lies strictly inside
+    (low, high), before any draw.
     """
-    _require_interior(low, high)
+    if not math.nextafter(low, math.inf) < high:  # the draws would never land inside
+        raise GmlInputError(f"no float lies strictly inside ({low!r}, {high!r})")
     x = rng.uniform(low, high, size)
     if all(low < v < high for v in x.tolist()):
         return x

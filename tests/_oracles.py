@@ -21,8 +21,10 @@ concatenation, and an empty kernel built and met like any other, so that
 tests can compare bytes.  ``ProjPointArray`` and the ``*_limit_array``
 functions are the scalar limit path on numpy arrays, as it was before its
 one-row steps moved to Python floats, for the same byte comparison.
-``ScriptedNormals`` stands in for a generator, so that the samplers meet
-chosen draws, null ones among them.
+``open_uniform_loop`` is the open-interval draw one generator call at a
+time, whose values and stream position ``rng.open_uniform`` and
+``open_uniform_array`` must replay.  ``ScriptedNormals`` stands in for a
+generator, so that the samplers meet chosen draws, null ones among them.
 """
 
 import math
@@ -38,7 +40,19 @@ from gml import spectral
 from gml.errors import GmlInputError, HorizonExceeded, StepTooLarge, check_step_sizes
 from gml.hull import HULL_TOL, Polytope
 from gml.model import SUPP_TOL, _unit_rows, flow_rows, gradient_rows, limit_support
-from gml.rng import open_uniform, substream, unit_vector
+from gml.rng import substream, unit_vector
+
+
+def open_uniform_loop(rng, low: float, high: float) -> float:
+    """One uniform draw strictly inside (low, high), redrawn one generator
+    call at a time until it lands inside; GmlInputError, before any draw,
+    when no float lies inside."""
+    if not math.nextafter(low, math.inf) < high:
+        raise GmlInputError(f"no float lies strictly inside ({low!r}, {high!r})")
+    while True:
+        x = float(rng.uniform(low, high))
+        if low < x < high:
+            return x
 
 
 class ScriptedNormals:
@@ -569,7 +583,7 @@ def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
 
 def theorem2_loop(model, trials: int, seed: int, probe_tightness: bool):
     """The theorem2 campaign's report, one trial at a time: a substream per
-    trial, one ``open_uniform`` call per step size, and the composed limit
+    trial, one ``open_uniform_loop`` call per step size, and the composed limit
     against the perturbed one, whatever the basis length; then the probes."""
     alphas = model.subalgebra
     delta, probe_pairs = mdl.model_chain_threshold_witness(model, alphas)
@@ -581,7 +595,7 @@ def theorem2_loop(model, trials: int, seed: int, probe_tightness: bool):
     for k in range(trials):
         rng = substream(seed, k)
         x = campaigns._random_point(rng, model.num_coords)
-        eps = np.array([open_uniform(rng, 0.0, cap) for _ in range(n_eps)])
+        eps = np.array([open_uniform_loop(rng, 0.0, cap) for _ in range(n_eps)])
         expected = mdl.composed_limit(model, alphas, x)
         actual = mdl.perturbed_limit(model, alphas, eps, x)
         if not actual.same_as(expected, tol=campaigns._EQ_TOL):

@@ -395,6 +395,22 @@ def test_overflowing_speeds_are_named(square_file, capsys, cmd, extra, named):
     assert named in err and "not finite" in err and "normalize" not in err
 
 
+@pytest.mark.parametrize("cmd", ["limit", "components"])
+@pytest.mark.parametrize("beta", ["0,1e200,-1e200", "0,1e308,-1e308", "0,1,-1"],
+                         ids=["1e200", "1e308", "unit"])
+def test_direction_outside_a_proper_subalgebra_exits_two(tmp_path, capsys, cmd, beta):
+    """Of any finite size: a huge direction is tested scaled by a power of two,
+    where its squares cannot overflow into a tolerance that passes anything."""
+    path = tmp_path / "plane.json"
+    save_model(WeightedModel("plane", [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [2, 2, 2]],
+                             [[1, 0, 0], [0, 2, 2]]), path)
+    point = ("--point", "1,1,1,1,1") if cmd == "limit" else ()
+    code, out, err = run_cli(capsys, cmd, "--model", str(path), "--beta", beta, *point)
+    assert_input_error(code, err)
+    assert out == ""
+    assert "direction lies outside the subalgebra" in err
+
+
 def test_components_overflowing_speed_exits_two(square_file, capsys):
     code, out, err = run_cli(capsys, "components", "--model", str(square_file),
                              "--beta", "1e308,1e308")

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,26 +21,28 @@ from gml import (
     flow_limit,
     fundamental_field,
     gapped_direction,
-    generic_direction,
     gradient_map,
     model_chain_threshold,
-    moment_polytope,
     moment_polytope_check,
     orbit_hull_check,
     perturbed_limit,
     random_weighted_model,
     stabilizer_algebra,
-    unstable_component,
 )
 from gml.campaigns import _random_point, run_campaign_model
 from gml.errors import (
     BetaOutsideSubalgebra,
     DependentBasis,
-    ExhaustedRetries,
     GmlInputError,
     NonPositiveEpsilon,
 )
-from gml.model import SUPP_TOL, _vector_labels, certify_levels, model_chain_threshold_witness
+from gml.model import (
+    SUPP_TOL,
+    _first_direction,
+    _vector_labels,
+    certify_levels,
+    model_chain_threshold_witness,
+)
 from gml.rng import substream
 
 from _oracles import ScriptedNormals, first_accepted_loop, orbit_hull_loop, speeds_separated
@@ -58,6 +61,21 @@ S2 = 1 / math.sqrt(2)
 
 def P(*coords) -> ProjPoint:
     return ProjPoint(list(coords))
+
+
+def certified_direction(model, seed: int, attempts: int = 64):
+    """The first of ``attempts`` unit directions on substream(seed, 0) whose
+    speed partition is the joint partition, or None."""
+    return _first_direction(model, substream(seed, 0), attempts, partial(certify_levels, model))
+
+
+def limit_component(model, beta, x):
+    """The fixed component of beta that the flow from x converges into: the
+    one class of ``fixed_components`` that holds the flow limit's support."""
+    supp = set(flow_limit(model, beta, x).support)
+    owners = [c for c in fixed_components(model, beta) if supp <= set(c.indices)]
+    assert len(owners) == 1, (model.name, beta, x)
+    return owners[0]
 
 
 # ------------------------------------------------------------------ ProjPoint
@@ -87,6 +105,13 @@ def test_projpoint_same_as_requires_equal_support():
     assert P(1, 1, 0).same_as(P(1, 1 + 1e-14, 0))
 
 
+def test_projpoints_of_different_dimension_are_not_the_same():
+    # equal supports, so only the dimension tells them apart
+    assert not P(1, 0, 0).same_as(P(1, 0))
+    assert not P(1, 0).same_as(P(1, 0, 0))
+    assert not P(1, 1, 0).same_as(P(1, 1, 0, 0), tol=math.inf)
+
+
 def test_model_requires_independent_subalgebra_rows():
     with pytest.raises(Exception):
         WeightedModel(name="bad", weights=[[0, 0], [1, 1]],
@@ -111,7 +136,7 @@ def test_gradient_map_two_point_support(square_model):
 
 def test_gradient_image_lies_in_moment_polytope(model_pool):
     for model in model_pool[:20]:
-        poly = moment_polytope(model)
+        poly = model.moment_polytope
         rng = substream(301, model.num_coords * 131 + model.torus_dim)
         for _ in range(10):
             x = ProjPoint(rng.standard_normal(model.num_coords))
@@ -157,6 +182,50 @@ def test_field_rejects_directions_outside_subalgebra():
     # nor an infinite entry, which raises before inf * 0 can warn
     with pytest.raises(BetaOutsideSubalgebra, match="finite"):
         model.validate_direction([math.inf, 0.0])
+
+
+def _plane_model() -> WeightedModel:
+    """A plane in a 3-torus algebra: a proper subalgebra."""
+    return WeightedModel(name="plane", weights=[[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2],
+                                                [2, 2, 2]], subalgebra=[[1, 0, 0], [0, 2, 2]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exp", [0, 100, 499, 500, 501, 700, 1000])
+def test_direction_test_is_the_same_at_every_scale(exp):
+    """Directions of norm at least 1 are tested relative to their size, so
+    scaling by 2^exp keeps the verdict, past the size where squares overflow,
+    and no numpy warning comes first."""
+    model = _plane_model()
+    # [0, 1, 1 + 2.5e-9] is off by 1.25e-9 * |beta|: scaled to a norm below 1,
+    # the tolerance 1e-9 * max(1, |beta|) would pass it
+    cases = [([0, 1, 1], True), ([3, -2, -2], True), ([1, 1, 1 + 1e-12], True),
+             ([0, 1, -1], False), ([3, 1, 1 + 1e-6], False), ([1, 0, 1], False),
+             ([0, 1, 1 + 2.5e-9], False)]
+    for b, inside in cases:
+        beta = np.ldexp(np.array(b, dtype=float), exp)
+        if inside:
+            assert model.validate_direction(beta).tobytes() == beta.tobytes(), b
+        else:
+            with pytest.raises(BetaOutsideSubalgebra, match="outside the subalgebra"):
+                model.validate_direction(beta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_direction_in_a_proper_subalgebra_passes_without_a_warning():
+    model = _plane_model()
+    assert model.validate_direction([0, 1e200, 1e200]).tolist() == [0, 1e200, 1e200]
+    x = ProjPoint(np.ones(5))
+    got = composed_limit(model, [[1e200, 0, 0], [0, 1e200, 1e200]], x)
+    assert got.same_as(composed_limit(model, None, x)) and got.support == (4,)
+    # each row lies in the subalgebra; the rank rule (relative to the largest
+    # singular value) then finds rows of sizes 1 and 1e200 dependent
+    with pytest.raises(DependentBasis, match="linearly dependent"):
+        composed_limit(model, [[1, 0, 0], [0, 1e200, 1e200]], x)
+    with pytest.raises(BetaOutsideSubalgebra, match="outside the subalgebra"):
+        flow_limit(model, [0, 1e200, -1e200], x)
+    with pytest.raises(BetaOutsideSubalgebra, match="finite"):
+        model.validate_direction([1e200, math.inf, 0])
 
 
 @pytest.mark.parametrize("weights,subalgebra", [
@@ -251,8 +320,8 @@ def test_flow_limit_scaling_equivariance(square_model):
     parts_a = [c.indices for c in fixed_components(square_model, [1, 0])]
     parts_b = [c.indices for c in fixed_components(square_model, [3, 0])]
     assert parts_a == parts_b
-    ua = unstable_component(square_model, [1, 0], x)
-    ub = unstable_component(square_model, [5, 0], x)
+    ua = limit_component(square_model, [1, 0], x)
+    ub = limit_component(square_model, [5, 0], x)
     assert ua.indices == ub.indices
 
 
@@ -668,8 +737,8 @@ def test_non_generic_direction_detected(square_model):
 
 def test_random_direction_certified(square_model, segment_model):
     for model in (square_model, segment_model):
-        beta, certified = generic_direction(model, seed=7)
-        assert certified
+        beta = certified_direction(model, seed=7)
+        assert beta is not None and direction_certificate(model, beta)
         parts = [c.indices for c in fixed_components(model, beta)]
         joint = [c.indices for c in fixed_set_subalgebra(model)]
         assert sorted(parts) == sorted(joint)
@@ -721,17 +790,16 @@ def test_gapped_direction_redraws_null_rows_like_unit_vector(segment_model):
 def test_generic_direction_matches_one_draw_at_a_time(model_pool):
     for model in model_pool:
         for seed in range(10):
-            beta, certified = generic_direction(model, seed=seed)
+            beta = certified_direction(model, seed=seed)
             want = first_accepted_loop(model, substream(seed, 0), 64,
                                        lambda b: direction_certificate(model, b))
-            assert certified and beta.tobytes() == want.tobytes(), (model.name, seed)
-    with pytest.raises(ExhaustedRetries):
-        generic_direction(model_pool[0], seed=1, max_retries=0)
+            assert want is not None and beta.tobytes() == want.tobytes(), (model.name, seed)
+    assert certified_direction(model_pool[0], seed=1, attempts=0) is None
 
 
 def test_segment_model_certified_partition(segment_model):
-    beta, certified = generic_direction(segment_model, seed=3)
-    assert certified
+    beta = certified_direction(segment_model, seed=3)
+    assert beta is not None and direction_certificate(segment_model, beta)
     parts = sorted(c.indices for c in fixed_components(segment_model, beta))
     assert parts == [(0, 1), (2,)]
 
@@ -745,18 +813,18 @@ def test_certified_fraction_is_one_on_canonical_models(square_model, segment_mod
 
 
 def test_unstable_component_uniform_point(square_model):
-    comp = unstable_component(square_model, [1, 0], P(0.5, 0.5, 0.5, 0.5))
+    comp = limit_component(square_model, [1, 0], P(0.5, 0.5, 0.5, 0.5))
     assert comp.indices == (1, 3)
 
 
 def test_unstable_component_of_fixed_point_is_its_component(square_model):
-    comp = unstable_component(square_model, [1, 0], P(0, 1, 0, 1))
+    comp = limit_component(square_model, [1, 0], P(0, 1, 0, 1))
     assert comp.indices == (1, 3)
     assert comp.level == 1.0
 
 
 def test_unstable_component_low_level(square_model):
-    comp = unstable_component(square_model, [1, 0], P(S2, 0, S2, 0))
+    comp = limit_component(square_model, [1, 0], P(S2, 0, S2, 0))
     assert comp.indices == (0, 2)
     assert comp.level == 0.0
 
@@ -769,7 +837,7 @@ def test_unstable_components_partition_points(model_pool):
         comps = fixed_components(model, beta)
         for _ in range(10):
             x = ProjPoint(rng.standard_normal(model.num_coords))
-            owner = unstable_component(model, beta, x)
+            owner = limit_component(model, beta, x)
             assert sum(owner.indices == c.indices for c in comps) == 1
 
 
@@ -900,7 +968,7 @@ def test_certify_levels_rejects_split_joint_class(segment_model):
 
 
 def test_moment_polytope_is_cached(square_model):
-    assert moment_polytope(square_model) is moment_polytope(square_model)
+    assert square_model.moment_polytope is square_model.moment_polytope
 
 
 def test_model_entry_points_check_point_length(square_model):

@@ -1,6 +1,5 @@
 """ODE integration, numeric limits, finite-difference and linearization checks."""
 
-import io
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from gml.numerics import (
     gradient_fd_check,
     linearization_at,
     monotonicity_check,
-    numeric_limit_details,
     numeric_limit_rows,
     rk4_rows,
 )
@@ -136,21 +134,6 @@ def test_trajectory_rejects_length_mismatch(square_model):
                    beta=np.array([1.0, 0.0]), model=square_model)
 
 
-def test_trajectory_csv_round_trip(square_model):
-    traj = integrate_flow(square_model, BETA, P(0.5, 0.5, 0.5, 0.5), 1.0, dt=0.25)
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,x_0,x_1,x_2,x_3,mu_beta,field_norm"
-    assert len(lines) == 1 + len(traj.coords)
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 0.0
-    assert np.allclose(first[1:5], traj.coords[0])
-    # mu values in the file are nondecreasing
-    mus = [float(line.split(",")[-2]) for line in lines[1:]]
-    assert all(b >= a - 1e-12 for a, b in zip(mus, mus[1:]))
-
-
 # -------------------------------------------------------------- numeric limits
 
 
@@ -181,9 +164,11 @@ def test_numeric_limit_reports_exhausted_horizon():
 
 
 def test_numeric_limit_details_reports_raw_terminal_state(square_model):
-    snapped, raw, t_final, residual = numeric_limit_details(
-        square_model, [1, 0], P(0.5, 0.5, 0.5, 0.5), tol=1e-6)
-    assert snapped.support == (1, 3)
+    """A 1-row numeric_limit_rows call returns the snapped and the raw
+    terminal state, the time it stopped and its field norm."""
+    snapped, raw, t_final, residual = numeric_limit_rows(
+        square_model.levels([1, 0]), P(0.5, 0.5, 0.5, 0.5).coords, tol=1e-6)
+    assert ProjPoint(snapped).support == (1, 3)
     assert np.linalg.norm(raw) == pytest.approx(1.0, abs=1e-9)
     assert residual < 1e-6
     assert t_final > 0
@@ -315,11 +300,14 @@ _INPUT_CALLS = {
     ("numeric_limit", "dt"): lambda m, v: numeric_limit(m, BETA, _X, dt=v, t_max=8.0),
     ("numeric_limit", "tol"): lambda m, v: numeric_limit(m, BETA, _X, tol=v, t_max=8.0),
     ("numeric_limit", "t_max"): lambda m, v: numeric_limit(m, BETA, _X, t_max=v),
+    # a 1-row numeric_limit_rows call; the key keeps the name of the removed wrapper
+    # numeric_limit_details, so the test ids stay comparable across versions
     ("numeric_limit_details", "dt"):
-        lambda m, v: numeric_limit_details(m, BETA, _X, dt=v, t_max=8.0),
+        lambda m, v: numeric_limit_rows(m.levels(BETA), _X.coords, dt=v, t_max=8.0),
     ("numeric_limit_details", "tol"):
-        lambda m, v: numeric_limit_details(m, BETA, _X, tol=v, t_max=8.0),
-    ("numeric_limit_details", "t_max"): lambda m, v: numeric_limit_details(m, BETA, _X, t_max=v),
+        lambda m, v: numeric_limit_rows(m.levels(BETA), _X.coords, tol=v, t_max=8.0),
+    ("numeric_limit_details", "t_max"):
+        lambda m, v: numeric_limit_rows(m.levels(BETA), _X.coords, t_max=v),
     ("integrate_flow", "dt"): lambda m, v: integrate_flow(m, BETA, _X, 1.0, dt=v),
     ("integrate_flow", "t_end"): lambda m, v: integrate_flow(m, BETA, _X, v),
     ("gradient_fd_check", "h"): lambda m, v: gradient_fd_check(m, BETA, _X, h=v),

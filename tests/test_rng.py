@@ -13,7 +13,7 @@ from gml.rng import (
     unit_vector_array,
 )
 
-from _oracles import ScriptedNormals
+from _oracles import ScriptedNormals, open_uniform_loop
 
 
 def test_substream_reproducible():
@@ -53,18 +53,35 @@ def _position(rng):
                                        (1.0, 1.0 + 4 * np.finfo(float).eps)],
                          ids=["unit", "small", "ten", "four-ulp"])
 def test_open_uniform_array_replays_the_scalar_loop(low, high):
-    """Same values and same generator position as ``size`` open_uniform
-    calls; on (1, 1 + 4 ulp) draws land on an end and are redrawn."""
+    """Same values and same generator position as ``size`` one-value draws of
+    the loop; on (1, 1 + 4 ulp) draws land on an end and are redrawn."""
     redrawn = 0
     for k in range(100):
         size = 1 + k % 12
         block, loop = substream(13, k), substream(13, k)
         got = open_uniform_array(block, low, high, size)
-        want = [open_uniform(loop, low, high) for _ in range(size)]
+        want = [open_uniform_loop(loop, low, high) for _ in range(size)]
         assert got.tolist() == want, k
         assert _position(block) == _position(loop), k
         redrawn += int(substream(13, k).uniform(low, high, size).tolist() != want)
     assert (redrawn > 50) == (high - low < 1e-12)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.0, 3.7e-3), (-2.5, 10.0),
+                                       (1.0, 1.0 + 4 * np.finfo(float).eps), (0.0, 1e-323)],
+                         ids=["unit", "small", "wide", "four-ulp", "subnormal"])
+def test_open_uniform_replays_the_scalar_loop(low, high):
+    """open_uniform draws the values of the one-value loop and leaves the
+    generator where the loop does, also where draws land on an end."""
+    redrawn = 0
+    for k in range(20):
+        one, loop = substream(16, k), substream(16, k)
+        for _ in range(1 + k % 5):
+            got, want = open_uniform(one, low, high), open_uniform_loop(loop, low, high)
+            assert type(got) is float and got == want, k
+            assert _position(one) == _position(loop), k
+        redrawn += int(not low < substream(16, k).uniform(low, high) < high)
+    assert (redrawn > 0) == (high - low < 1e-12)
 
 
 class _ScriptedUniforms:
@@ -86,11 +103,11 @@ class _ScriptedUniforms:
                          ids=["first-on-low", "first-on-high", "low-then-high"])
 def test_open_uniform_array_redraws_a_first_block_draw_on_an_end(values):
     """A first block with a draw on an end is not returned: that draw is
-    dropped and redrawn, to the values and position of three open_uniform
-    calls."""
+    dropped and redrawn, to the values and position of three one-value draws
+    of the loop."""
     block, loop = _ScriptedUniforms(values), _ScriptedUniforms(values)
     got = open_uniform_array(block, 0.0, 1.0, 3)
-    want = [open_uniform(loop, 0.0, 1.0) for _ in range(3)]
+    want = [open_uniform_loop(loop, 0.0, 1.0) for _ in range(3)]
     assert got.tolist() == want == [0.25, 0.5, 0.75]
     assert block.state == loop.state == len(values)
 
