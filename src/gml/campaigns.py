@@ -80,7 +80,9 @@ def _random_point(rng: np.random.Generator, dim: int) -> mdl.ProjPoint:
 
 def _campaign_theorem1(model, trials, seed, probe_tightness):
     d = model.subalgebra_dim
-    draws = np.array([rng.standard_normal(d) for _, rng in trial_streams(seed, trials)])
+    draws = np.empty((trials, d))
+    for k, rng in trial_streams(seed, trials):
+        rng.standard_normal(out=draws[k])
     rows, kept = unit_draws(draws)
     us = np.empty_like(draws)
     us[kept] = rows

@@ -40,6 +40,7 @@ from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
 _UNSCALED_MAX = 2.0 ** 500  # a direction up to this norm is squared as it is
+_UNSCALED_MIN_NORM = 2.0 ** -480  # a point of smaller norm may have squares below the normal range
 
 
 def _level_tol(values: np.ndarray, axis: int | None = None):
@@ -60,6 +61,12 @@ class ProjPoint:
     compare as float64 does.  Zeroing runs only when it changes a bit (an
     entry at most ``SUPP_TOL`` that is nonzero or -0.0), and the second
     division only when the norm is not exactly 1.0.
+
+    A vector whose squares leave the normal float range (a norm below
+    ``_UNSCALED_MIN_NORM`` or an overflowed one) is first scaled by an exact
+    power of two that puts its largest entry in [0.5, 1), so ``ProjPoint(2**e
+    * v)`` has the bits of ``ProjPoint(v)``.  The norm test decides it, so an
+    ordinary vector runs no extra operation.
     """
 
     __slots__ = ("coords", "support")
@@ -69,8 +76,12 @@ class ProjPoint:
         if x.size < 2:
             raise GmlInputError("a projective point needs at least two homogeneous coordinates")
         nrm = math.sqrt(x.dot(x))  # bit for bit np.linalg.norm(x), without its overhead
-        if not math.isfinite(nrm) or nrm == 0.0:
-            raise GmlInputError("cannot normalize a zero or non-finite vector")
+        if not _UNSCALED_MIN_NORM < nrm < math.inf:  # zero, non-finite, tiny or overflowed
+            top = float(np.abs(x).max())
+            if not 0.0 < top < math.inf:
+                raise GmlInputError("cannot normalize a zero or non-finite vector")
+            x = np.ldexp(x, -math.frexp(top)[1])  # exact: the largest entry lands in [0.5, 1)
+            nrm = math.sqrt(x.dot(x))
         x /= nrm
         vals = x.tolist()
         supp, zeroing = [], False

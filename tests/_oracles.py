@@ -8,12 +8,13 @@ from direct combinatorics on the weight table.  The loop forms of the
 package's array kernels (near-duplicate representatives, trajectory
 values, finite-difference probes, perturbed kernels, RK4 steps and the
 numeric limit search) are kept here, one row at a time, and box radii are
-computed exactly in rationals.  ``orbit_hull_loop`` and ``theorem2_loop``
-are the exceptions: they keep the package's kernels and pin only the
-sampling.  ``orbit_hull_loop`` makes one generator call per sample of
-``orbit_hull_check``, on a hull built afresh; ``theorem2_loop`` runs every
-theorem2 trial on its own stream, one step size per generator call, a
-one-direction basis included.  ``joint_diagonalize_loop`` and
+computed exactly in rationals.  ``orbit_hull_loop``, ``theorem1_loop`` and
+``theorem2_loop`` are the exceptions: they keep the package's kernels and
+pin only the sampling.  ``orbit_hull_loop`` makes one generator call per
+sample of ``orbit_hull_check``, on a hull built afresh; ``theorem1_loop``
+opens a substream and draws one ``unit_vector`` per trial; ``theorem2_loop``
+runs every theorem2 trial on its own stream, one step size per generator
+call, a one-direction basis included.  ``joint_diagonalize_loop`` and
 ``family_kernel_rows_loop`` also keep the package's helpers and pin only
 the order of the calls: one recursive call and one ``basis @ v[:, s]``
 per cluster from ``np.eye(n)``; thresholds and ``dims`` assembled by
@@ -64,11 +65,17 @@ class ScriptedNormals:
         self.bit_generator = self
         self.state = 0
 
-    def standard_normal(self, shape):
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        """numpy's signature: ``size`` values (one float for None), or as many
+        as ``out`` holds, written into it."""
+        shape = out.shape if out is not None else () if size is None else size
         n = int(np.prod(shape))
-        out = self.values[self.state:self.state + n]
+        vals = self.values[self.state:self.state + n].reshape(shape)
         self.state += n
-        return out.reshape(shape)
+        if out is not None:
+            out[...] = vals
+            return out
+        return float(vals) if size is None else vals
 
 
 def kernel_dim(entries, tol: float = 1e-9) -> int:
@@ -579,6 +586,22 @@ def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
                     (-1, d))
     lv = speeds(us[us.any(axis=1)])
     return bool(poly.contains_batch(limit_images(lv)).all())
+
+
+def theorem1_loop(model, trials: int, seed: int):
+    """The theorem1 campaign's report, one trial at a time: a substream and
+    one ``unit_vector`` per trial, certified by ``direction_certificate`` on
+    its direction in the subalgebra."""
+    failures = []
+    for k in range(trials):
+        beta = model.ortho_basis.T @ unit_vector(substream(seed, k), model.subalgebra_dim)
+        if not mdl.direction_certificate(model, beta):
+            failures.append(campaigns._failure(seed, k, {"beta": beta},
+                                               {"certified": True}, {"certified": False}))
+    return campaigns.VerificationReport(
+        campaign="theorem1", model_name=model.name, trials=trials,
+        passes=trials - len(failures), failures=failures,
+        thresholds_used={"level_tol": "1e-12 * max(1, |levels|)"})
 
 
 def theorem2_loop(model, trials: int, seed: int, probe_tightness: bool):

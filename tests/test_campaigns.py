@@ -12,7 +12,7 @@ from gml.campaigns import CAMPAIGNS, VerificationReport, describe_model, run_cam
 from gml.errors import GmlInputError, UnknownCampaign
 from gml.model import action_field
 
-from _oracles import ScriptedNormals, theorem2_loop
+from _oracles import ScriptedNormals, theorem1_loop, theorem2_loop
 
 
 def test_accounting_single_trial(square_model):
@@ -99,6 +99,32 @@ def test_theorem1_campaign_passes(square_model, segment_model):
     for model in (square_model, segment_model):
         rep = run_campaign_model(model, "theorem1", trials=300, seed=5)
         assert rep.passes == 300
+
+
+def test_theorem1_matches_the_trial_loop(model_pool):
+    """Reports equal the one-trial-at-a-time oracle on every pool model: one
+    substream, one unit_vector and one direction_certificate per trial."""
+    for model in model_pool:
+        for seed in (42, 20260825):
+            got = run_campaign_model(model, "theorem1", 60, seed)
+            want = theorem1_loop(model, 60, seed)
+            want.wall_time = got.wall_time
+            assert got.dumps() == want.dumps(), (model.name, seed)
+
+
+def test_theorem1_failure_records_match_the_trial_loop(model_pool, monkeypatch):
+    """With the certificate patched to fail the draws whose levels sum below
+    zero, about half, the failure records (trial indices and directions, bit
+    for bit) equal the oracle's."""
+    monkeypatch.setattr(mdl, "certify_levels", lambda model, levels: levels.sum(axis=1) > 0)
+    failed = 0
+    for model in model_pool:
+        got = run_campaign_model(model, "theorem1", 40, 3)
+        want = theorem1_loop(model, 40, 3)
+        want.wall_time = got.wall_time
+        assert got.dumps() == want.dumps(), model.name
+        failed += len(got.failures)
+    assert failed >= 500
 
 
 def test_theorem1_redraws_a_null_draw_from_the_trial_stream(square_model, monkeypatch):

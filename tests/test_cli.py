@@ -411,6 +411,17 @@ def test_direction_outside_a_proper_subalgebra_exits_two(tmp_path, capsys, cmd, 
     assert "direction lies outside the subalgebra" in err
 
 
+@pytest.mark.parametrize("scale", ["1e-200", "1e200", "1e-320", "1e308"])
+def test_point_of_extreme_size_is_its_unit_point(square_file, capsys, scale):
+    """Homogeneous coordinates whose squares underflow or overflow name the
+    point that ``1,1,1,1`` names; ``stabilizer`` takes them too."""
+    for cmd, extra in (("limit", ("--beta", "1,1")), ("stabilizer", ())):
+        argv = (cmd, "--model", str(square_file), *extra, "--point")
+        want = run_cli(capsys, *argv, "1,1,1,1")
+        assert want[0] == 0
+        assert run_cli(capsys, *argv, ",".join([scale] * 4)) == want
+
+
 def test_components_overflowing_speed_exits_two(square_file, capsys):
     code, out, err = run_cli(capsys, "components", "--model", str(square_file),
                              "--beta", "1e308,1e308")

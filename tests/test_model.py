@@ -94,8 +94,43 @@ def test_projpoint_drops_negligible_coordinates():
 
 
 def test_projpoint_rejects_zero_vector():
-    with pytest.raises(Exception):
-        ProjPoint([0.0, 0.0])
+    for vec in ([0.0, 0.0], [0.0, -0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e308, -np.inf]):
+        with np.errstate(over="ignore"), pytest.raises(GmlInputError, match="cannot normalize"):
+            ProjPoint(vec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projpoint_is_the_same_at_every_tiny_scale():
+    """A vector whose squares underflow, to zero or into the subnormal range,
+    is the point of the vector at unit scale, bit for bit: ``2**e * v`` for
+    every exponent down to -1070 at which the scaling is exact."""
+    rng = substream(23, 0)
+    vectors = [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0], [-3.0, 0.0, 4.0], [1.0, 1e-13, 2.0]]
+    vectors += [rng.standard_normal(d) * 2.0 ** rng.integers(-30, 30, d) for d in (2, 5, 8)]
+    checked = 0
+    for v in map(np.array, vectors):
+        want = ProjPoint(v)
+        for e in range(-1070, 0):
+            x = np.ldexp(v, e)
+            if not np.array_equal(np.ldexp(x, -e), v):
+                continue  # the scaled vector lost bits: not the same point
+            got = ProjPoint(x)
+            assert got.coords.tobytes() == want.coords.tobytes() and got.support == want.support, e
+            checked += 1
+    assert checked > 6000
+
+
+def test_projpoint_is_the_same_at_every_huge_scale():
+    """An overflowing sum of squares is scaled away too.  numpy warns of the
+    overflow (an entry above about 1e154) and the point is right."""
+    v = np.array([2.0, -1.0, 0.0, 0.5])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ProjPoint(v * 1e200).coords.tobytes() == ProjPoint(v).coords.tobytes()
+    want = ProjPoint(v)
+    for e in range(1, 1022):
+        with np.errstate(over="ignore"):
+            got = ProjPoint(np.ldexp(v, e))
+        assert got.coords.tobytes() == want.coords.tobytes() and got.support == want.support, e
 
 
 def test_projpoint_same_as_requires_equal_support():

@@ -186,6 +186,17 @@ def test_substream_is_the_philox_stream_of_its_key(seed, trial_index):
     assert _plain(got.bit_generator.state) == _plain(want.bit_generator.state)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_trial_streams_rekey_to_the_substream_state(seed):
+    """Each re-key sets the whole state ``substream(seed, k)`` starts from,
+    also after a float32 draw has left half a word buffered: key, counter,
+    buffer, ``buffer_pos``, ``has_uint32`` and ``uinteger``."""
+    for k, gen in trial_streams(seed, 4):
+        assert _plain(gen.bit_generator.state) == _plain(substream(seed, k).bit_generator.state), k
+        gen.random(dtype=np.float32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+
 @pytest.mark.parametrize("seed, trial_index", [(-1, 3), (2**64, 3), (5, -1), (5, 2**64),
                                                (1.5, 0), (5, 2.0), ("5", 0), (None, 0),
                                                (True, 0), (5, True)])
