@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +35,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _earlier(n: int) -> np.ndarray:
     """(n, n) mask of the pairs [i, j] with j < i."""
     return _frozen(np.tri(n, k=-1, dtype=bool))
+
+
+def _row_norms(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """np.linalg.norm(z, axis=1) bit for bit: its sum of squares, without
+    its wrapper's overhead."""
+    return np.sqrt(np.add.reduce(z * z, axis=1, keepdims=keepdims))
 
 
 def first_representatives(rows: np.ndarray, tol) -> np.ndarray:
@@ -146,12 +152,16 @@ class Polytope:
         uniq = _dedupe(pts, _TOL)
         self._origin = uniq.mean(axis=0)
         centered = uniq - self._origin
-        scale = max(1.0, float(np.abs(centered).max()))
-        # affine rank via SVD of the centered point cloud
-        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        rank = int(np.count_nonzero(svals > _TOL * scale))
+        if centered.any():
+            scale = max(1.0, float(np.abs(centered).max()))
+            # affine rank via SVD of the centered point cloud
+            _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+            rank = int(np.count_nonzero(svals > _TOL * scale))
+            frame = vt[:rank].T  # (d, rank), orthonormal columns
+        else:  # one point: all singular values are 0, so the SVD is skipped
+            rank, frame = 0, np.empty((uniq.shape[1], 0))
         self._rank = rank
-        self._frame = vt[:rank].T  # (d, rank), orthonormal columns
+        self._frame = frame
         coords = centered @ self._frame  # (N, rank)
         # a strictly interior point clears every face by more than rounding
         self._margin = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(coords).max(initial=0.0)))
@@ -182,8 +192,8 @@ class Polytope:
         its largest facet value in the frame (-inf for a point: no facets)."""
         rel = np.asarray(xs, dtype=float) - self._origin
         loc = rel @ self._frame
-        residual = np.linalg.norm(rel - loc @ self._frame.T, axis=1)
-        return residual, self._facet_values(loc).max(axis=1, initial=-np.inf)
+        residual = _row_norms(rel - loc @ self._frame.T)
+        return residual, np.maximum.reduce(self._facet_values(loc), axis=1, initial=-np.inf)
 
     def contains_batch(self, xs, tol: float = HULL_TOL) -> np.ndarray:
         """Per row of an (S, d) array: inside the hull up to tol."""
@@ -215,6 +225,17 @@ class Polytope:
         is attained at the given vertex (interior of its normal cone)."""
         v = self._vert_local[vertex_index]
         vals = self._facet_values(v[None, :])[0]
-        scale = max(1.0, float(np.abs(self._equations[:, -1]).max(initial=0.0)))
-        incident = np.abs(vals) <= 1e-9 * scale
-        return self._frame @ self._equations[incident, :-1].sum(axis=0)
+        incident = np.abs(vals) <= self._incidence_tol
+        return self._frame @ np.add.reduce(self._equations[incident, :-1], axis=0)
+
+    @cached_property
+    def supporting_directions(self) -> np.ndarray:
+        """(k, d) array whose row i is ``supporting_direction(i)``, computed
+        once per polytope."""
+        return _frozen(np.array([self.supporting_direction(i) for i in range(len(self.vertices))]))
+
+    @cached_property
+    def _incidence_tol(self) -> float:
+        """Facet value up to which a vertex counts as on the facet, for
+        ``supporting_direction``: 1e-9 * max(1, largest |offset|)."""
+        return 1e-9 * max(1.0, float(np.abs(self._equations[:, -1]).max(initial=0.0)))

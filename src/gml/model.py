@@ -34,8 +34,8 @@ from .errors import (
     check_real,
     check_step_sizes,
 )
-from .hull import HULL_TOL, Polytope, first_representatives
-from .rng import substream, unit_vector, unit_vector_array
+from .hull import HULL_TOL, Polytope, _row_norms, first_representatives
+from .rng import scaled_unit_vectors, substream, unit_vector_array
 from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
@@ -46,7 +46,7 @@ _UNSCALED_MIN_NORM = 2.0 ** -480  # a point of smaller norm may have squares bel
 def _level_tol(values: np.ndarray, axis: int | None = None):
     """Tie tolerance 1e-12 * max(1, |values|): over all values, or per row
     with ``axis=1``."""
-    return 1e-12 * np.maximum(1.0, np.abs(values).max(axis=axis, initial=0.0))
+    return 1e-12 * np.maximum(1.0, np.maximum.reduce(np.abs(values), axis=axis, initial=0.0))
 
 
 class ProjPoint:
@@ -218,6 +218,17 @@ class WeightedModel:
         """Convex hull of the projected weights, built once per model."""
         return Polytope(self.projected_weights)
 
+    @cached_property
+    def _vertices_attained(self) -> bool:
+        """Is each moment-polytope vertex a projected weight (max-abs within
+        1e-12)?  The image of coordinate point e_i is projected weight i
+        itself, so ``moment_polytope_check`` needs it; it depends on the
+        model only."""
+        pw = self.projected_weights
+        verts = self.moment_polytope.vertices
+        nearest = np.abs(pw[None, :, :] - verts[:, None, :]).max(axis=2).argmin(axis=1)
+        return not float(np.abs(pw[nearest] - verts).max()) > 1e-12
+
     def require_point(self, x: ProjPoint) -> ProjPoint:
         """Return x after checking it has one coordinate per weight."""
         if x.dim != self.num_coords:
@@ -339,7 +350,7 @@ def limit_support(levels: np.ndarray, supp: np.ndarray) -> np.ndarray:
     level vector tie, so ties keep the whole argmax class.  Inputs are
     trusted: the public wrappers validate them.
     """
-    top = np.where(supp, levels, -np.inf).max(axis=1)
+    top = np.maximum.reduce(np.where(supp, levels, -np.inf), axis=1)
     return supp & (levels >= (top - _level_tol(levels, axis=1))[:, None])
 
 
@@ -363,7 +374,7 @@ def gradient_rows(model: WeightedModel, z: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return z / _row_norms(z, keepdims=True)
 
 
 def flow_rows(levels: np.ndarray, t: float, z: np.ndarray) -> np.ndarray:
@@ -581,13 +592,7 @@ def moment_polytope_check(model: WeightedModel, sample_count: int,
     poly = model.moment_polytope
     z = rng.standard_normal((sample_count, model.num_coords))
     holds = bool(poly.contains_batch(gradient_rows(model, _unit_rows(z))).all())
-    # the image of coordinate point e_i is projected weight i itself
-    pw = model.projected_weights
-    verts = poly.vertices
-    nearest = np.abs(pw[None, :, :] - verts[:, None, :]).max(axis=2).argmin(axis=1)
-    if float(np.abs(pw[nearest] - verts).max()) > 1e-12:
-        holds = False
-    return poly, holds
+    return poly, holds and model._vertices_attained
 
 
 def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
@@ -616,19 +621,19 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
         return gradient_rows(model, _unit_rows(lim))
 
     # (a) interior: moderate |beta| keeps images resolvably off the boundary;
-    # the stream interleaves each direction with its length, so one sample at a time
-    lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
+    # the stream interleaves each direction with its length
+    lv = speeds(scaled_unit_vectors(rng, d, sample_count, 0.75))
     flowed = flow_rows(lv, 1.0, x.coords)
     if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
     # (b) vertex attainment along supporting directions, each vertex with its
     # centroid direction and 8 perturbed retries
     verts = poly.vertices
-    sd = np.array([poly.supporting_direction(vi) for vi in range(len(verts))])[:, None, :]
+    sd = poly.supporting_directions[:, None, :]
     jitter = unit_vector_array(rng, d, 8 * len(verts)).reshape(len(verts), 8, d)
     us = np.concatenate([sd, (verts - verts.mean(axis=0))[:, None, :], sd + 1e-3 * jitter],
                         axis=1).reshape(-1, d)
-    us[np.linalg.norm(us, axis=1) < 1e-12] = 1.0  # 0-dimensional hull: any direction works
+    us[_row_norms(us) < 1e-12] = 1.0  # 0-dimensional hull: any direction works
     miss = np.abs(limit_images(speeds(us)) - np.repeat(verts, 10, axis=0)).max(axis=1)
     if not (miss <= HULL_TOL).reshape(-1, 10).any(axis=1).all():
         return False

@@ -101,6 +101,30 @@ def unit_draws(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v[kept] / nrm[kept, None], kept
 
 
+def scaled_unit_vectors(rng: np.random.Generator, dim: int, size: int, high: float) -> np.ndarray:
+    """``size`` rows ``unit_vector(rng, dim) * rng.uniform(0.0, high)``, drawn
+    in that interleaved order, bit for bit.
+
+    Each direction is drawn into its row and its length by ``rng.random()``
+    (``rng.uniform(0.0, high)`` is numpy's ``0.0 + high * next_double``);
+    ``unit_draws`` then normalizes the rows at once, with the norms of
+    ``unit_vector``.  A null direction, which ``unit_vector`` would redraw
+    before the length, is found only then: the generator is put back to its
+    state before the first draw and the rows are drawn one call at a time.
+    """
+    state = rng.bit_generator.state
+    dirs = np.empty((size, dim))
+    lens = np.empty((size, 1))
+    for row, length in zip(dirs, lens):
+        rng.standard_normal(out=row)
+        length[0] = rng.random()
+    rows, kept = unit_draws(dirs)
+    if kept.all():
+        return rows * (high * lens)
+    rng.bit_generator.state = state
+    return np.array([unit_vector(rng, dim) * rng.uniform(0.0, high) for _ in range(size)])
+
+
 def unit_vector_array(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:
     """``size`` uniform draws from the unit sphere in R^dim, as (size, dim) rows
     of one block draw.

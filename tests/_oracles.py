@@ -25,7 +25,8 @@ one-row steps moved to Python floats, for the same byte comparison.
 ``open_uniform_loop`` is the open-interval draw one generator call at a
 time, whose values and stream position ``rng.open_uniform`` and
 ``open_uniform_array`` must replay.  ``ScriptedNormals`` stands in for a
-generator, so that the samplers meet chosen draws, null ones among them.
+generator, so that the samplers meet chosen draws, null ones among them;
+its ``random`` and ``uniform`` read the same script.
 """
 
 import math
@@ -76,6 +77,15 @@ class ScriptedNormals:
             out[...] = vals
             return out
         return float(vals) if size is None else vals
+
+    def random(self):
+        """The next scripted value, read as a uniform draw in [0, 1)."""
+        self.state += 1
+        return float(self.values[self.state - 1])
+
+    def uniform(self, low, high):
+        """numpy's one-value rule: ``low + (high - low) * random()``."""
+        return low + (high - low) * self.random()
 
 
 def kernel_dim(entries, tol: float = 1e-9) -> int:

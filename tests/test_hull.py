@@ -59,6 +59,25 @@ def test_point_hull():
     assert not poly.strictly_inside([2, 3.1])
 
 
+def test_one_point_hull_has_dimension_zero():
+    for pts in ([[2.0, 3.0]], [[2.0, 3.0], [2.0, 3.0]], [[-1.5]], [[0.0, 0.0, 0.0]]):
+        poly = Polytope(pts)
+        assert poly.dim == 0 and poly.vertices.tolist() == [pts[0]]
+        assert poly.strictly_inside(pts[0]) and poly.supporting_directions.tolist() == [[0.0] * len(pts[0])]
+
+
+@pytest.mark.parametrize("points", [[[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 0], [0.25, 0], [1, 0]],
+                                    [[1, 2, 0], [0, 1, 2], [2, 0, 1], [1, 1, 1]], [[2, 3]]],
+                         ids=["square", "segment", "triangle-in-3d", "point"])
+def test_supporting_directions_are_the_per_vertex_directions(points):
+    poly = Polytope(points)
+    want = np.array([poly.supporting_direction(i) for i in range(len(poly.vertices))])
+    assert poly.supporting_directions.tobytes() == want.tobytes()
+    assert poly.supporting_directions is poly.supporting_directions
+    with pytest.raises(ValueError):
+        poly.supporting_directions[0, 0] = 1.0
+
+
 def test_segment_hull():
     poly = Polytope([[0, 0], [0.25, 0], [1, 0]])
     assert poly.vertices.tolist() == [[0, 0], [1, 0]]

@@ -7,6 +7,7 @@ from gml.errors import GmlInputError
 from gml.rng import (
     open_uniform,
     open_uniform_array,
+    scaled_unit_vectors,
     substream,
     trial_streams,
     unit_vector,
@@ -165,6 +166,31 @@ def test_unit_vector_array_redraws_null_rows_like_unit_vector():
     want = [unit_vector(loop, 2) for _ in range(3)]
     assert got.tolist() == [w.tolist() for w in want] == [[0.6, 0.8], [0.0, -1.0], [5 / 13, 12 / 13]]
     assert block.state == loop.state == 12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_scaled_unit_vectors_replay_the_one_call_loop(dim):
+    """Same rows, bit for bit, and same generator position as a loop of
+    unit_vector and uniform calls, each direction before its length."""
+    for k in range(100):
+        size = k % 20
+        block, loop = substream(16, k), substream(16, k)
+        got = scaled_unit_vectors(block, dim, size, 0.75)
+        want = np.reshape([unit_vector(loop, dim) * loop.uniform(0.0, 0.75) for _ in range(size)],
+                          (size, dim))
+        assert got.shape == (size, dim) and got.tobytes() == want.tobytes(), k
+        assert _position(block) == _position(loop), k
+
+
+def test_scaled_unit_vectors_redraw_a_null_direction_before_its_length():
+    """A null direction is redrawn from the next normals, as unit_vector
+    redraws it, and only then is the length drawn."""
+    script = [3.0, 4.0, 0.5, 0.0, 0.0, 5.0, 12.0, 0.25, 0.0, -2.0, 1.0, 7.0]
+    block, loop = ScriptedNormals(script), ScriptedNormals(script)
+    got = scaled_unit_vectors(block, 2, 3, 2.0)
+    want = [unit_vector(loop, 2) * loop.uniform(0.0, 2.0) for _ in range(3)]
+    assert got.tolist() == [w.tolist() for w in want] == [[0.6, 0.8], [5 / 26, 12 / 26], [0.0, -2.0]]
+    assert block.state == loop.state == 11
 
 
 def _plain(state: dict) -> dict:
