@@ -211,6 +211,17 @@ def _order_ratio(model, beta, x) -> float | None:
 
 _NUMERIC_TOL = 1e-6      # field-norm target of the numeric limits
 _NUMERIC_EQ_TOL = 1e-8   # agreement between numeric and closed-form limits
+_DT_CAP = 0.2     # the limit search's step where the speeds spread little (_limit_step)
+_DT_SPREAD = 1.0  # c: 1 keeps each step inside the 10% renormalization guard, 2 does not
+
+
+def _limit_step(levels: np.ndarray) -> float:
+    """The limit search's step: min(_DT_CAP, c / spread) for the batch's largest per-row
+    speed spread, the cap when no row spreads, never below DT_DEFAULT (huge speeds then
+    raise StepTooLarge at once).  RK4's stability bound of about 2.785 is no guide to c:
+    c = 2 breaks the guard on the whole-algebra weights [[0,0],[10,0],[0,10],[10,10],[5,1]]."""
+    spread = float(np.ptp(levels, axis=1).max(initial=0.0))
+    return min(_DT_CAP, max(num.DT_DEFAULT, _DT_SPREAD / spread)) if spread > 0.0 else _DT_CAP
 
 
 def _campaign_numerics(model, trials, seed, probe_tightness):
@@ -221,7 +232,7 @@ def _campaign_numerics(model, trials, seed, probe_tightness):
             drawn.append((k, beta, _random_point(rng, model.num_coords)))
     levels = np.array([model.levels(beta) for _, beta, _ in drawn]).reshape(-1, model.num_coords)
     coords = np.array([x.coords for _, _, x in drawn]).reshape(levels.shape)
-    snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL)[0]
+    snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL, dt=_limit_step(levels))[0]
     failures = []
     for (k, beta, x), limit in zip(drawn, snapped):
         detail = {}

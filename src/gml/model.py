@@ -403,11 +403,8 @@ def action_field(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Field kernel: Bx - <x, Bx> x for speeds (n,) and one unit representative
     x (n,) or a stack of them (N, n)."""
     bx = levels * x
-    # the stacked product gives each row's <x, Bx> with the 1-row dot's bits; the
-    # 1-row dot is kept for speed: the stacked form costs ~1 us more a call on the
-    # per-row RK4 path (numpy 2.4, Xeon x86-64), ~30% of the call
-    xbx = x @ bx if x.ndim == 1 else (x[:, None, :] @ bx[:, :, None])[:, :, 0]
-    return bx - xbx * x
+    # the stacked product gives each row's <x, Bx> with the 1-row dot's bits
+    return bx - (x[..., None, :] @ bx[..., :, None])[..., 0] * x
 
 
 def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:

@@ -35,9 +35,7 @@ def _norms(y: np.ndarray):
     """Euclidean norm of one vector (n,) or of each row of a stack (N, n),
     each with the bits of ``np.linalg.norm`` of that one vector: a stacked
     ``(1, n) @ (n, 1)`` product gives the 1-row dot's bits."""
-    if y.ndim == 1:
-        return math.sqrt(y.dot(y))
-    return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+    return np.sqrt((y[..., None, :] @ y[..., :, None])[..., 0, 0])
 
 
 def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -55,21 +53,14 @@ def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     k4 = action_field(levels, x + h * k3)
     y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     nrm = _norms(y)
-    if y.ndim == 1:
-        if not abs(nrm - 1.0) <= _RENORM_LIMIT:  # a NaN norm too
-            raise StepTooLarge(_renorm_message(nrm, h))
-        return y / nrm
-    off = ~(np.abs(nrm - 1.0) <= _RENORM_LIMIT)
+    off = ~(np.abs(nrm - 1.0) <= _RENORM_LIMIT)  # a NaN norm too
     if off.any():
         k = int(off.argmax())
-        raise StepTooLarge(_renorm_message(nrm[k], h), row=k)
-    return y / nrm[:, None]
-
-
-def _renorm_message(nrm: float, h: float) -> str:
-    if not math.isfinite(nrm):
-        return f"the step is not finite; reduce dt={h}"
-    return f"renormalization correction {abs(nrm - 1.0):.2%} exceeds 10%; reduce dt={h}"
+        bad = nrm.flat[k]
+        reason = (f"renormalization correction {abs(bad - 1.0):.2%} exceeds 10%; reduce dt={h}"
+                  if math.isfinite(bad) else f"the step is not finite; reduce dt={h}")
+        raise StepTooLarge(reason, row=k if y.ndim == 2 else None)
+    return y / nrm[..., None]
 
 
 def _rk4_step(levels: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
@@ -97,10 +88,11 @@ class Trajectory:
 
     def mu_values(self) -> np.ndarray:
         """Value of <mu(x), beta> at every sample."""
-        return (self.coords ** 2) @ self.model.levels(self.beta)
+        return (self.coords ** 2) @ self.model.finite_levels(self.beta)
 
     def field_norms(self) -> np.ndarray:
-        return np.linalg.norm(action_field(self.model.levels(self.beta), self.coords), axis=1)
+        return np.linalg.norm(action_field(self.model.finite_levels(self.beta), self.coords),
+                              axis=1)
 
 
 def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
@@ -109,7 +101,7 @@ def integrate_flow(model: WeightedModel, beta, x0: ProjPoint, t_end: float,
     t_end, dt = check_real(t_end, "t_end", ">= 0"), check_real(dt, "dt", "> 0")
     levels = model.finite_levels(beta)
     times = [0.0]
-    x = x0.coords
+    x = model.require_point(x0).coords
     rows = [x]
     t = 0.0
     eps = 1e-12 * max(1.0, t_end)
@@ -162,14 +154,12 @@ def numeric_limit_rows(levels: np.ndarray, x: np.ndarray, tol: float = 1e-8,
             target = min(horizon, t_max)
             nsteps = max(1, math.ceil((target - t) / dt - 1e-9))
             h = (target - t) / nsteps
-            # a lone active row steps as one point: the same bits, cheaper steps
-            y, ly = (x[rows[0]], lv[rows[0]]) if rows.size == 1 else (x[rows], lv[rows])
+            y, ly = x[rows], lv[rows]
             try:
                 for _ in range(nsteps):
                     y = rk4_rows(ly, y, h)
             except StepTooLarge as exc:
-                raise StepTooLarge(exc.reason,
-                                   int(rows[exc.row or 0]) if stacked else None) from None
+                raise StepTooLarge(exc.reason, int(rows[exc.row]) if stacked else None) from None
             t = target
             x[rows], res[rows], t_final[rows] = y, _norms(action_field(ly, y)), t
             rows = rows[res[rows] >= tol]
@@ -191,7 +181,8 @@ def numeric_limit(model: WeightedModel, beta, x0: ProjPoint, tol: float = 1e-8,
                   dt: float = DT_DEFAULT, t_max: float = T_MAX_DEFAULT) -> ProjPoint:
     """Numerically detected flow limit, snapped to its fixed component: a
     1-row ``numeric_limit_rows`` call."""
-    snapped, _, _, _ = numeric_limit_rows(model.finite_levels(beta), x0.coords,
+    snapped, _, _, _ = numeric_limit_rows(model.finite_levels(beta),
+                                          model.require_point(x0).coords,
                                           tol=tol, dt=dt, t_max=t_max)
     return ProjPoint(snapped)
 
@@ -214,7 +205,7 @@ def gradient_fd_check(model: WeightedModel, beta, x: ProjPoint, h: float = 1e-5)
     """
     h = check_real(h, "h", "> 0")
     levels = model.finite_levels(beta)
-    y = x.coords
+    y = model.require_point(x).coords
     frame = _tangent_frame(y)
     ch, sh = math.cos(h), math.sin(h)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,7 +258,7 @@ def linearization_at(model: WeightedModel, beta, x_fixed: ProjPoint,
     """
     h = check_real(h, "h", "> 0")
     levels = model.finite_levels(beta)
-    base = x_fixed.coords
+    base = model.require_point(x_fixed).coords
     res = float(np.linalg.norm(action_field(levels, base)))
     if res > FIX_TOL:
         raise NotAFixedPoint(f"field norm {res:.3e} exceeds FIX_TOL {FIX_TOL:.3e}")

@@ -208,6 +208,48 @@ def test_numerics_order_gate_rejects_a_third_order_step(model_pool, monkeypatch)
     assert all(f["actual"]["order_ratio"] < 14.0 for f in failures)
 
 
+def _wide_model(s: int) -> mdl.WeightedModel:
+    """A whole-algebra model whose unit directions spread their speeds over
+    s to s * sqrt(2)."""
+    return mdl.WeightedModel(name=f"wide-{s}",
+                             weights=[[0, 0], [s, 0], [0, s], [s, s], [s // 2, 1]],
+                             subalgebra=[[1, 0], [0, 1]])
+
+
+def test_limit_step_follows_the_speed_spread():
+    step = campaigns._limit_step
+    assert step(np.zeros((0, 4))) == step(np.zeros((3, 4))) == 0.2
+    assert step(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])) == 0.2
+    assert step(np.array([[0.0, 6.0, -4.0], [0.0, 1.0, 0.0]])) == 0.1
+    # never finer than DT_DEFAULT: speeds of 1e200 would otherwise take 1e200 steps to t = 1
+    assert step(np.array([[0.0, 1e200, -1e200]])) == numerics.DT_DEFAULT
+
+
+def test_numerics_reports_hold_at_the_derived_step(model_pool, monkeypatch):
+    """The numerics campaign on two of the acceptance pool's widest-spread models
+    (speed spreads up to about 8.5) and two wide models, where 1 / spread sets the
+    limit search's step, gives the reports it gives with the step held at
+    DT_DEFAULT."""
+    models = [model_pool[39], model_pool[15], _wide_model(6), _wide_model(10)]
+    assert [m.name for m in models[:2]] == ["random-37", "random-13"]
+    search, steps = numerics.numeric_limit_rows, []
+
+    def recorded(levels, x, tol, dt):
+        steps.append(dt)
+        return search(levels, x, tol=tol, dt=dt)
+
+    def reports():
+        return [run_campaign_model(m, "numerics", trials=t, seed=5).to_obj() | {"wall_time": 0}
+                for m, t in zip(models, (5, 5, 10, 10))]
+
+    monkeypatch.setattr(numerics, "numeric_limit_rows", recorded)
+    derived = reports()
+    assert all(numerics.DT_DEFAULT < dt < 0.2 for dt in steps)
+    monkeypatch.setattr(campaigns, "_DT_CAP", numerics.DT_DEFAULT)
+    assert reports() == derived
+    assert steps[4:] == [numerics.DT_DEFAULT] * 4
+
+
 def test_unknown_campaign_rejected(square_model):
     with pytest.raises(UnknownCampaign):
         run_campaign_model(square_model, "nonsense", trials=1, seed=0)

@@ -134,6 +134,18 @@ def test_trajectory_rejects_length_mismatch(square_model):
                    beta=np.array([1.0, 0.0]), model=square_model)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("read", [Trajectory.mu_values, Trajectory.field_norms,
+                                  monotonicity_check], ids=lambda f: f.__name__)
+def test_trajectory_speeds_follow_the_speeds_finite_rule(square_model, read):
+    """The square takes any direction; speeds that overflow are an input
+    error, not a numpy overflow warning."""
+    traj = Trajectory(times=np.array([0.0, 1.0]), coords=np.full((2, 4), 0.5),
+                      beta=np.array([1e308, 1e308]), model=square_model)
+    with pytest.raises(GmlInputError, match="^direction is too large or not finite"):
+        read(traj)
+
+
 # -------------------------------------------------------------- numeric limits
 
 
@@ -349,6 +361,21 @@ def test_non_finite_speeds_are_an_input_error(square_model, func, bad):
         _SPEED_CALLS[func](square_model, _BAD_DIRECTIONS[bad])
 
 
+# every public entry point of the integrator that takes a point
+_POINT_CALLS = {
+    "integrate_flow": lambda m, x: integrate_flow(m, BETA, x, 1.0),
+    "numeric_limit": lambda m, x: numeric_limit(m, BETA, x),
+    "gradient_fd_check": lambda m, x: gradient_fd_check(m, BETA, x),
+    "linearization_at": lambda m, x: linearization_at(m, BETA, x),
+}
+
+
+@pytest.mark.parametrize("func", _POINT_CALLS)
+def test_a_point_of_the_wrong_length_is_an_input_error(square_model, func):
+    with pytest.raises(GmlInputError, match="^point has 3 coordinates, expected 4$"):
+        _POINT_CALLS[func](square_model, P(0.5, 0.5, 0.5))
+
+
 # ------------------------------------------- array forms against loop references
 #
 # Tolerances, fixed before comparing: values agree within 1e-12 relative,
@@ -535,7 +562,7 @@ def test_numeric_limit_rows_edge_rows(square_model):
     levels = square_model.levels(BETA)
     out = numeric_limit_rows(levels, np.zeros((0, 4)))
     assert [a.shape for a in out] == [(0, 4), (0, 4), (0,), (0,)]
-    # row 0 is fixed, so row 1 steps alone, as one point, and is still named
+    # row 0 is fixed, so row 1 is the only row that steps, and is still named
     with pytest.raises(StepTooLarge, match="^row 1: renormalization") as err:
         numeric_limit_rows(levels, np.array([[0, 0, 0, 1], [0.5, 0.5, 0.5, 0.5]]), dt=5.0)
     assert err.value.row == 1
