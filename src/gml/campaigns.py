@@ -186,9 +186,9 @@ def _campaign_convexity(model, trials, seed, probe_tightness):
     return failures, thresholds, trials
 
 
-def _order_ratio(model, beta, x) -> float | None:
+def _order_ratio(model, beta, x, h) -> float | None:
     """RK4 order gate: max-abs errors at t = 2 against the closed-form flow
-    for h = 0.1 and h/2, halving h up to five times.  None (pass) at the
+    for the step h and h/2, halving h up to five times.  None (pass) at the
     first pair whose ratio reaches 14 or whose coarse error is at most
     1e-13; else the last ratio measured."""
     closed = mdl.flow(model, beta, 2.0, x).coords
@@ -197,7 +197,7 @@ def _order_ratio(model, beta, x) -> float | None:
         end = num.integrate_flow(model, beta, x, 2.0, dt=h).coords[-1]
         return float(np.abs(mdl.ProjPoint(end).coords - closed).max())
 
-    h, err_c = 0.1, err(0.1)
+    err_c = err(h)
     for _ in range(5):
         if err_c <= 1e-13:
             return None
@@ -211,17 +211,6 @@ def _order_ratio(model, beta, x) -> float | None:
 
 _NUMERIC_TOL = 1e-6      # field-norm target of the numeric limits
 _NUMERIC_EQ_TOL = 1e-8   # agreement between numeric and closed-form limits
-_DT_CAP = 0.2     # the limit search's step where the speeds spread little (_limit_step)
-_DT_SPREAD = 1.0  # c: 1 keeps each step inside the 10% renormalization guard, 2 does not
-
-
-def _limit_step(levels: np.ndarray) -> float:
-    """The limit search's step: min(_DT_CAP, c / spread) for the batch's largest per-row
-    speed spread, the cap when no row spreads, never below DT_DEFAULT (huge speeds then
-    raise StepTooLarge at once).  RK4's stability bound of about 2.785 is no guide to c:
-    c = 2 breaks the guard on the whole-algebra weights [[0,0],[10,0],[0,10],[10,10],[5,1]]."""
-    spread = float(np.ptp(levels, axis=1).max(initial=0.0))
-    return min(_DT_CAP, max(num.DT_DEFAULT, _DT_SPREAD / spread)) if spread > 0.0 else _DT_CAP
 
 
 def _campaign_numerics(model, trials, seed, probe_tightness):
@@ -230,19 +219,24 @@ def _campaign_numerics(model, trials, seed, probe_tightness):
         beta = _gapped_direction(model, rng)
         if beta is not None:
             drawn.append((k, beta, _random_point(rng, model.num_coords)))
-    levels = np.array([model.levels(beta) for _, beta, _ in drawn]).reshape(-1, model.num_coords)
-    coords = np.array([x.coords for _, _, x in drawn]).reshape(levels.shape)
-    snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL, dt=_limit_step(levels))[0]
+    betas = np.array([beta for _, beta, _ in drawn]).reshape(-1, model.torus_dim)
+    coords = np.array([x.coords for _, _, x in drawn]).reshape(-1, model.num_coords)
+    # stacked products evaluate each row as model.levels does, bit for bit
+    levels = (model.weights @ betas[:, :, None])[:, :, 0]
+    snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL,
+                                     dt=num.spread_step(levels, num._DT_CAP))[0]
+    closed = np.where(mdl.limit_support(levels, coords != 0.0), coords, 0.0)
     failures = []
-    for (k, beta, x), limit in zip(drawn, snapped):
+    for (k, beta, x), lv, limit, kept in zip(drawn, levels, snapped, closed):
         detail = {}
-        expected = mdl.flow_limit(model, beta, x)
-        actual = mdl.ProjPoint(limit)
+        expected, actual = mdl.ProjPoint(kept), mdl.ProjPoint(limit)
         if not actual.same_as(expected, tol=_NUMERIC_EQ_TOL):
             detail["limit"] = {"expected": expected.support, "actual": actual.support}
-        if not num.monotonicity_check(num.integrate_flow(model, beta, x, t_end=3.0, dt=0.05)):
+        traj = num.integrate_flow(model, beta, x, t_end=3.0,
+                                  dt=num.spread_step(lv, num._DT_CAP_MONOTONE))
+        if not num.monotonicity_check(traj):
             detail["monotone"] = False
-        ratio = _order_ratio(model, beta, x)
+        ratio = _order_ratio(model, beta, x, num.spread_step(lv, num._DT_CAP_ORDER))
         if ratio is not None:
             detail["order_ratio"] = ratio
         r1 = num.gradient_fd_check(model, beta, x, h=1e-3)

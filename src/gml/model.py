@@ -492,11 +492,19 @@ def model_chain_threshold_witness(model: WeightedModel, alphas=None):
     Returns ``(delta, pairs)`` where each pair (i, j), i < j, attains the
     finite threshold with every significant later entry opposing the
     leading sign, so setting every step size exactly to delta produces an
-    exact speed tie between coordinates i and j.
+    exact speed tie between coordinates i and j.  Pair speeds fall under
+    the speeds-finite rule: GmlInputError names the first pair whose
+    speeds are not finite.
     """
     a = model.require_basis(alphas)
     i, j = np.triu_indices(model.num_coords, k=1)
-    speeds = (model.weights[i] - model.weights[j]) @ a.T  # (P, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite pair speeds raise below
+        speeds = (model.weights[i] - model.weights[j]) @ a.T  # (P, k)
+    finite = np.isfinite(speeds).all(axis=1)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise GmlInputError(f"the pair speeds of coordinates {i[p]} and {j[p]} are not finite; "
+                            "use smaller weights")
     delta, _, ties = box_radius(speeds, _level_tol(speeds))
     return delta, list(zip(i[ties].tolist(), j[ties].tolist()))
 

@@ -29,6 +29,22 @@ DT_DEFAULT = 1e-2
 T_MAX_DEFAULT = 1e4
 FIX_TOL = 1e-10  # field norm below which a point counts as fixed
 _RENORM_LIMIT = 0.1  # reject a step when renormalization moves the point >10%
+# the numerics campaign's step caps, one per RK4 run (spread_step)
+_DT_CAP = 0.2            # the stacked limit search
+_DT_CAP_ORDER = 0.1      # the order gate's coarsest step
+_DT_CAP_MONOTONE = 0.05  # the monotonicity run
+_SPREAD_C = 1.0  # c: 1 keeps each step inside the 10% renormalization guard, 2 does not
+
+
+def spread_step(levels: np.ndarray, cap: float) -> float:
+    """The step rule: min(cap, c / spread) for the largest per-row speed spread
+    of speeds (n,) or (N, n), the cap when no row spreads, never below
+    DT_DEFAULT (huge speeds then raise StepTooLarge at once).  RK4's step must
+    shrink like 1 / spread to stay stable, but its stability bound of about
+    2.785 is no guide to c: c = 2 breaks the renormalization guard on the
+    whole-algebra weights [[0,0],[10,0],[0,10],[10,10],[5,1]]."""
+    spread = float(np.ptp(levels, axis=-1).max(initial=0.0))
+    return min(cap, max(DT_DEFAULT, _SPREAD_C / spread)) if spread > 0.0 else cap
 
 
 def _norms(y: np.ndarray):

@@ -217,12 +217,22 @@ def _wide_model(s: int) -> mdl.WeightedModel:
 
 
 def test_limit_step_follows_the_speed_spread():
-    step = campaigns._limit_step
+    assert (numerics._DT_CAP, numerics._DT_CAP_ORDER, numerics._DT_CAP_MONOTONE) == (0.2, 0.1, 0.05)
+
+    def step(levels, cap=numerics._DT_CAP):
+        return numerics.spread_step(levels, cap)
     assert step(np.zeros((0, 4))) == step(np.zeros((3, 4))) == 0.2
     assert step(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])) == 0.2
     assert step(np.array([[0.0, 6.0, -4.0], [0.0, 1.0, 0.0]])) == 0.1
     # never finer than DT_DEFAULT: speeds of 1e200 would otherwise take 1e200 steps to t = 1
     assert step(np.array([[0.0, 1e200, -1e200]])) == numerics.DT_DEFAULT
+    # one trial's speeds under the order gate's and the monotonicity run's caps,
+    # which bind up to a spread of 10 and of 20
+    for cap, binding, spread in ((0.1, 10.0, 16.0), (0.05, 20.0, 32.0)):
+        assert step(np.zeros(3), cap) == step(np.array([0.0, 1.0]), cap) == cap
+        assert step(np.array([0.0, binding, 1.0]), cap) == cap
+        assert step(np.array([-spread / 2, spread / 2]), cap) == 1.0 / spread
+        assert step(np.array([0.0, 1e200, -1e200]), cap) == numerics.DT_DEFAULT
 
 
 def test_numerics_reports_hold_at_the_derived_step(model_pool, monkeypatch):
@@ -245,9 +255,68 @@ def test_numerics_reports_hold_at_the_derived_step(model_pool, monkeypatch):
     monkeypatch.setattr(numerics, "numeric_limit_rows", recorded)
     derived = reports()
     assert all(numerics.DT_DEFAULT < dt < 0.2 for dt in steps)
-    monkeypatch.setattr(campaigns, "_DT_CAP", numerics.DT_DEFAULT)
+    monkeypatch.setattr(numerics, "_DT_CAP", numerics.DT_DEFAULT)
     assert reports() == derived
     assert steps[4:] == [numerics.DT_DEFAULT] * 4
+
+
+@pytest.mark.parametrize("weights", [[[0], [11], [-11], [1]],
+                                     [[0, 0], [13, 0], [0, 13], [13, 13], [6, 1]],
+                                     [[0], [25], [-25], [1]]],
+                         ids=["line-11", "plane-13", "line-25"])
+def test_numerics_steps_shrink_on_wide_speed_spreads(weights):
+    """Speed spreads of 18 to 22 put the order gate's fixed h = 0.1 outside the
+    renormalization guard (StepTooLarge), and a spread of 50 the monotonicity
+    run's fixed dt = 0.05; each step follows the spread instead."""
+    model = mdl.WeightedModel("wide", weights, np.eye(len(weights[0])))
+    rep = run_campaign_model(model, "numerics", trials=20, seed=5)
+    assert (rep.passes, rep.failures) == (20, [])
+
+
+def _replayed_numerics_inputs(model, seed, k):
+    rng = grng.substream(seed, k)
+    beta = mdl.gapped_direction(model, rng)
+    return {"beta": beta.tolist(), "point": campaigns._random_point(rng, model.num_coords).coords.tolist()}
+
+
+def _failing(monkeypatch, module, name, verdict):
+    """Patch ``module.name`` to run as it does, draws included, and return verdict."""
+    real = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        return verdict(real(*args, **kwargs))
+    monkeypatch.setattr(module, name, patched)
+
+
+@pytest.mark.parametrize("check, key", [("polytope", "moment_polytope_check"),
+                                        ("orbit", "orbit_hull_check")])
+def test_convexity_failure_records_replay(square_model, monkeypatch, check, key):
+    verdict = (lambda res: (res[0], False)) if check == "polytope" else (lambda res: False)
+    _failing(monkeypatch, mdl, key, verdict)
+    rep = run_campaign_model(square_model, "convexity", trials=3, seed=13)
+    assert rep.passes == 0
+    for k, f in enumerate(rep.failures):
+        assert (f["seed"], f["trial_index"]) == (13, k)
+        assert f["expected"] == {"polytope": True, "orbit": True}
+        assert f["actual"] == {"polytope": check != "polytope", "orbit": check != "orbit"}
+        rng = grng.substream(13, k)
+        mdl.moment_polytope_check(square_model, 32, rng)
+        assert f["inputs"] == {"point": campaigns._random_point(rng, 4).coords.tolist()}
+
+
+@pytest.mark.parametrize("key", ["monotone", "fd_ratio"])
+def test_numerics_failure_records_replay(square_model, monkeypatch, key):
+    if key == "monotone":
+        _failing(monkeypatch, numerics, "monotonicity_check", lambda ok: False)
+    else:  # residuals in proportion to h: a first-order ratio of 2
+        monkeypatch.setattr(numerics, "gradient_fd_check", lambda model, beta, x, h: h)
+    rep = run_campaign_model(square_model, "numerics", trials=3, seed=5)
+    assert rep.passes == 0
+    for k, f in enumerate(rep.failures):
+        assert (f["seed"], f["trial_index"]) == (5, k)
+        assert f["expected"] == {"all_checks": True}
+        assert f["actual"] == ({"monotone": False} if key == "monotone" else {"fd_ratio": 2.0})
+        assert f["inputs"] == _replayed_numerics_inputs(square_model, 5, k)
 
 
 def test_unknown_campaign_rejected(square_model):

@@ -286,8 +286,10 @@ def test_theorem2_on_overflowing_speeds_exits_two(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("alpha", ["[[1,2],[0,1]]", "[[1,2]]", "diag:1,nan"],
-                         ids=["non-symmetric", "non-square", "non-finite"])
+@pytest.mark.parametrize("alpha", ["[[1,2],[0,1]]", "[[1,2]]", "diag:1,nan", "[[1e400,0],[0,1]]",
+                                   "[[1,0],[0,1]", "diag:1,2,3"],
+                         ids=["non-symmetric", "non-square", "non-finite", "overflowing-entry",
+                              "truncated", "unequal-dimension"])
 def test_delta_bad_matrix_exits_two(capsys, alpha):
     code, out, err = run_cli(capsys, "delta", "--alpha", alpha, "--beta", "diag:1,1")
     assert_input_error(code, err)
@@ -300,7 +302,11 @@ def test_delta_bad_matrix_exits_two(capsys, alpha):
     ("components", "--beta", "inf,0"),
     ("chain-threshold", "--alphas", "1,inf;0,1"),
     ("chain-threshold", "--alphas", "1,nan;0,1"),
-], ids=["ragged-alphas", "nan-beta", "inf-beta", "inf-alphas", "nan-alphas"])
+    ("composed", "--point", "1,1,1,1", "--alphas", "1,0"),
+    ("limit", "--point", "1,1,1,1", "--beta", "1,0,0"),
+    ("limit", "--point", "1", "--beta", "1,0"),
+], ids=["ragged-alphas", "nan-beta", "inf-beta", "inf-alphas", "nan-alphas", "one-alpha",
+        "long-beta", "one-coordinate-point"])
 def test_bad_numbers_exit_two(square_file, capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--model", str(square_file), *argv[1:])
     assert_input_error(code, err)
@@ -427,3 +433,42 @@ def test_components_overflowing_speed_exits_two(square_file, capsys):
                              "--beta", "1e308,1e308")
     assert_input_error(code, err)
     assert out == ""
+
+
+# the pair (0, 1) has the speed difference 2e308, which overflows; without
+# those two rows the threshold is 0.25
+OVERFLOWING_PAIR = {"name": "overflowing-pair", "num_coords": 4, "torus_dim": 2,
+                    "weights": [[1e308, 0], [-1e308, 0], [0, 0], [4, -1]],
+                    "subalgebra": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("chain-threshold", "--model"),
+    ("describe",),
+    ("run", "--campaign", "theorem2", "--trials", "200", "--seed", "1", "--model"),
+], ids=["chain-threshold", "describe", "theorem2"])
+def test_overflowing_pair_speeds_exit_two(tmp_path, capsys, argv):
+    """Not a threshold of "inf", nor theorem2 failures recorded against it."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(OVERFLOWING_PAIR))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, err)
+    assert out == ""
+    assert "pair speeds of coordinates 0 and 1 are not finite" in err
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"name": 5}, "field 'name' must be a string"),
+    ({"subalgebra": [[1, 0, 0], [0, 1, 0]]}, "rows have length 3, expected 2"),
+    ({"weights": [0, 0, 1, 0, 0, 1, 1, 1]}, "field 'weights' must be a list of equal-length rows"),
+    ({"num_coords": 1, "weights": [[1, 0]]}, "at least two homogeneous coordinates"),
+], ids=["numeric-name", "long-subalgebra-rows", "flat-weights", "one-coordinate"])
+def test_malformed_model_fields_exit_two(tmp_path, capsys, fields, named):
+    obj = {"name": "square", "num_coords": 4, "torus_dim": 2,
+           "weights": [[0, 0], [1, 0], [0, 1], [1, 1]], "subalgebra": [[1, 0], [0, 1]], **fields}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "describe", str(path))
+    assert_input_error(code, err)
+    assert out == ""
+    assert named in err

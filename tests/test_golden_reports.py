@@ -2,8 +2,10 @@
 
 The goldens in ``tests/data/golden_reports.json`` pin replay of the
 theorem1, theorem2 (with tightness probes, so failure records are
-pinned too) and convexity campaigns on the two canonical models and two
-acceptance-pool models.  They also pin the lemma-linearization campaign,
+pinned too), convexity and numerics campaigns on the two canonical
+models and two acceptance-pool models.  A numerics run with the
+agreement tolerance ``campaigns._NUMERIC_EQ_TOL`` patched to 0 pins its
+failure records (beta and point of each failing trial).  They also pin the lemma-linearization campaign,
 which draws its own operator pairs: once as it runs, once with the
 holds threshold ``spectral.HOLDS_TOL`` patched to 0 (failing eps rows
 are recorded), and once with that threshold at 0 and every threshold
@@ -25,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import POOL_SEED, make_segment_model, make_square_model  # noqa: E402
 from gml import campaigns, random_weighted_model, spectral  # noqa: E402
+from gml import model as mdl  # noqa: E402
 from gml.campaigns import run_campaign_model  # noqa: E402
 from gml.rng import substream  # noqa: E402
 from gml.spectral import HOLDS_TOL, chain_threshold_witness  # noqa: E402
@@ -37,7 +40,10 @@ RUNS = (
     ("theorem1", 120, 11, False),
     ("theorem2", 60, 12, True),
     ("convexity", 3, 13, False),
+    ("numerics", 6, 18, False),
 )
+# (case id, model, trials, seed): the numerics campaign with _NUMERIC_EQ_TOL at 0
+NUMERICS_EQ0_RUN = ("numerics/numeric_eq_tol=0", "repeated-weight", 8, 19)
 # (case id, trials, seed, holds threshold at 0, halve every threshold)
 LEMMA_RUNS = (
     ("lemma-linearization/unit-square", 30, 14, False, False),
@@ -89,6 +95,23 @@ def _zero_holds_threshold():
         spectral.HOLDS_TOL = HOLDS_TOL
 
 
+@contextmanager
+def _zero_numeric_eq_tol():
+    """Let a numeric limit agree with its closed form only when equal."""
+    tol = campaigns._NUMERIC_EQ_TOL
+    campaigns._NUMERIC_EQ_TOL = 0.0
+    try:
+        yield
+    finally:
+        campaigns._NUMERIC_EQ_TOL = tol
+
+
+def _numerics_eq0_text(models) -> str:
+    _, name, trials, seed = NUMERICS_EQ0_RUN
+    with _zero_numeric_eq_tol():
+        return _report_text(models[name], "numerics", trials, seed, False)
+
+
 def _lemma_text(trials, seed, zero_holds, halve) -> str:
     zero = _zero_holds_threshold() if zero_holds else nullcontext()
     with zero, _halved_thresholds() if halve else nullcontext():
@@ -100,6 +123,7 @@ def _all_reports() -> dict:
     reports = {_case_id(name, campaign): _report_text(models[name], campaign, trials, seed, probe)
                for name in MODEL_NAMES for campaign, trials, seed, probe in RUNS}
     reports.update({case: _lemma_text(*run) for case, *run in LEMMA_RUNS})
+    reports[NUMERICS_EQ0_RUN[0]] = _numerics_eq0_text(models)
     return reports
 
 
@@ -124,6 +148,32 @@ def test_report_matches_golden(goldens, models, model_name, campaign, trials, se
                          ids=[r[0].split("/")[1] for r in LEMMA_RUNS])
 def test_lemma_report_matches_golden(goldens, case, trials, seed, zero_holds, halve):
     assert _lemma_text(trials, seed, zero_holds, halve) == goldens[case]
+
+
+@pytest.mark.parametrize("model_name", ["unit-square", "random-11"])
+def test_numerics_reads_no_scalar_flow_limit(goldens, models, monkeypatch, model_name):
+    """The closed-form limits come from one ``limit_support`` call: with
+    ``flow_limit`` raising, the numerics report is still the pinned one."""
+    def raising(*args):
+        raise AssertionError("flow_limit was called")
+    monkeypatch.setattr(mdl, "flow_limit", raising)
+    run = next(r for r in RUNS if r[0] == "numerics")
+    got = _report_text(models[model_name], *run)
+    assert got == goldens[_case_id(model_name, "numerics")]
+
+
+def test_numerics_eq0_report_matches_golden(goldens, models):
+    assert _numerics_eq0_text(models) == goldens[NUMERICS_EQ0_RUN[0]]
+
+
+def test_goldens_pin_numerics_failure_records(goldens):
+    """At agreement tolerance 0 the limits of a two-coordinate fixed component
+    fail by rounding, and each record carries the trial's beta and point."""
+    failures = json.loads(goldens[NUMERICS_EQ0_RUN[0]])["failures"]
+    assert failures
+    for f in failures:
+        assert list(f["inputs"]) == ["beta", "point"]
+        assert list(f["actual"]) == ["limit"]
 
 
 def test_goldens_pin_failure_records(goldens):

@@ -652,6 +652,18 @@ def test_model_chain_threshold_square_is_one(square_model):
     assert (1, 2) in pairs
 
 
+def test_model_chain_threshold_applies_the_speeds_finite_rule():
+    """w_0 - w_1 overflows: an input error without a numpy warning (pyproject
+    makes RuntimeWarning an error), not a threshold of inf.  Without the two
+    huge rows the threshold is 0.25."""
+    weights = [[1e308, 0], [-1e308, 0], [0, 0], [4, -1]]
+    model = WeightedModel(name="pair", weights=weights, subalgebra=[[0, 1], [1, 0]])
+    with pytest.raises(GmlInputError, match="pair speeds of coordinates 0 and 1 are not finite"):
+        model_chain_threshold_witness(model)
+    rest = WeightedModel(name="rest", weights=weights[2:], subalgebra=[[0, 1], [1, 0]])
+    assert model_chain_threshold(rest) == 0.25
+
+
 def test_model_chain_threshold_certified_by_partition_grid(square_model):
     # below the threshold the perturbed direction induces the joint partition;
     # at the threshold indices 1 and 2 merge
