@@ -42,8 +42,17 @@ def spread_step(levels: np.ndarray, cap: float) -> float:
     DT_DEFAULT (huge speeds then raise StepTooLarge at once).  RK4's step must
     shrink like 1 / spread to stay stable, but its stability bound of about
     2.785 is no guide to c: c = 2 breaks the renormalization guard on the
-    whole-algebra weights [[0,0],[10,0],[0,10],[10,10],[5,1]]."""
-    spread = float(np.ptp(levels, axis=-1).max(initial=0.0))
+    whole-algebra weights [[0,0],[10,0],[0,10],[10,10],[5,1]].  Finite
+    speeds whose spread overflows raise StepTooLarge, naming the first such
+    row of a stack and its speeds, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spread raises below
+        spreads = np.ptp(levels, axis=-1)
+    spread = float(spreads.max(initial=0.0))
+    if spread == math.inf and np.isfinite(levels).all():
+        k = int(np.argmax(spreads)) if levels.ndim == 2 else None
+        row = levels if k is None else levels[k]
+        raise StepTooLarge(f"speeds {row.min():.6g} to {row.max():.6g} spread beyond the float "
+                           f"range: no step resolves them", row=k)
     return min(cap, max(DT_DEFAULT, _SPREAD_C / spread)) if spread > 0.0 else cap
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,9 +41,9 @@ def _entry_scale(entries: np.ndarray) -> float:
     return float(np.abs(entries).max()) if entries.size else 0.0
 
 
-def _zero_tol(entries: np.ndarray) -> float:
+def _zero_tol(a: "SymMat") -> float:
     """Threshold below which an eigenvalue of this matrix counts as zero."""
-    return 1e-12 * _entry_scale(entries)
+    return 1e-12 * a._scale
 
 
 def _canonical_sign_columns(cols: np.ndarray) -> np.ndarray:
@@ -51,7 +51,7 @@ def _canonical_sign_columns(cols: np.ndarray) -> np.ndarray:
     positive.  Returns C order: a basis's layout picks the BLAS path, and so
     the last bits, of every product with it."""
     lead = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
-    return np.ascontiguousarray(np.where(lead < 0, -cols, cols))
+    return np.ascontiguousarray(cols * np.where(lead < 0, -1.0, 1.0))  # exact: a sign flip or none
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,13 +65,14 @@ class SymMat:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        m = np.asarray(self.entries, dtype=float)  # read only: half + half_t is stored
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise GmlInputError(f"expected a nonempty square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        scale = _entry_scale(m)  # NaN or infinite when some entry is not finite
+        if not math.isfinite(scale):
             raise GmlInputError("matrix entries must be finite")
         half, half_t = m / 2.0, m.T / 2.0  # halved first: m - m.T and m + m.T can overflow
-        tol = 1e-10 * max(1.0, _entry_scale(m))
+        tol = 1e-10 * max(1.0, scale)
         defect = 2.0 * float(np.abs(half - half_t).max())
         if defect > tol:
             raise GmlInputError(f"matrix is not symmetric: max asymmetry {defect:.3e} > tol {tol:.3e}")
@@ -82,6 +83,12 @@ class SymMat:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _scale(self) -> float:
+        """Largest |entry|, computed once: the zero thresholds of the kernel
+        rules scale with it."""
+        return _entry_scale(self.entries)
 
     @classmethod
     def diag(cls, values) -> "SymMat":
@@ -135,7 +142,8 @@ class CommutingFamily:
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 a, b = members[i], members[j]
-                tol, nrm = _pair_comm_tol(a, b), commutator_norm(a, b)
+                with np.errstate(over="ignore", invalid="ignore"):  # decided scaled below
+                    tol, nrm = _pair_comm_tol(a, b), commutator_norm(a, b)
                 scaled = not (math.isfinite(nrm) and math.isfinite(tol))
                 if scaled:  # the products overflow: check the pair scaled by powers of two
                     nrm, tol = _scaled_commutator(a, b)
@@ -153,7 +161,9 @@ class CommutingFamily:
 def _require_orthonormal(cols: np.ndarray) -> None:
     """The orthonormality rule: ``|Q^T Q - I|`` at most 1e-9 in every entry."""
     if cols.shape[1]:  # an empty basis passes, at no cost
-        defect = float(np.abs(cols.T @ cols - np.eye(cols.shape[1])).max())
+        gram = cols.T @ cols
+        gram.ravel()[::cols.shape[1] + 1] -= 1.0  # Q^T Q - I, a fresh C-order product
+        defect = float(np.abs(gram).max())
         if defect > 1e-9:
             raise ValueError(f"basis is not orthonormal: defect {defect:.3e}")
 
@@ -247,33 +257,28 @@ def _mix_coeffs(count: int) -> np.ndarray:
     return coeffs
 
 
-def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
-    """Shared eigenbasis of a commuting family, certified by reconstruction.
-
-    Eigendecomposes a random unit-coefficient combination of the family,
-    then refines any repeated-eigenvalue block by recursing on the
-    remaining members restricted to that block.  Columns are ordered by
-    their eigenvalue tuple, lexicographically descending, which makes the
-    output deterministic.  Raises ConvergenceFailure when some member is
-    not reconstructed within 1e-10 times its Frobenius norm (at least 1).
-    """
-    arrays = [m.entries for m in fam.members]  # commutation was checked on construction
-    mix = sum(c * a for c, a in zip(_mix_coeffs(len(arrays)), arrays))
-    # The first level refines the identity: mix is bitwise symmetric, so
-    # half + half is the symmetrized eye.T @ mix @ eye bit for bit (a
-    # subnormal entry's rounding included), and eye @ v[:, s] is v[:, s].
-    half = mix / 2.0
-    w, v = np.linalg.eigh(half + half)
-    clusters = _eig_clusters(w)
-    q = v if len(clusters) == w.size else _hstack(
-        [v[:, s] if s.stop - s.start == 1 else _refine(arrays, np.ascontiguousarray(v[:, s]))
-         for s in clusters])
-    levels = np.vstack([(q.T @ a @ q).diagonal() for a in arrays])
-    # descending lexicographic order on eigenvalue tuples (first member primary)
-    order = np.lexsort(np.flipud(levels))[::-1]
-    q = _canonical_sign_columns(q[:, order])
-    levels = levels[:, order]
-    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+def _joint_spectrum(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``joint_diagonalize``'s kernel on the member arrays of a commuting
+    family: the certified basis, checked orthonormal, and its levels."""
+    # the certificate decides whatever overflows on the way: a huge mix, a norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        mix = np.zeros_like(arrays[0])  # from zeros, as sum() adds: a -0.0 term gives 0.0
+        for c, a in zip(_mix_coeffs(len(arrays)), arrays):
+            mix += c * a
+        # The first level refines the identity: mix is bitwise symmetric, so
+        # half + half is the symmetrized eye.T @ mix @ eye bit for bit (a
+        # subnormal entry's rounding included), and eye @ v[:, s] is v[:, s].
+        half = mix / 2.0
+        w, v = np.linalg.eigh(half + half)
+        clusters = _eig_clusters(w)
+        q = v if len(clusters) == w.size else _hstack(
+            [v[:, s] if s.stop - s.start == 1 else _refine(arrays, np.ascontiguousarray(v[:, s]))
+             for s in clusters])
+        levels = np.vstack([(q.T @ a @ q).diagonal() for a in arrays])
+        # descending lexicographic order on eigenvalue tuples (first member primary)
+        order = np.lexsort(np.flipud(levels))[::-1]
+        q = _canonical_sign_columns(q[:, order])
+        levels = levels[:, order]
         for k, a in enumerate(arrays):
             diff = a - (q * levels[k]) @ q.T
             residual, size, e = _fro(diff), _fro(a), 0
@@ -285,20 +290,54 @@ def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
             if not residual <= bound:  # NaN fails too
                 raise ConvergenceFailure(f"member {k} not reconstructed: residual {residual:.3e} "
                                          f"> tol {bound:.3e}" + (f" (both times 2^{-e})" if e else ""))
+    _require_orthonormal(q)
+    return q, levels
+
+
+def joint_diagonalize(fam: CommutingFamily) -> JointSpectrum:
+    """Shared eigenbasis of a commuting family, certified by reconstruction.
+
+    Eigendecomposes a random unit-coefficient combination of the family,
+    then refines any repeated-eigenvalue block by recursing on the
+    remaining members restricted to that block.  Columns are ordered by
+    their eigenvalue tuple, lexicographically descending, which makes the
+    output deterministic.  Raises ConvergenceFailure when some member is
+    not reconstructed within 1e-10 times its Frobenius norm (at least 1).
+    """
+    # commutation was checked on construction
+    q, levels = _joint_spectrum([m.entries for m in fam.members])
     return JointSpectrum(basis=q, levels=levels)
+
+
+def _kernel_columns(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The kernel of one ``eigh`` row: its eigenvector columns ``v[:, mask]``,
+    sign-canonical and checked orthonormal; ``(n, 0)`` for an empty mask."""
+    if not mask.any():
+        return np.zeros((v.shape[0], 0))
+    cols = _canonical_sign_columns(v[:, mask])
+    _require_orthonormal(cols)
+    return cols
 
 
 def kernel(a: SymMat) -> Subspace:
     """Orthonormal basis of the eigenspace with |eigenvalue| <= ``_zero_tol``."""
     w, v = np.linalg.eigh(a.entries)
-    return _eigenspace(v, np.abs(w) <= _zero_tol(a.entries))
+    return Subspace(a.dim, _kernel_columns(v, np.abs(w) <= _zero_tol(a)))
 
 
-def _eigenspace(v: np.ndarray, mask: np.ndarray) -> Subspace:
-    """The span of the eigenvector columns ``v[:, mask]``, sign-canonical."""
-    if not mask.any():
-        return Subspace.empty(v.shape[0])
-    return Subspace(v.shape[0], _canonical_sign_columns(v[:, mask]))
+def _meet(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The principal-angle meet of two orthonormal column sets ``(n, k)`` and
+    ``(n, l)``: the left singular vectors of ``U^T V`` whose cosine is at least
+    ``1 - _ANGLE_TOL``, mapped by U, orthonormalized by QR, sign-canonical and
+    checked orthonormal; ``(n, 0)`` when none is."""
+    if u.shape[1] and v.shape[1]:  # else no principal angle at all
+        w, s, _ = np.linalg.svd(u.T @ v)
+        count = int(np.count_nonzero(s >= 1.0 - _ANGLE_TOL))
+        if count:
+            q = _canonical_sign_columns(np.linalg.qr(u @ w[:, :count])[0])
+            _require_orthonormal(q)
+            return q
+    return np.zeros((u.shape[0], 0))
 
 
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
@@ -306,14 +345,7 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     the span of the left singular vectors whose cosine is >= 1 - _ANGLE_TOL."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}")
-    if not (u.dim and v.dim):  # no principal angle at all
-        return Subspace.empty(u.ambient_dim)
-    w, s, _ = np.linalg.svd(u.basis.T @ v.basis)
-    count = int(np.count_nonzero(s >= 1.0 - _ANGLE_TOL))
-    if count == 0:
-        return Subspace.empty(u.ambient_dim)
-    q, _ = np.linalg.qr(u.basis @ w[:, :count])
-    return Subspace(u.ambient_dim, _canonical_sign_columns(q))
+    return Subspace(u.ambient_dim, _meet(u.basis, v.basis))
 
 
 def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
@@ -373,8 +405,8 @@ def chain_threshold_witness(fam: CommutingFamily) -> tuple[float, list[tuple[flo
     attaining it: ``box_radius`` over the family's joint levels, with each
     member's ``_zero_tol`` as its zero threshold.  Trusts the family, whose
     commutation was checked on construction."""
-    levels = joint_diagonalize(fam).levels.T
-    delta, binding, _ = box_radius(levels, np.array([_zero_tol(m.entries) for m in fam.members]))
+    levels = _joint_spectrum([m.entries for m in fam.members])[1].T
+    delta, binding, _ = box_radius(levels, np.array([_zero_tol(m) for m in fam.members]))
     return delta, [tuple(row) for row in levels[binding].tolist()]
 
 
@@ -415,40 +447,55 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray
     One ``np.linalg.eigh`` call decomposes the stack ``[alpha, beta,
     alpha + eps_1*beta, ...]``; the shifted matrices are bitwise symmetric,
     as ``SymMat`` entries are, and only a finiteness check (overflow)
-    guards them.  Ker alpha and Ker beta are ``Subspace``s of the first two
-    rows, and ``subspace_intersection`` meets them by principal angles,
+    guards them.  Ker alpha and Ker beta are the kernel columns of the
+    first two rows, and ``_meet`` meets them by principal angles,
     independently of ``joint_diagonalize``.  Each shifted row keeps its
     kernel columns (|eigenvalue| at most the row's zero threshold) and
     zeroes the others.  The projector distance is the largest |eigenvalue|
     of the difference of the two projectors, and kernel equality holds
     when it is at most ``HOLDS_TOL``; ``dims`` counts the kernel columns
-    and the zero principal angles with the intersection.
+    and the zero principal angles with the intersection.  When the
+    intersection is {0}, a row without kernel columns differs from it by
+    exactly the zero matrix: distance 0.0 and dims (0, 0, 0), with no
+    eigensolve.
     """
-    alpha, beta = (m.entries for m in fam.members)
+    a, b = fam.members
+    alpha, beta, scale_a, scale_b = a.entries, b.entries, a._scale, b._scale
+    stack = np.empty((eps.size + 2, *alpha.shape))  # the eigh stack, filled in place
+    stack[0], stack[1] = alpha, beta
+    shifted = stack[2:]
     with np.errstate(over="ignore"):  # an overflowing row is rejected below
-        shifted = alpha + eps[:, None, None] * beta
+        np.multiply(eps[:, None, None], beta, out=shifted)
+        shifted += alpha
     if not np.isfinite(shifted).all():
         raise GmlInputError("matrix entries must be finite")
     # A shifted matrix can be numerically zero (exact cancellation at the
     # threshold step size), so its own entry scale is useless as a zero
     # threshold; floor it by the scale of the inputs instead.
-    scale_a, scale_b = _entry_scale(alpha), _entry_scale(beta)
     zero_tol = np.empty(eps.size + 2)
     zero_tol[:2] = scale_a, scale_b
     np.maximum(scale_a, eps * scale_b, out=zero_tol[2:])
     zero_tol *= 1e-12
-    w, v = np.linalg.eigh(np.concatenate([alpha[None], beta[None], shifted]))
+    w, v = np.linalg.eigh(stack)
     mask = np.abs(w) <= zero_tol[:, None]  # (m + 2, n): the kernel columns of each row
-    k_int = subspace_intersection(_eigenspace(v[0], mask[0]), _eigenspace(v[1], mask[1]))
+    k_int = _meet(_kernel_columns(v[0], mask[0]), _kernel_columns(v[1], mask[1]))
     mask, v = mask[2:], v[2:]
-    vk = v * mask[:, None, :]  # the other columns zeroed
-    dist = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2) - k_int.projector())).max(axis=1)
-    # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
-    cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int.basis, compute_uv=False)
-    dims = np.empty((eps.size, 3), dtype=int)
+    dims = np.zeros((eps.size, 3), dtype=int)
     mask.sum(axis=1, out=dims[:, 0])
-    dims[:, 1] = k_int.dim
-    (cosines >= 1.0 - _ANGLE_TOL).sum(axis=1, out=dims[:, 2])
+    dist = np.zeros(eps.size)
+    if k_int.shape[1]:
+        vk = v * mask[:, None, :]  # the other columns zeroed
+        dist = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2) - k_int @ k_int.T)).max(axis=1)
+        # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
+        cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int, compute_uv=False)
+        dims[:, 1] = k_int.shape[1]
+        (cosines >= 1.0 - _ANGLE_TOL).sum(axis=1, out=dims[:, 2])
+    else:  # the projector of {0} is zero: subtracting it would change no bit
+        rows = np.flatnonzero(dims[:, 0])  # the others are exactly the zero matrix
+        if rows.size:
+            v = v[rows]
+            vk = v * mask[rows, None, :]
+            dist[rows] = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2))).max(axis=1)
     return dist <= HOLDS_TOL, dims, dist
 
 

@@ -207,7 +207,8 @@ def _subspace_intersection_loop(u, v):
 
 
 def _eigenspace_loop(v, mask):
-    """``spectral._eigenspace`` with the sign rule applied also to no column."""
+    """``spectral._kernel_columns`` as a Subspace, with the sign rule applied
+    also to no column."""
     return spectral.Subspace(v.shape[0], spectral._canonical_sign_columns(v[:, mask]))
 
 

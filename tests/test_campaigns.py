@@ -9,7 +9,7 @@ from gml import campaigns, cli, numerics, spectral
 from gml import model as mdl
 from gml import rng as grng
 from gml.campaigns import CAMPAIGNS, VerificationReport, describe_model, run_campaign_model
-from gml.errors import GmlInputError, UnknownCampaign
+from gml.errors import GmlInputError, StepTooLarge, UnknownCampaign
 from gml.model import action_field
 
 from _oracles import ScriptedNormals, theorem1_loop, theorem2_loop
@@ -233,6 +233,21 @@ def test_limit_step_follows_the_speed_spread():
         assert step(np.array([0.0, binding, 1.0]), cap) == cap
         assert step(np.array([-spread / 2, spread / 2]), cap) == 1.0 / spread
         assert step(np.array([0.0, 1e200, -1e200]), cap) == numerics.DT_DEFAULT
+
+
+def test_numerics_rejects_an_overflowing_speed_spread_without_warning():
+    """Speeds of +-1e308 are finite but their spread is not: the step rule
+    raises StepTooLarge naming the row and its speeds, with no numpy
+    warning on the way (the suite makes one an error)."""
+    with pytest.raises(StepTooLarge, match=r"row 1: speeds -1e\+308 to 1e\+308 spread beyond"):
+        numerics.spread_step(np.array([[0.0, 1.0], [1e308, -1e308]]), numerics._DT_CAP)
+    with pytest.raises(StepTooLarge, match=r"^speeds -1e\+308 to 1e\+308"):
+        numerics.spread_step(np.array([1e308, -1e308, 0.0]), numerics._DT_CAP_ORDER)
+    # a non-finite speed is the speeds-finite rule's to reject, later
+    assert numerics.spread_step(np.array([[np.inf, -1e308]]), numerics._DT_CAP) == numerics.DT_DEFAULT
+    model = mdl.WeightedModel("spread", [[1e308], [-1e308], [0], [1]], [[1]])
+    with pytest.raises(StepTooLarge, match="spread beyond the float range"):
+        run_campaign_model(model, "numerics", trials=5, seed=5)
 
 
 def test_numerics_reports_hold_at_the_derived_step(model_pool, monkeypatch):

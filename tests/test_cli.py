@@ -286,6 +286,24 @@ def test_theorem2_on_overflowing_speeds_exits_two(tmp_path, capsys):
     assert out == ""
 
 
+def test_numerics_on_an_overflowing_speed_spread_exits_two(tmp_path, capsys):
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({"name": "spread", "num_coords": 4, "torus_dim": 1,
+                                "weights": [[1e308], [-1e308], [0], [1]], "subalgebra": [[1]]}))
+    code, out, err = run_cli(capsys, "run", "--campaign", "numerics",
+                             "--model", str(path), "--trials", "5")
+    assert_input_error(code, err)
+    assert "speeds -1e+308 to 1e+308" in err
+    assert out == ""
+
+
+def test_delta_of_a_huge_commuting_pair(capsys):
+    code, out, err = run_cli(capsys, "delta", "--alpha", "diag:-1.7e308,1",
+                             "--beta", "diag:1.7e308,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"delta": 1.0}
+
+
 @pytest.mark.parametrize("alpha", ["[[1,2],[0,1]]", "[[1,2]]", "diag:1,nan", "[[1e400,0],[0,1]]",
                                    "[[1,0],[0,1]", "diag:1,2,3"],
                          ids=["non-symmetric", "non-square", "non-finite", "overflowing-entry",

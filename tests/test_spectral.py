@@ -38,6 +38,8 @@ from gml.spectral import (
 )
 
 from _oracles import (
+    _eigenspace_loop,
+    _subspace_intersection_loop,
     box_radius_exact,
     chain_grid_kernel_equality,
     eps_grid_kernel_equality,
@@ -107,7 +109,6 @@ def test_symmat_symmetrizes_near_the_float_limit_without_overflow():
     assert out.tobytes() == out.T.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_family_checks_huge_members_scaled_by_powers_of_two():
     # |AB - BA| overflows (inf - inf = NaN) here, so the pair is checked on
     # members scaled by powers of two: equal members commute, a rotated
@@ -117,6 +118,19 @@ def test_family_checks_huge_members_scaled_by_powers_of_two():
     tilted = SymMat([[1e200, 1e199], [1e199, 1.0]])
     with pytest.raises(CommutationViolation, match="do not commute.*scaled"):
         CommutingFamily((tilted, SymMat.diag([1e200, 1.0])))
+
+
+@pytest.mark.parametrize("a, b", [([-1.7e308, 1], [1.7e308, 1]), ([1e308, 0], [-1e308, 1e308]),
+                                  ([1e300, 0], [1e300, 1])],
+                         ids=["opposite-1.7e308", "1e308-tail", "1e300-pair"])
+def test_huge_commuting_pairs_are_decided_without_warning(a, b):
+    # the pair check's products, the mixing combination and the certificate
+    # overflow on the way; the scaled commutator and the certificate decide
+    alpha, beta = SymMat.diag(a), SymMat.diag(b)
+    assert delta_threshold(alpha, beta) == 1.0
+    holds, dims, _ = kernel_equality_rows(alpha, beta, [1e-3, 0.5, 1.0 - 1e-9])
+    assert holds.all()
+    assert (dims[:, 0] == dims[:, 1]).all()
 
 
 def test_family_rejects_noncommuting_members():
@@ -292,6 +306,50 @@ def test_canonical_sign_columns_match_the_column_loop():
 # -------------------------------------------------------------- intersection
 
 
+def _sharing_subspaces(rng, dim):
+    """The spans of columns i:k and j: of one random orthogonal matrix
+    (i <= j <= k), each basis rotated within its span: they share columns j:k."""
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    i, j, k = np.sort(rng.integers(0, dim + 1, size=3)).tolist()
+
+    def rotated(cols):
+        return Subspace(dim, cols @ np.linalg.qr(rng.standard_normal((cols.shape[1],) * 2))[0])
+    return rotated(q[:, i:k]), rotated(q[:, j:])
+
+
+def test_kernel_and_intersection_match_the_subspace_loops():
+    """The wrappers over the array kernels against the loops that build a
+    Subspace at every step: equal basis bytes, shape and layout for the
+    kernels of 400 random symmetric matrices (zero and full kernels among
+    them) and for the intersections of their kernel pairs, of random
+    subspace pairs that share columns, and of each subspace with itself."""
+    rng = substream(139, 0)
+    kinds = {"empty": 0, "full": 0, "equal": 0}
+    for trial in range(400):
+        dim = int(rng.integers(1, 9))
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        levels = rng.integers(-1, 2, size=(2, dim)) * rng.integers(0, 2, size=(2, 1))
+        kernels = []
+        for lv in levels.astype(float):
+            mat = SymMat((q * lv) @ q.T)
+            w, v = np.linalg.eigh(mat.entries)
+            got, want = kernel(mat), _eigenspace_loop(v, np.abs(w) <= spectral._zero_tol(mat))
+            assert got.basis.shape == want.basis.shape, trial
+            assert got.basis.flags["C_CONTIGUOUS"] == want.basis.flags["C_CONTIGUOUS"], trial
+            assert got.basis.tobytes() == want.basis.tobytes(), trial
+            kernels.append(got)
+        pairs = [tuple(kernels), _sharing_subspaces(rng, dim), (kernels[0], kernels[0])]
+        for u, v in pairs:
+            got, want = subspace_intersection(u, v), _subspace_intersection_loop(u, v)
+            assert got.basis.shape == want.basis.shape, trial
+            assert got.basis.flags["C_CONTIGUOUS"] == want.basis.flags["C_CONTIGUOUS"], trial
+            assert got.basis.tobytes() == want.basis.tobytes(), trial
+            kinds["empty"] += got.dim == 0
+            kinds["full"] += got.dim == dim
+            kinds["equal"] += got.dim == u.dim == v.dim > 0
+    assert min(kinds.values()) > 200, kinds
+
+
 def test_intersection_plane_plane_line():
     u = span([1, 0, 0], [0, 1, 0])
     v = span([1, 0, 0], [0, 0, 1])
@@ -439,6 +497,13 @@ def test_kernel_equality_rows_take_a_scalar_eps_as_one_row():
         kernel_equality_rows(a, b, math.nan)
 
 
+@pytest.mark.parametrize("beta", [[0, 2], [1, 2]], ids=["shared-kernel", "no-shared-kernel"])
+def test_kernel_equality_rows_take_no_step_size(beta):
+    holds, dims, dist = kernel_equality_rows(SymMat.diag([0, 1]), SymMat.diag(beta), [])
+    assert (holds.shape, dims.shape, dist.shape) == ((0,), (0, 3), (0,))
+    assert (holds.dtype, dist.dtype) == (bool, float)
+
+
 def test_symmat_entries_are_bitwise_symmetric():
     """The shifted stack alpha + eps*beta relies on it: it is not symmetrized again."""
     for trial in range(200):
@@ -492,19 +557,23 @@ def test_family_kernel_rows_match_the_assembled_body():
     column_stack and full: equal holds, dims and distance bytes on 1,000
     pairs drawn as the lemma campaign draws them, with 10 step sizes below
     delta and the eps = delta row; over 100 pairs have an empty Ker alpha
-    or Ker beta."""
-    empty = 0
+    or Ker beta.  Over 3,000 rows take the exact-zero path (no kernel
+    column, an empty intersection), which the body computes the long way."""
+    empty = zero_rows = 0
     for trial in range(1000):
         rng = substream(137, trial)
         fam = random_commuting_family(rng, int(rng.integers(2, 13)))
         delta = chain_threshold_witness(fam)[0]
         eps = open_uniform_array(rng, 0.0, delta * (1.0 - 1e-9) if math.isfinite(delta) else 10.0, 10)
         rows = np.append(eps, delta) if math.isfinite(delta) else eps
-        for got, want in zip(family_kernel_rows(fam, rows), family_kernel_rows_loop(fam, rows)):
+        result = family_kernel_rows(fam, rows)
+        for got, want in zip(result, family_kernel_rows_loop(fam, rows)):
             assert got.dtype == want.dtype and got.shape == want.shape, trial
             assert got.tobytes() == want.tobytes(), trial
         empty += min(kernel(m).dim for m in fam.members) == 0
+        zero_rows += np.count_nonzero((result[1][:, :2] == 0).all(axis=1))
     assert empty > 100
+    assert zero_rows > 3000, zero_rows
 
 
 # ------------------------------------------------------------ chain threshold
