@@ -88,7 +88,9 @@ def _campaign_theorem1(model, trials, seed, probe_tightness):
     us[kept] = rows
     for k in np.flatnonzero(~kept):  # unit_vector redraws a null draw from the trial's stream
         us[k] = unit_vector(substream(seed, int(k)), d)
-    certified = mdl.certify_levels(model, us @ model.ortho_basis @ model.weights.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
+        levels = us @ model.ortho_basis @ model.weights.T
+    certified = mdl.certify_levels(model, mdl.finite_speeds(levels))
     failures = [_failure(seed, int(k), {"beta": model.ortho_basis.T @ us[k]},
                          {"certified": True}, {"certified": False})
                 for k in np.flatnonzero(~certified)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def _first_of_each(inc: np.ndarray) -> np.ndarray:
     return np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)[1]
 
 
-def _facets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _facets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Facet kernel for N distinct points ``y (N, r)`` spanning ``R^r``, r >= 2.
 
     Each affinely independent r-subset spans a hyperplane whose normal is
@@ -103,11 +103,21 @@ def _facets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and subsets with the same incident set give one facet.  A point is a
     vertex when it lies on some facet and no other point lies on every
     facet through it (of points with the same facets, the first counts).
-    Returns the vertex indices and the facets as rows ``[normal, offset]``
-    with an outward unit normal, ``normal . y + offset <= 0`` inside.
+    Returns the vertex indices, the facets as rows ``[normal, offset]``
+    with an outward unit normal, ``normal . y + offset <= 0`` inside, and
+    their incidence at the vertices (facets x vertices).
+
+    Cofactors grow like ``max |y| ** (r - 1)``, so their squared sizes
+    overflow past about ``2 ** (512 / (r - 1))``: beyond ``2 ** (480 //
+    (r - 1))`` the points are scaled by the exact power of two that puts
+    ``max |y|`` in [1, 2), and the offsets back.  Below it nothing is
+    scaled, since ``np.linalg.det`` of scaled minors is not the same bits.
     """
     n, r = y.shape
-    slack = _TOL * max(1.0, float(np.abs(y).max()))
+    top = float(np.abs(y).max())
+    e = math.frexp(top)[1] - 1 if top > 2.0 ** (480 // (r - 1)) else 0
+    y = np.ldexp(y, -e)
+    slack = _TOL * max(1.0, math.ldexp(top, -e))
     minor_cols = np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)  # row i: all but i
     signs = (-1.0) ** np.arange(r)
     equations, inc = np.empty((0, r + 1)), np.empty((0, n), dtype=bool)
@@ -134,13 +144,18 @@ def _facets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covered = shared == deg[:, None]  # [p, q]: every facet through p passes through q
     # a point does not cover itself, and of two points with the same facets the first counts
     covered &= _earlier(n) | ~covered.T
-    return np.flatnonzero((deg > 0) & ~covered.any(axis=1)), equations
+    verts = np.flatnonzero((deg > 0) & ~covered.any(axis=1))
+    equations[:, -1] = np.ldexp(equations[:, -1], e)
+    return verts, equations, inc[:, verts]
 
 
 class Polytope:
     """Convex hull of finitely many points with an irredundant vertex list.
 
-    ``vertices`` is a (k, d) array sorted lexicographically.  Containment
+    ``vertices`` is a (k, d) array sorted lexicographically, and row i of
+    ``supporting_directions`` (k, d) is a direction whose maximum over the
+    hull is attained at vertex i alone: the sum of the normals of the
+    facets through it, by the build's facet incidence.  Containment
     and relative-interior queries work in the affine hull of the points,
     so flat polytopes (segments, single points) behave sensibly.
     """
@@ -165,22 +180,26 @@ class Polytope:
         coords = centered @ self._frame  # (N, rank)
         # a strictly interior point clears every face by more than rounding
         self._margin = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(coords).max(initial=0.0)))
-        # facet rows [normal, offset]: a point has none, a segment its two ends
+        # facet rows [normal, offset] and their incidence at the vertices: a
+        # point has none, a segment its two ends, one through each end
         if rank == 0:
-            vert_idx, self._equations = np.array([0]), np.empty((0, 1))
+            vert_idx, self._equations, inc = np.array([0]), np.empty((0, 1)), np.empty((0, 1), bool)
         elif rank == 1:
             vert_idx = np.array([int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))])
             lo, hi = coords[vert_idx, 0]
-            self._equations = np.array([[-1.0, lo], [1.0, -hi]])
+            self._equations, inc = np.array([[-1.0, lo], [1.0, -hi]]), np.eye(2, dtype=bool)
         else:
-            vert_idx, self._equations = _facets(coords)
+            vert_idx, self._equations, inc = _facets(coords)
         # report vertices by their exact input coordinates, never by
         # round-tripping through the affine frame
         verts = uniq[vert_idx]
         order = np.lexsort(np.flipud(verts.T))
-        self.vertices = verts[order]
-        self.vertices.flags.writeable = False
-        self._vert_local = coords[vert_idx[order]]
+        self.vertices = _frozen(verts[order])
+        # a vertex's direction sums its facets' normals: masked zeros keep np.add.reduce's
+        # bits, and the stacked product maps the sums with the bits of frame @ sum
+        sums = np.add.reduce(np.where(inc[:, order, None], self._equations[:, None, :-1], 0.0),
+                             axis=0)
+        self.supporting_directions = _frozen((frame @ sums[:, :, None])[:, :, 0])
 
     @property
     def dim(self) -> int:
@@ -222,20 +241,6 @@ class Polytope:
 
     def supporting_direction(self, vertex_index: int) -> np.ndarray:
         """A direction in ambient coordinates whose maximum over the hull
-        is attained at the given vertex (interior of its normal cone)."""
-        v = self._vert_local[vertex_index]
-        vals = self._facet_values(v[None, :])[0]
-        incident = np.abs(vals) <= self._incidence_tol
-        return self._frame @ np.add.reduce(self._equations[incident, :-1], axis=0)
-
-    @cached_property
-    def supporting_directions(self) -> np.ndarray:
-        """(k, d) array whose row i is ``supporting_direction(i)``, computed
-        once per polytope."""
-        return _frozen(np.array([self.supporting_direction(i) for i in range(len(self.vertices))]))
-
-    @cached_property
-    def _incidence_tol(self) -> float:
-        """Facet value up to which a vertex counts as on the facet, for
-        ``supporting_direction``: 1e-9 * max(1, largest |offset|)."""
-        return 1e-9 * max(1.0, float(np.abs(self._equations[:, -1]).max(initial=0.0)))
+        is attained at the given vertex (interior of its normal cone): row
+        ``vertex_index`` of ``supporting_directions``."""
+        return self.supporting_directions[vertex_index]

@@ -41,6 +41,9 @@ from .spectral import Subspace, _canonical_sign_columns, box_radius
 SUPP_TOL = 1e-13
 _UNSCALED_MAX = 2.0 ** 500  # a direction up to this norm is squared as it is
 _UNSCALED_MIN_NORM = 2.0 ** -480  # a point of smaller norm may have squares below the normal range
+# c of the orbit-hull interior flow time min(1, c / spread): the campaigns plans'
+# sampled speed spreads on a support stay below 8, so their flow time stays 1
+_INTERIOR_C = 8.0
 
 
 def _level_tol(values: np.ndarray, axis: int | None = None):
@@ -301,9 +304,9 @@ def finite_speeds(levels: np.ndarray) -> np.ndarray:
     point (N, n), when every speed is finite; else GmlInputError, naming the
     first such row of a stack.  On a model whose subalgebra is the whole torus
     algebra, ``validate_direction`` passes a NaN direction: this rule stops it."""
-    finite = np.isfinite(levels).all(axis=-1)
-    if not finite.all():
-        where = f"row {int(np.argmin(finite))}: " if levels.ndim == 2 else ""
+    finite = np.isfinite(levels)
+    if not finite.all():  # one flat test: a per-row reduction costs more on a stack
+        where = f"row {int(np.argmin(finite.all(axis=-1)))}: " if levels.ndim == 2 else ""
         raise GmlInputError(f"{where}direction is too large or not finite: a speed is not finite")
     return levels
 
@@ -549,12 +552,15 @@ def _first_direction(model: WeightedModel, rng: np.random.Generator, attempts: i
     """First of ``attempts`` random unit directions in the subalgebra that the row
     kernel ``accept(levels (A, n)) -> (A,) bool`` passes, or None.  One block decides
     all draws; the direction and the generator's position after it are those of a loop
-    of ``unit_vector`` draws, as the draws up to the accepted one are replayed."""
+    of ``unit_vector`` draws, as the draws up to the accepted one are replayed.  The
+    draws' speeds fall under the speeds-finite rule (``finite_speeds``)."""
     state = rng.bit_generator.state
     u = unit_vector_array(rng, model.subalgebra_dim, attempts)
     # stacked products evaluate each row as B.T @ u does, bit for bit
     beta = (model.ortho_basis.T @ u[:, :, None])[:, :, 0]
-    hits = np.flatnonzero(accept((model.weights @ beta[:, :, None])[:, :, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
+        levels = (model.weights @ beta[:, :, None])[:, :, 0]
+    hits = np.flatnonzero(accept(finite_speeds(levels)))
     if not hits.size:
         return None
     rng.bit_generator.state = state
@@ -605,7 +611,9 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
     """Orbit-closure image test for the hull of the support's weights.
 
     (a) gradient-map images of flowed points stay in the relative
-    interior of the predicted hull for sampled directions, and (b) flow
+    interior of the predicted hull for sampled directions, flowed for
+    ``min(1, 8 / spread)`` with the largest speed spread of the samples on
+    the support (a spread of 0 flows for 1), and (b) flow
     limits along supporting and sampled integer directions attain every
     vertex of the predicted hull (within ``HULL_TOL``).  Each part draws
     its samples from ``rng`` first and then evaluates them all at once;
@@ -626,9 +634,12 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
         return gradient_rows(model, _unit_rows(lim))
 
     # (a) interior: moderate |beta| keeps images resolvably off the boundary;
-    # the stream interleaves each direction with its length
+    # the stream interleaves each direction with its length.  Every finite
+    # flow time keeps the image inside, but once t times the speed spread on
+    # the support nears 20 it rounds onto a facet: t = min(1, c / spread)
     lv = speeds(scaled_unit_vectors(rng, d, sample_count, 0.75))
-    flowed = flow_rows(lv, 1.0, x.coords)
+    spread = float(np.ptp(lv[:, supp], axis=1).max(initial=0.0))
+    flowed = flow_rows(lv, min(1.0, _INTERIOR_C / spread) if spread > 0.0 else 1.0, x.coords)
     if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
     # (b) vertex attainment along supporting directions, each vertex with its
@@ -653,12 +664,14 @@ def certified_fraction(model: WeightedModel, trials: int, seed: int) -> float:
 
     Vectorized over one Philox stream keyed by (seed, 0); the campaign
     runner offers the per-trial-substream equivalent for replayable
-    failure records.
+    failure records.  The speeds fall under the speeds-finite rule
+    (``finite_speeds``).
     """
     rng = substream(seed, 0)
     u = _unit_rows(rng.standard_normal((trials, model.subalgebra_dim)))
-    levels = (u @ model.ortho_basis) @ model.weights.T  # (trials, n+1)
-    return float(np.count_nonzero(certify_levels(model, levels))) / trials
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
+        levels = (u @ model.ortho_basis) @ model.weights.T  # (trials, n+1)
+    return float(np.count_nonzero(certify_levels(model, finite_speeds(levels)))) / trials
 
 
 def random_weighted_model(rng: np.random.Generator, max_coords: int = 10,

@@ -483,19 +483,20 @@ def family_kernel_rows(fam: CommutingFamily, eps: np.ndarray
     dims = np.zeros((eps.size, 3), dtype=int)
     mask.sum(axis=1, out=dims[:, 0])
     dist = np.zeros(eps.size)
-    if k_int.shape[1]:
-        vk = v * mask[:, None, :]  # the other columns zeroed
-        dist = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2) - k_int @ k_int.T)).max(axis=1)
-        # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
-        cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int, compute_uv=False)
-        dims[:, 1] = k_int.shape[1]
-        (cosines >= 1.0 - _ANGLE_TOL).sum(axis=1, out=dims[:, 2])
-    else:  # the projector of {0} is zero: subtracting it would change no bit
-        rows = np.flatnonzero(dims[:, 0])  # the others are exactly the zero matrix
-        if rows.size:
-            v = v[rows]
-            vk = v * mask[rows, None, :]
-            dist[rows] = np.abs(np.linalg.eigvalsh(vk @ np.swapaxes(v, 1, 2))).max(axis=1)
+    # the projector of {0} is zero: then a row without kernel columns is
+    # exactly the zero matrix, and subtracting it would change no bit
+    rows = slice(None) if k_int.shape[1] else np.flatnonzero(dims[:, 0])
+    v = v[rows]
+    if len(v):
+        vk = v * mask[rows, None, :]  # the other columns zeroed
+        proj = vk @ np.swapaxes(v, 1, 2)
+        if k_int.shape[1]:
+            proj -= k_int @ k_int.T
+            # cosines of the principal angles between each kernel and Ker alpha ∩ Ker beta
+            cosines = np.linalg.svd(np.swapaxes(vk, 1, 2) @ k_int, compute_uv=False)
+            dims[:, 1] = k_int.shape[1]
+            (cosines >= 1.0 - _ANGLE_TOL).sum(axis=1, out=dims[:, 2])
+        dist[rows] = np.abs(np.linalg.eigvalsh(proj)).max(axis=1)
     return dist <= HOLDS_TOL, dims, dist
 
 

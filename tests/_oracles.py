@@ -22,8 +22,11 @@ concatenation, and an empty kernel built and met like any other, so that
 tests can compare bytes.  ``ProjPointArray`` and the ``*_limit_array``
 functions are the scalar limit path on numpy arrays, as it was before its
 one-row steps moved to Python floats, for the same byte comparison.
-``open_uniform_loop`` is the open-interval draw one generator call at a
-time, whose values and stream position ``rng.open_uniform`` and
+``supporting_directions_loop`` is the per-vertex supporting-direction
+rule a hull used before its build's facet incidence decided it: each
+vertex's facets found again from their values there, within a tolerance
+of their own.  ``open_uniform_loop`` is the open-interval draw one
+generator call at a time, whose values and stream position ``rng.open_uniform`` and
 ``open_uniform_array`` must replay.  ``ScriptedNormals`` stands in for a
 generator, so that the samplers meet chosen draws, null ones among them;
 its ``random`` and ``uniform`` read the same script.
@@ -580,7 +583,8 @@ def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
         return gradient_rows(model, _unit_rows(lim))
 
     lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
-    flowed = flow_rows(lv, 1.0, x.coords)
+    spread = max(float(row[supp].max() - row[supp].min()) for row in lv)
+    flowed = flow_rows(lv, min(1.0, 8.0 / spread) if spread > 0.0 else 1.0, x.coords)
     if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
     centroid = poly.vertices.mean(axis=0)
@@ -597,6 +601,19 @@ def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
                     (-1, d))
     lv = speeds(us[us.any(axis=1)])
     return bool(poly.contains_batch(limit_images(lv)).all())
+
+
+def supporting_directions_loop(poly):
+    """``poly.supporting_directions`` one vertex at a time: the facets whose
+    value at the vertex is within 1e-9 * max(1, largest |offset|) of 0,
+    their normals summed by ``np.add.reduce`` and mapped by ``frame @``."""
+    eqs, frame = poly._equations, poly._frame
+    tol = 1e-9 * max(1.0, float(np.abs(eqs[:, -1]).max(initial=0.0)))
+    rows = []
+    for v in poly.vertices:
+        vals = ((v - poly._origin) @ frame) @ eqs[:, :-1].T + eqs[:, -1]
+        rows.append(frame @ np.add.reduce(eqs[np.abs(vals) <= tol, :-1], axis=0))
+    return np.array(rows)
 
 
 def theorem1_loop(model, trials: int, seed: int):

@@ -18,6 +18,15 @@ from gml.rng import substream
 from gml.serialization import save_model
 
 POOL_SEED = 20260825
+# a triangular bipyramid's 5 vertices plus an interior point: integer weights
+# whose hull has 5 vertices and 6 facets at every scale
+BIPYRAMID = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0.5, 0.5, 0.5))
+
+
+def make_bipyramid_model(scale: float) -> WeightedModel:
+    """The bipyramid weights times ``scale`` on the whole algebra."""
+    return WeightedModel(name="bipyramid", weights=[[scale * w for w in row] for row in BIPYRAMID],
+                         subalgebra=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def make_square_model() -> WeightedModel:

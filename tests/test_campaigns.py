@@ -13,6 +13,7 @@ from gml.errors import GmlInputError, StepTooLarge, UnknownCampaign
 from gml.model import action_field
 
 from _oracles import ScriptedNormals, theorem1_loop, theorem2_loop
+from conftest import make_bipyramid_model
 
 
 def test_accounting_single_trial(square_model):
@@ -156,6 +157,30 @@ def test_convexity_campaign_passes(square_model, segment_model):
     for model in (square_model, segment_model):
         rep = run_campaign_model(model, "convexity", trials=8, seed=5)
         assert rep.passes == 8
+
+
+@pytest.mark.parametrize("k", [4, 6, 10, 16])
+def test_convexity_passes_on_integer_weights_times_a_power_of_two(k):
+    """Flowed for t = 1, the interior samples of weights times 2^k land on a
+    facet once t times their speed spread nears 20 (19/20 trials at k = 4,
+    0/20 from k = 6); the flow time min(1, 8 / spread) keeps them inside."""
+    model = make_bipyramid_model(2.0 ** k)
+    assert run_campaign_model(model, "convexity", trials=20, seed=3).passes == 20
+    assert run_campaign_model(model, "theorem1", trials=200, seed=3).passes == 200
+
+
+def test_overflowing_sampled_speeds_are_input_errors():
+    """Weights near the float limit overflow some sampled speeds: theorem1,
+    certified_fraction and the gapped-direction sampler reject them by the
+    speeds-finite rule, with no numpy warning (the suite makes one an error)."""
+    model = mdl.WeightedModel("overflow", [[1.5e308, 1.5e308], [0, 0], [1, 0]], np.eye(2))
+    calls = [lambda: run_campaign_model(model, "theorem1", trials=20, seed=0),
+             lambda: run_campaign_model(model, "numerics", trials=5, seed=0),
+             lambda: mdl.certified_fraction(model, 100, 0),
+             lambda: mdl.gapped_direction(model, grng.substream(0, 0))]
+    for call in calls:
+        with pytest.raises(GmlInputError, match=r"^row \d+: .*a speed is not finite"):
+            call()
 
 
 def test_convexity_opens_no_stream_besides_its_trial_streams(square_model, segment_model,

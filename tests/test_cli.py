@@ -17,6 +17,8 @@ from gml.campaigns import run_campaign_model
 from gml.cli import main
 from gml.serialization import load_model, save_model
 
+from conftest import BIPYRAMID, make_bipyramid_model
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -107,6 +109,16 @@ def test_describe_command(square_file, capsys):
     obj = json.loads(out)
     assert obj["name"] == "unit-square"
     assert obj["moment_polytope_vertices"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+def test_describe_lists_every_vertex_of_a_huge_hull(tmp_path, capsys):
+    # cofactors of these weights overflow unless the hull build rescales them
+    path = tmp_path / "huge.json"
+    save_model(make_bipyramid_model(1e100), path)
+    code, out, _ = run_cli(capsys, "describe", str(path))
+    assert code == 0
+    vertices = sorted((np.array(BIPYRAMID[:5]) * 1e100).tolist())
+    assert json.loads(out)["moment_polytope_vertices"] == vertices
 
 
 def test_run_writes_report_and_exits_zero(square_file, tmp_path, capsys):
@@ -283,6 +295,19 @@ def test_theorem2_on_overflowing_speeds_exits_two(tmp_path, capsys):
                              "--model", str(path), "--trials", "20")
     assert_input_error(code, err)
     assert "not finite" in err
+    assert out == ""
+
+
+def test_theorem1_on_overflowing_sampled_speeds_exits_two(tmp_path, capsys):
+    # trial 4's sampled speed overflows: an input error, not a failed trial
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"name": "overflow", "num_coords": 3, "torus_dim": 2,
+                                "weights": [[1.5e308, 1.5e308], [0, 0], [1, 0]],
+                                "subalgebra": [[1, 0], [0, 1]]}))
+    code, out, err = run_cli(capsys, "run", "--campaign", "theorem1", "--model", str(path),
+                             "--trials", "5", "--seed", "0")
+    assert_input_error(code, err)
+    assert "row 4: " in err and "not finite" in err
     assert out == ""
 
 

@@ -23,8 +23,10 @@ from _oracles import (
     interval_strictly_inside,
     lp_vertices,
     qhull_reference,
+    supporting_directions_loop,
     vector_partition_loop,
 )
+from conftest import BIPYRAMID
 
 
 def test_square_vertices_are_irredundant_and_sorted():
@@ -71,11 +73,48 @@ def test_one_point_hull_has_dimension_zero():
                          ids=["square", "segment", "triangle-in-3d", "point"])
 def test_supporting_directions_are_the_per_vertex_directions(points):
     poly = Polytope(points)
-    want = np.array([poly.supporting_direction(i) for i in range(len(poly.vertices))])
+    want = supporting_directions_loop(poly)
+    assert poly.supporting_directions.shape == want.shape
     assert poly.supporting_directions.tobytes() == want.tobytes()
+    for i, row in enumerate(poly.supporting_directions):
+        assert poly.supporting_direction(i).tobytes() == row.tobytes()
     assert poly.supporting_directions is poly.supporting_directions
     with pytest.raises(ValueError):
         poly.supporting_directions[0, 0] = 1.0
+
+
+def test_supporting_directions_match_the_per_vertex_rule_on_the_pool(model_pool):
+    # every moment polytope of the acceptance pool and 6 random partial
+    # supports of each: the build's incidence gives the per-vertex rule's bytes
+    ranks = set()
+    for m, model in enumerate(model_pool):
+        rng = substream(210, m)
+        pw = model.projected_weights
+        masks = [np.ones(len(pw), bool)] + [rng.random(len(pw)) < 0.6 for _ in range(6)]
+        for mask in masks:
+            if mask.any():
+                poly = Polytope(pw[mask])
+                want = supporting_directions_loop(poly)
+                assert poly.supporting_directions.shape == want.shape, (m, mask)
+                assert poly.supporting_directions.tobytes() == want.tobytes(), (m, mask)
+                ranks.add(poly.dim)
+    assert ranks >= {0, 1, 2, 3}
+
+
+def test_huge_hull_keeps_its_facets():
+    # cofactor sizes of a rank-3 hull overflow from about 2^256: the build
+    # scales the points by a power of two past 2^240, so the bipyramid keeps
+    # its 5 vertices and 6 facets, and each supporting direction is maximized
+    # at its own vertex
+    for k in range(0, 601):
+        pts = np.array(BIPYRAMID) * 2.0 ** k
+        poly = Polytope(pts)
+        assert poly.vertices.tolist() == (pts[:5][np.lexsort(pts[:5].T[::-1])]).tolist(), k
+        assert len(poly._equations) == 6, k
+        vals = poly.vertices @ poly.supporting_directions.T
+        assert (vals.argmax(axis=0) == np.arange(5)).all(), k
+        if k <= 332:
+            assert poly.contains(pts.mean(axis=0)) and poly.strictly_inside(pts.mean(axis=0)), k
 
 
 def test_segment_hull():

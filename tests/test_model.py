@@ -46,6 +46,7 @@ from gml.model import (
 from gml.rng import substream
 
 from _oracles import ScriptedNormals, first_accepted_loop, orbit_hull_loop, speeds_separated
+from conftest import make_bipyramid_model
 
 from _oracles import (
     ProjPointArray,
@@ -945,6 +946,22 @@ def test_orbit_hull_check_matches_one_draw_per_sample(model_pool):
             assert _philox_state(rng) == _philox_state(ref), (model.name, s)
             supports.append(len(x.support) == model.num_coords)
     assert len(supports) >= 300 and any(supports) and not all(supports)
+
+
+def test_orbit_hull_check_matches_one_draw_per_sample_at_large_spread():
+    """Weights times 2^k give sampled speed spreads past 8, where the interior
+    flow time drops below 1: the outcome and the generator's state are still
+    those of one generator call per sample, and every check passes."""
+    for k in (4, 6, 10, 16):
+        model = make_bipyramid_model(2.0 ** k)
+        for s in range(10):
+            rng = substream(810 + k, s)
+            x = _random_point(rng, model.num_coords)
+            ref = substream(810 + k, s)
+            ref.bit_generator.state = rng.bit_generator.state
+            assert orbit_hull_check(model, x, 16, rng), (k, s)
+            assert orbit_hull_loop(model, x, 16, ref), (k, s)
+            assert _philox_state(rng) == _philox_state(ref), (k, s)
 
 
 # ------------------------------------------------------------- random models
