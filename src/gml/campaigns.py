@@ -90,7 +90,7 @@ def _campaign_theorem1(model, trials, seed, probe_tightness):
         us[k] = unit_vector(substream(seed, int(k)), d)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
         levels = us @ model.ortho_basis @ model.weights.T
-    certified = mdl.certify_levels(model, mdl.finite_speeds(levels))
+    certified = mdl.certify_levels(model, mdl.finite_speeds(levels, row="trial"))
     failures = [_failure(seed, int(k), {"beta": model.ortho_basis.T @ us[k]},
                          {"certified": True}, {"certified": False})
                 for k in np.flatnonzero(~certified)]

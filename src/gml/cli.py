@@ -67,6 +67,21 @@ def _point_obj(p: mdl.ProjPoint) -> dict:
     return {"point": list(p.coords), "support": list(p.support)}
 
 
+_VECTOR_OPTIONS = ("--point", "--beta", "--eps", "--alphas")
+
+
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """``--point -1,1`` as ``--point=-1,1``: argparse reads a value with a leading
+    minus that is not one plain number as an option, and finds the vector missing."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gml", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -120,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _join_vector_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

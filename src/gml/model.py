@@ -299,14 +299,20 @@ class WeightedModel:
         return a
 
 
-def finite_speeds(levels: np.ndarray) -> np.ndarray:
+def finite_speeds(levels: np.ndarray, row: str = "row") -> np.ndarray:
     """The speeds-finite rule: ``levels``, speeds (n,) or one row of speeds per
     point (N, n), when every speed is finite; else GmlInputError, naming the
-    first such row of a stack.  On a model whose subalgebra is the whole torus
-    algebra, ``validate_direction`` passes a NaN direction: this rule stops it."""
+    first such row of a stack as ``row`` k ("trial" k for a campaign's trials).
+    A blank ``row`` marks unit directions the library drew itself: no row of
+    those is the user's, so the error names the model's weights.  On a model
+    whose subalgebra is the whole torus algebra, ``validate_direction`` passes a
+    NaN direction: this rule stops it."""
     finite = np.isfinite(levels)
     if not finite.all():  # one flat test: a per-row reduction costs more on a stack
-        where = f"row {int(np.argmin(finite.all(axis=-1)))}: " if levels.ndim == 2 else ""
+        if not row:
+            raise GmlInputError("the model's weights are too large: a speed of a sampled "
+                                "unit direction is not finite")
+        where = f"{row} {int(np.argmin(finite.all(axis=-1)))}: " if levels.ndim == 2 else ""
         raise GmlInputError(f"{where}direction is too large or not finite: a speed is not finite")
     return levels
 
@@ -560,7 +566,7 @@ def _first_direction(model: WeightedModel, rng: np.random.Generator, attempts: i
     beta = (model.ortho_basis.T @ u[:, :, None])[:, :, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
         levels = (model.weights @ beta[:, :, None])[:, :, 0]
-    hits = np.flatnonzero(accept(finite_speeds(levels)))
+    hits = np.flatnonzero(accept(finite_speeds(levels, row="")))
     if not hits.size:
         return None
     rng.bit_generator.state = state
@@ -671,7 +677,7 @@ def certified_fraction(model: WeightedModel, trials: int, seed: int) -> float:
     u = _unit_rows(rng.standard_normal((trials, model.subalgebra_dim)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
         levels = (u @ model.ortho_basis) @ model.weights.T  # (trials, n+1)
-    return float(np.count_nonzero(certify_levels(model, finite_speeds(levels)))) / trials
+    return float(np.count_nonzero(certify_levels(model, finite_speeds(levels, row="")))) / trials
 
 
 def random_weighted_model(rng: np.random.Generator, max_coords: int = 10,

@@ -373,8 +373,9 @@ def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
     opposed = tail & (pos != pos[np.arange(len(pos)), lead][:, None])
     span = (mag * tail).sum(axis=1)
     first = (lead == 0) & (span > 0)
-    bound = np.divide(mag[:, 0], span, where=first,
-                      out=np.where(opposed.any(axis=1), 0.0, math.inf))
+    with np.errstate(over="ignore"):  # a lead over its tail past the float range is +inf
+        bound = np.divide(mag[:, 0], span, where=first,
+                          out=np.where(opposed.any(axis=1), 0.0, math.inf))
     delta = float(bound.min(initial=math.inf))
     binding = (bound <= delta * (1.0 + 1e-9)) & (bound < math.inf)
     return delta, binding, binding & first & (opposed == tail).all(axis=1)

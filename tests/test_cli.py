@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import gml
-from gml import WeightedModel
+from gml import SymMat, WeightedModel, delta_threshold
 from gml.campaigns import run_campaign_model
 from gml.cli import main
 from gml.serialization import load_model, save_model
 
-from conftest import BIPYRAMID, make_bipyramid_model
+from conftest import BIPYRAMID, make_bipyramid_model, make_segment_model, make_square_model
 
 
 def run_cli(capsys, *argv):
@@ -36,25 +36,18 @@ def test_limit_query(square_file, capsys):
     assert obj["support"] == [1, 3]
 
 
-def test_delta_query_diag_syntax(capsys):
-    code, out, _ = run_cli(capsys, "delta", "--alpha", "diag:2,0,1",
-                           "--beta", "diag:1,3,-1")
+@pytest.mark.parametrize("alpha, beta, delta", [
+    ("diag:2,0,1", "diag:1,3,-1", 1.0),
+    ("diag:1,0", "diag:0,1", "inf"),
+    ("[[2,0],[0,1]]", "[[1,0],[0,-1]]", 1.0),
+    ("diag:1,2,0", "diag:3,1,0", 1 / 3),
+    ("diag:1,1,0,2", "diag:2,2,0,1", 0.5),
+], ids=["diag-syntax", "infinite", "json-matrices", "distinct-levels", "repeated-joint-level"])
+def test_delta_query(capsys, alpha, beta, delta):
+    # the last pair's repeated joint level (1, 2) takes the refine recursion
+    code, out, _ = run_cli(capsys, "delta", "--alpha", alpha, "--beta", beta)
     assert code == 0
-    assert json.loads(out)["delta"] == 1.0
-
-
-def test_delta_query_infinite(capsys):
-    code, out, _ = run_cli(capsys, "delta", "--alpha", "diag:1,0",
-                           "--beta", "diag:0,1")
-    assert code == 0
-    assert json.loads(out)["delta"] == "inf"
-
-
-def test_delta_query_json_matrices(capsys):
-    code, out, _ = run_cli(capsys, "delta", "--alpha", "[[2,0],[0,1]]",
-                           "--beta", "[[1,0],[0,-1]]")
-    assert code == 0
-    assert json.loads(out)["delta"] == 1.0
+    assert json.loads(out) == {"delta": delta}
 
 
 def test_flow_zero_time_echoes_point(square_file, capsys):
@@ -154,6 +147,32 @@ def test_run_unwritable_out_exits_two(square_file, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("campaign, model, trials, seed", [
+    ("theorem1", make_square_model(), 2000, 2**64 - 1),
+    ("theorem2", WeightedModel("line", [[0, 0], [1, 0], [0, 1], [1, 2]], [[1, 2]]), 20, 0),
+    ("convexity", make_square_model(), 20, 0),
+    ("convexity", make_segment_model(), 20, 0),
+    ("convexity", make_bipyramid_model(64), 20, 3),
+    ("lemma-linearization", make_square_model(), 20, 0),
+    ("numerics", make_square_model(), 20, 0),
+    ("numerics", WeightedModel("wide", [[0, 0], [10, 0], [0, 10], [10, 10], [5, 1]], np.eye(2)),
+     20, 0),
+    ("numerics", WeightedModel("line-11", [[0], [11], [-11], [1]], [[1]]), 20, 5),
+], ids=["theorem1-largest-seed", "theorem2-one-direction", "convexity-square", "convexity-segment",
+        "convexity-bipyramid-times-64", "lemma-square", "numerics-square", "numerics-wide-spread",
+        "numerics-line-11"])
+def test_run_passes_every_trial(tmp_path, capsys, campaign, model, trials, seed):
+    # the largest seed; one basis direction; integer weights whose hull an
+    # interior flow once left; speed spreads where a fixed step failed trials
+    path, out_path = tmp_path / "model.json", tmp_path / "report.json"
+    save_model(model, path)
+    code, out, _ = run_cli(capsys, "run", "--campaign", campaign, "--model", str(path),
+                           "--trials", str(trials), "--seed", str(seed), "--out", str(out_path))
+    assert code == 0
+    assert f"{trials}/{trials} passed" in out
+    assert json.loads(out_path.read_text())["passes"] == trials
+
+
 def test_run_without_out_prints_report(square_file, capsys):
     code, out, _ = run_cli(capsys, "run", "--campaign", "theorem1",
                            "--model", str(square_file), "--trials", "5",
@@ -235,6 +254,30 @@ def test_empty_vector_fields_exit_two(square_file, capsys, cmd, flag, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("limit", "--beta", "1,0", "--point", "-1,1,1,1"),
+    ("limit", "--point", "1,1,1,1", "--beta", "-1,0"),
+    ("flow", "--point", "1,1,1,1", "--t", "1", "--beta", "-.5,-1e-3"),
+    ("stabilizer", "--point", "-1,0,0,1"),
+    ("composed", "--point", "1,1,1,1", "--alphas", "-1,0;0,1"),
+    ("perturbed", "--point", "1,1,1,1", "--eps", "0.5", "--alphas", "-1,0;0,-1"),
+    ("perturbed", "--alphas", "1,0;0,1", "--point", "1,1,1,1", "--eps", "-5e-1"),
+    ("components", "--beta", "-1,0"),
+    ("chain-threshold", "--alphas", "-1,0;0,1"),
+], ids=["limit-point", "limit-beta", "flow-beta", "stabilizer-point", "composed-alphas",
+        "perturbed-alphas", "perturbed-eps", "components-beta", "chain-threshold-alphas"])
+def test_vectors_with_a_leading_minus(square_file, capsys, argv):
+    """``--point -1,1,1,1`` is ``--point=-1,1,1,1``, not an unknown option."""
+    *head, flag, value = argv
+    head = (*head, "--model", str(square_file))
+    want = run_cli(capsys, *head, f"{flag}={value}")
+    if flag == "--eps":
+        assert_input_error(want[0], want[2])
+    else:
+        assert want[0] == 0
+    assert run_cli(capsys, *head, flag, value) == want
+
+
 def test_blank_eps_is_no_step_size(tmp_path, capsys):
     """A one-row basis takes no step sizes: a blank --eps is the empty vector."""
     path = tmp_path / "line.json"
@@ -307,7 +350,7 @@ def test_theorem1_on_overflowing_sampled_speeds_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--campaign", "theorem1", "--model", str(path),
                              "--trials", "5", "--seed", "0")
     assert_input_error(code, err)
-    assert "row 4: " in err and "not finite" in err
+    assert "trial 4: " in err and "not finite" in err
     assert out == ""
 
 
@@ -327,6 +370,9 @@ def test_delta_of_a_huge_commuting_pair(capsys):
                              "--beta", "diag:1.7e308,1")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"delta": 1.0}
+    # in process too, where the suite makes a numpy warning an error: the
+    # CLI's errstate would hide one
+    assert delta_threshold(SymMat.diag([-1.7e308, 1]), SymMat.diag([1.7e308, 1])) == 1.0
 
 
 @pytest.mark.parametrize("alpha", ["[[1,2],[0,1]]", "[[1,2]]", "diag:1,nan", "[[1e400,0],[0,1]]",
@@ -343,13 +389,14 @@ def test_delta_bad_matrix_exits_two(capsys, alpha):
     ("chain-threshold", "--alphas", "1,0;0"),
     ("components", "--beta", "nan,0"),
     ("components", "--beta", "inf,0"),
+    ("components", "--beta", "-inf,0"),
     ("chain-threshold", "--alphas", "1,inf;0,1"),
     ("chain-threshold", "--alphas", "1,nan;0,1"),
     ("composed", "--point", "1,1,1,1", "--alphas", "1,0"),
     ("limit", "--point", "1,1,1,1", "--beta", "1,0,0"),
     ("limit", "--point", "1", "--beta", "1,0"),
-], ids=["ragged-alphas", "nan-beta", "inf-beta", "inf-alphas", "nan-alphas", "one-alpha",
-        "long-beta", "one-coordinate-point"])
+], ids=["ragged-alphas", "nan-beta", "inf-beta", "minus-inf-beta", "inf-alphas", "nan-alphas",
+        "one-alpha", "long-beta", "one-coordinate-point"])
 def test_bad_numbers_exit_two(square_file, capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--model", str(square_file), *argv[1:])
     assert_input_error(code, err)
@@ -404,13 +451,25 @@ def test_describe_infinite_weight_exits_two(square_file, capsys):
     assert "must be finite" in err
 
 
-def _cli_process(*argv):
+def _cli_process(*argv, preexec_fn=None):
     """Run ``python -m gml.cli`` as a process, so that stray numpy
     warnings would show on stderr too."""
     src = str(Path(gml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "gml.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
+
+
+def test_describe_rank_8_within_2_gb_of_address_space(tmp_path):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "rank8.json"
+    save_model(WeightedModel("rank-8", np.random.default_rng(8).integers(-3, 4, (16, 8)),
+                             np.eye(8)), path)
+    limit = 2_000_000 * 1024  # bytes, as ``ulimit -v 2000000``
+    out = _cli_process("describe", str(path), preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_AS, (limit, limit)))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["torus_dim"] == 8
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e308"])

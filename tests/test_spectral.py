@@ -666,6 +666,13 @@ def test_box_radius_is_sound_and_exact_on_ties():
     assert tied > 500  # the equality branch is exercised (904 of the 5000 sets)
 
 
+def test_box_radius_past_the_float_range_is_inf():
+    # a lead over its tail that overflows bounds nothing, with no numpy
+    # warning on the way (the suite makes one an error)
+    assert box([[1e308, 0.5]]) == (math.inf, [False], [False])
+    assert delta_threshold(SymMat.diag([0.5, 1e308]), SymMat.diag([1, 0.5])) == math.inf
+
+
 def test_chain_threshold_random_families_certified_by_grid():
     checked = 0
     for trial in range(60):
