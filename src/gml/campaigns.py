@@ -19,7 +19,7 @@ import numpy as np
 from . import model as mdl
 from . import numerics as num
 from . import spectral
-from .errors import GmlInputError, UnknownCampaign, check_integer
+from .errors import GmlError, GmlInputError, UnknownCampaign, _RowError, check_integer
 from .hull import HULL_TOL
 from .model import gapped_direction as _gapped_direction  # the name benchmarks/tracer.py wraps
 from .rng import open_uniform_array, substream, trial_streams, unit_draws, unit_vector
@@ -177,9 +177,9 @@ def _campaign_lemma(model, trials, seed, probe_tightness):
 def _campaign_convexity(model, trials, seed, probe_tightness):
     failures = []
     for k, rng in trial_streams(seed, trials):
-        _, mp_ok = mdl.moment_polytope_check(model, 32, rng)
+        mp_ok = mdl.moment_polytope_check(model, rng)
         x = _random_point(rng, model.num_coords)
-        orbit_ok = mdl.orbit_hull_check(model, x, 16, rng)
+        orbit_ok = mdl.orbit_hull_check(model, x, rng)
         if not (mp_ok and orbit_ok):
             failures.append(_failure(seed, k, {"point": x.coords},
                                      {"polytope": True, "orbit": True},
@@ -215,6 +215,12 @@ _NUMERIC_TOL = 1e-6      # field-norm target of the numeric limits
 _NUMERIC_EQ_TOL = 1e-8   # agreement between numeric and closed-form limits
 
 
+def _in_trial(exc: GmlError, k: int) -> GmlError:
+    """``exc`` as an error of trial k.  The campaign sets its own step sizes,
+    so a StepTooLarge names no dt to reduce."""
+    return type(exc)(f"trial {k}: {exc.reason if isinstance(exc, _RowError) else exc}")
+
+
 def _campaign_numerics(model, trials, seed, probe_tightness):
     drawn = []  # (trial, beta, point) of every trial with a gapped direction
     for k, rng in trial_streams(seed, trials):
@@ -225,8 +231,11 @@ def _campaign_numerics(model, trials, seed, probe_tightness):
     coords = np.array([x.coords for _, _, x in drawn]).reshape(-1, model.num_coords)
     # stacked products evaluate each row as model.levels does, bit for bit
     levels = (model.weights @ betas[:, :, None])[:, :, 0]
-    snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL,
-                                     dt=num.spread_step(levels, num._DT_CAP))[0]
+    try:
+        snapped = num.numeric_limit_rows(levels, coords, tol=_NUMERIC_TOL,
+                                         dt=num.spread_step(levels, num._DT_CAP))[0]
+    except _RowError as exc:  # row r of the stack is the r-th trial drawn
+        raise _in_trial(exc, drawn[exc.row][0]) from None
     closed = np.where(mdl.limit_support(levels, coords != 0.0), coords, 0.0)
     failures = []
     for (k, beta, x), lv, limit, kept in zip(drawn, levels, snapped, closed):
@@ -234,15 +243,18 @@ def _campaign_numerics(model, trials, seed, probe_tightness):
         expected, actual = mdl.ProjPoint(kept), mdl.ProjPoint(limit)
         if not actual.same_as(expected, tol=_NUMERIC_EQ_TOL):
             detail["limit"] = {"expected": expected.support, "actual": actual.support}
-        traj = num.integrate_flow(model, beta, x, t_end=3.0,
-                                  dt=num.spread_step(lv, num._DT_CAP_MONOTONE))
-        if not num.monotonicity_check(traj):
-            detail["monotone"] = False
-        ratio = _order_ratio(model, beta, x, num.spread_step(lv, num._DT_CAP_ORDER))
-        if ratio is not None:
-            detail["order_ratio"] = ratio
-        r1 = num.gradient_fd_check(model, beta, x, h=1e-3)
-        r2 = num.gradient_fd_check(model, beta, x, h=5e-4)
+        try:
+            traj = num.integrate_flow(model, beta, x, t_end=3.0,
+                                      dt=num.spread_step(lv, num._DT_CAP_MONOTONE))
+            if not num.monotonicity_check(traj):
+                detail["monotone"] = False
+            ratio = _order_ratio(model, beta, x, num.spread_step(lv, num._DT_CAP_ORDER))
+            if ratio is not None:
+                detail["order_ratio"] = ratio
+            r1 = num.gradient_fd_check(model, beta, x, h=1e-3)
+            r2 = num.gradient_fd_check(model, beta, x, h=5e-4)
+        except GmlError as exc:
+            raise _in_trial(exc, k) from None
         if r1 > 1e-12 and not (3.5 <= r1 / max(r2, 1e-18) <= 4.5):
             detail["fd_ratio"] = r1 / max(r2, 1e-18)
         if detail:

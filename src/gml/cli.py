@@ -82,8 +82,15 @@ def _join_vector_values(argv: list[str]) -> list[str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subcommands' too, are input errors: one line, exit 2."""
+
+    def error(self, message):
+        raise GmlInputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gml", description=__doc__)
+    ap = _Parser(prog="gml", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="summarize a model file")
@@ -137,11 +144,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(
             _join_vector_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         with np.errstate(over="ignore", invalid="ignore"):  # keep errors to one line
             return _dispatch(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 2
     except GmlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

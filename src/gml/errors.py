@@ -55,7 +55,12 @@ class _RowError(GmlError):
 
 
 class StepTooLarge(_RowError):
-    """An integration step moved so far off the sphere that results are untrustworthy."""
+    """An integration step moved so far off the sphere that results are untrustworthy.
+    The message, not ``reason``, ends with a hint to reduce ``dt`` when it is given."""
+
+    def __init__(self, reason: str, row: int | None = None, dt: float | None = None):
+        super().__init__(reason if dt is None else f"{reason}; reduce dt={dt}", row)
+        self.reason, self.dt = reason, dt
 
 
 class HorizonExceeded(_RowError):

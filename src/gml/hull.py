@@ -214,30 +214,30 @@ class Polytope:
         residual = _row_norms(rel - loc @ self._frame.T)
         return residual, np.maximum.reduce(self._facet_values(loc), axis=1, initial=-np.inf)
 
-    def contains_batch(self, xs, tol: float = HULL_TOL) -> np.ndarray:
-        """Per row of an (S, d) array: inside the hull up to tol."""
+    def contains_batch(self, xs) -> np.ndarray:
+        """Per row of an (S, d) array: inside the hull up to ``HULL_TOL``."""
         residual, worst = self._placement(xs)
-        return (residual <= tol) & (worst <= tol)
+        return (residual <= HULL_TOL) & (worst <= HULL_TOL)
 
-    def strictly_inside_batch(self, xs, tol: float = HULL_TOL) -> np.ndarray:
+    def strictly_inside_batch(self, xs) -> np.ndarray:
         """Per row of an (S, d) array: in the relative interior, i.e. inside
-        the affine hull (up to tol) and beyond every facet by more than
+        the affine hull (up to ``HULL_TOL``) and beyond every facet by more than
         ``64 * eps * max(1, max |frame coordinate of the points|)``, so
         rounding cannot put a boundary point inside.  A one-point hull has
         no facets and is its own relative interior."""
         residual, worst = self._placement(xs)
-        return (residual <= tol) & (worst < -self._margin)
+        return (residual <= HULL_TOL) & (worst < -self._margin)
 
     def _facet_values(self, loc: np.ndarray) -> np.ndarray:
         """normal · y + offset per row and facet; <= 0 inside."""
         return loc @ self._equations[:, :-1].T + self._equations[:, -1]
 
-    def contains(self, x, tol: float = HULL_TOL) -> bool:
-        return bool(self.contains_batch(np.reshape(x, (1, -1)), tol)[0])
+    def contains(self, x) -> bool:
+        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
-    def strictly_inside(self, x, tol: float = HULL_TOL) -> bool:
+    def strictly_inside(self, x) -> bool:
         """Relative-interior test: inside the affine hull and off every face."""
-        return bool(self.strictly_inside_batch(np.reshape(x, (1, -1)), tol)[0])
+        return bool(self.strictly_inside_batch(np.reshape(x, (1, -1)))[0])
 
     def supporting_direction(self, vertex_index: int) -> np.ndarray:
         """A direction in ambient coordinates whose maximum over the hull

@@ -35,7 +35,7 @@ from .errors import (
     check_step_sizes,
 )
 from .hull import HULL_TOL, Polytope, _row_norms, first_representatives
-from .rng import scaled_unit_vectors, substream, unit_vector_array
+from .rng import substream, unit_vector_array
 from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
@@ -44,6 +44,8 @@ _UNSCALED_MIN_NORM = 2.0 ** -480  # a point of smaller norm may have squares bel
 # c of the orbit-hull interior flow time min(1, c / spread): the campaigns plans'
 # sampled speed spreads on a support stay below 8, so their flow time stays 1
 _INTERIOR_C = 8.0
+_POLYTOPE_SAMPLES = 32  # gradient-map images of one moment_polytope_check
+_ORBIT_SAMPLES = 16     # interior and integer directions of one orbit_hull_check
 
 
 def _level_tol(values: np.ndarray, axis: int | None = None):
@@ -597,40 +599,37 @@ def deterministic_generic_direction(model: WeightedModel, alphas=None):
     return beta, direction_certificate(model, beta)
 
 
-def moment_polytope_check(model: WeightedModel, sample_count: int,
-                          rng: np.random.Generator) -> tuple[Polytope, bool]:
+def moment_polytope_check(model: WeightedModel, rng: np.random.Generator) -> bool:
     """Sampled containment plus exact vertex attainment.
 
-    Checks that gradient-map images of ``sample_count`` random points,
-    drawn from ``rng``, lie in the hull of the projected weights (up to
-    ``HULL_TOL``), and that each hull vertex is attained exactly by the
+    Checks that gradient-map images of 32 random points, drawn from ``rng``,
+    lie in the hull of the projected weights (``model.moment_polytope``, up
+    to ``HULL_TOL``), and that each hull vertex is attained exactly by the
     corresponding coordinate point.
     """
-    poly = model.moment_polytope
-    z = rng.standard_normal((sample_count, model.num_coords))
-    holds = bool(poly.contains_batch(gradient_rows(model, _unit_rows(z))).all())
-    return poly, holds and model._vertices_attained
+    z = rng.standard_normal((_POLYTOPE_SAMPLES, model.num_coords))
+    holds = bool(model.moment_polytope.contains_batch(gradient_rows(model, _unit_rows(z))).all())
+    return holds and model._vertices_attained
 
 
-def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
-                     rng: np.random.Generator) -> bool:
+def orbit_hull_check(model: WeightedModel, x: ProjPoint, rng: np.random.Generator) -> bool:
     """Orbit-closure image test for the hull of the support's weights.
 
-    (a) gradient-map images of flowed points stay in the relative
-    interior of the predicted hull for sampled directions, flowed for
-    ``min(1, 8 / spread)`` with the largest speed spread of the samples on
-    the support (a spread of 0 flows for 1), and (b) flow
-    limits along supporting and sampled integer directions attain every
-    vertex of the predicted hull (within ``HULL_TOL``).  Each part draws
-    its samples from ``rng`` first and then evaluates them all at once;
-    the perturbed supporting directions and the integer directions are one
-    block draw each, with the values and generator position of one draw
-    per sample.  A full support's hull is the cached moment polytope.
+    (a) gradient-map images of flowed points stay in the relative interior
+    of the predicted hull for 16 sampled directions, flowed for ``min(1, 8
+    / spread)`` with the largest speed spread of the samples on the support
+    (a spread of 0 flows for 1); (b) the flow limit along each vertex's
+    supporting direction attains that vertex (within ``HULL_TOL``), and the
+    limits along 16 sampled integer directions lie in the hull.  Each part
+    draws its samples from ``rng`` as blocks, with the values and generator
+    position of one draw per sample, and evaluates them all at once.  A
+    full support's hull is the cached moment polytope.
     """
     model.require_point(x)
     supp = x.support_mask
     poly = model.moment_polytope if supp.all() else Polytope(model.projected_weights[supp])
     d = model.subalgebra_dim
+    n = _ORBIT_SAMPLES
 
     def speeds(draws) -> np.ndarray:
         return np.reshape(draws, (-1, d)) @ model.ortho_basis @ model.weights.T
@@ -639,28 +638,21 @@ def orbit_hull_check(model: WeightedModel, x: ProjPoint, sample_count: int,
         lim = np.where(limit_support(lv, supp[None, :]), x.coords, 0.0)
         return gradient_rows(model, _unit_rows(lim))
 
-    # (a) interior: moderate |beta| keeps images resolvably off the boundary;
-    # the stream interleaves each direction with its length.  Every finite
-    # flow time keeps the image inside, but once t times the speed spread on
-    # the support nears 20 it rounds onto a facet: t = min(1, c / spread)
-    lv = speeds(scaled_unit_vectors(rng, d, sample_count, 0.75))
+    # (a) interior: moderate |beta| keeps images resolvably off the boundary.
+    # Every finite flow time keeps them inside, but once t times the speed spread
+    # on the support nears 20 they round onto a facet: t = min(1, c / spread)
+    lv = speeds(unit_vector_array(rng, d, n) * rng.uniform(0.0, 0.75, (n, 1)))
     spread = float(np.ptp(lv[:, supp], axis=1).max(initial=0.0))
     flowed = flow_rows(lv, min(1.0, _INTERIOR_C / spread) if spread > 0.0 else 1.0, x.coords)
     if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
-    # (b) vertex attainment along supporting directions, each vertex with its
-    # centroid direction and 8 perturbed retries
-    verts = poly.vertices
-    sd = poly.supporting_directions[:, None, :]
-    jitter = unit_vector_array(rng, d, 8 * len(verts)).reshape(len(verts), 8, d)
-    us = np.concatenate([sd, (verts - verts.mean(axis=0))[:, None, :], sd + 1e-3 * jitter],
-                        axis=1).reshape(-1, d)
-    us[_row_norms(us) < 1e-12] = 1.0  # 0-dimensional hull: any direction works
-    miss = np.abs(limit_images(speeds(us)) - np.repeat(verts, 10, axis=0)).max(axis=1)
-    if not (miss <= HULL_TOL).reshape(-1, 10).any(axis=1).all():
+    # (b) each vertex is the limit along its supporting direction; a point's
+    # direction is zero, and any direction works for it
+    us = poly.supporting_directions if poly.dim else np.ones((1, d))
+    if not (np.abs(limit_images(speeds(us)) - poly.vertices).max(axis=1) <= HULL_TOL).all():
         return False
     # sampled integer directions (zero draws skipped) must land inside the predicted hull
-    us = rng.integers(-9, 10, size=(sample_count, d)).astype(float)
+    us = rng.integers(-9, 10, size=(n, d)).astype(float)
     lv = speeds(us[us.any(axis=1)])
     return bool(poly.contains_batch(limit_images(lv)).all())
 

@@ -82,9 +82,9 @@ def rk4_rows(levels: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     if off.any():
         k = int(off.argmax())
         bad = nrm.flat[k]
-        reason = (f"renormalization correction {abs(bad - 1.0):.2%} exceeds 10%; reduce dt={h}"
-                  if math.isfinite(bad) else f"the step is not finite; reduce dt={h}")
-        raise StepTooLarge(reason, row=k if y.ndim == 2 else None)
+        reason = (f"renormalization correction {abs(bad - 1.0):.2%} exceeds 10%"
+                  if math.isfinite(bad) else "the step is not finite")
+        raise StepTooLarge(reason, row=k if y.ndim == 2 else None, dt=h)
     return y / nrm[..., None]
 
 
@@ -184,7 +184,8 @@ def numeric_limit_rows(levels: np.ndarray, x: np.ndarray, tol: float = 1e-8,
                 for _ in range(nsteps):
                     y = rk4_rows(ly, y, h)
             except StepTooLarge as exc:
-                raise StepTooLarge(exc.reason, int(rows[exc.row]) if stacked else None) from None
+                raise StepTooLarge(exc.reason, int(rows[exc.row]) if stacked else None,
+                                   exc.dt) from None
             t = target
             x[rows], res[rows], t_final[rows] = y, _norms(action_field(ly, y)), t
             rows = rows[res[rows] >= tol]

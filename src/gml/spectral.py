@@ -28,6 +28,7 @@ _MIX_SEED = 0x5EEDED
 _ANGLE_TOL = 1e-9
 # Kernel equality holds when the two kernels' projectors are this close.
 HOLDS_TOL = 1e-8
+_UNSCALED_TAIL = 2.0 ** 1000  # a box row below it cannot sum its few slots past the float range
 
 
 def _fro(x: np.ndarray) -> float:
@@ -363,6 +364,8 @@ def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
     constrains), ``binding (P,)``, the rows whose bound is within 1e-9
     relative of delta, and ``ties (P,)``, the binding slot-0 rows whose
     whole tail opposes the lead: with every step size at delta they vanish.
+    A row with an entry past ``2 ** 1000`` is scaled by the exact ``2 ** -64``
+    first, so that its tail sum cannot overflow.
     """
     levels = np.asarray(levels, dtype=float)
     mag = np.abs(levels)
@@ -371,9 +374,11 @@ def box_radius(levels: np.ndarray, tol) -> tuple[float, np.ndarray, np.ndarray]:
     tail = sig & (np.arange(levels.shape[1]) > lead[:, None])
     pos = levels > 0
     opposed = tail & (pos != pos[np.arange(len(pos)), lead][:, None])
+    if float(mag.max(initial=0.0)) > _UNSCALED_TAIL:
+        mag = np.where(mag.max(axis=1, keepdims=True) > _UNSCALED_TAIL, mag * 2.0 ** -64, mag)
     span = (mag * tail).sum(axis=1)
-    first = (lead == 0) & (span > 0)
-    with np.errstate(over="ignore"):  # a lead over its tail past the float range is +inf
+    first = (lead == 0) & tail.any(axis=1)
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range or over 0: +inf
         bound = np.divide(mag[:, 0], span, where=first,
                           out=np.where(opposed.any(axis=1), 0.0, math.inf))
     delta = float(bound.min(initial=math.inf))

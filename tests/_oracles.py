@@ -570,7 +570,8 @@ def linearization_loop(levels, x, h, fix_tol: float = 1e-10, sym_tol: float = 1e
 
 def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
     """``orbit_hull_check`` drawing one sample per generator call, on the hull
-    of the support's projected weights built afresh (a full support too)."""
+    of the support's projected weights built afresh (a full support too):
+    the interior directions, then their lengths, then the integer directions."""
     supp = x.support_mask
     poly = Polytope(model.projected_weights[supp])
     d = model.subalgebra_dim
@@ -582,21 +583,17 @@ def orbit_hull_loop(model, x, sample_count: int, rng) -> bool:
         lim = np.where(limit_support(lv, supp[None, :]), x.coords, 0.0)
         return gradient_rows(model, _unit_rows(lim))
 
-    lv = speeds([unit_vector(rng, d) * rng.uniform(0.0, 0.75) for _ in range(sample_count)])
+    dirs = [unit_vector(rng, d) for _ in range(sample_count)]
+    lv = speeds([u * rng.uniform(0.0, 0.75) for u in dirs])
     spread = max(float(row[supp].max() - row[supp].min()) for row in lv)
     flowed = flow_rows(lv, min(1.0, 8.0 / spread) if spread > 0.0 else 1.0, x.coords)
     if not poly.strictly_inside_batch(gradient_rows(model, _unit_rows(flowed))).all():
         return False
-    centroid = poly.vertices.mean(axis=0)
-    cands = []
     for vi, v in enumerate(poly.vertices):
         sd = poly.supporting_direction(vi)
-        cands += [sd, v - centroid] + [sd + 1e-3 * unit_vector(rng, d) for _ in range(8)]
-    us = np.array(cands)
-    us[np.linalg.norm(us, axis=1) < 1e-12] = 1.0
-    miss = np.abs(limit_images(speeds(us)) - np.repeat(poly.vertices, 10, axis=0)).max(axis=1)
-    if not (miss <= HULL_TOL).reshape(-1, 10).any(axis=1).all():
-        return False
+        u = sd if np.linalg.norm(sd) >= 1e-12 else np.ones(d)
+        if not np.abs(limit_images(speeds(u))[0] - v).max() <= HULL_TOL:
+            return False
     us = np.reshape([rng.integers(-9, 10, size=d).astype(float) for _ in range(sample_count)],
                     (-1, d))
     lv = speeds(us[us.any(axis=1)])

@@ -334,8 +334,7 @@ def _failing(monkeypatch, module, name, verdict):
 @pytest.mark.parametrize("check, key", [("polytope", "moment_polytope_check"),
                                         ("orbit", "orbit_hull_check")])
 def test_convexity_failure_records_replay(square_model, monkeypatch, check, key):
-    verdict = (lambda res: (res[0], False)) if check == "polytope" else (lambda res: False)
-    _failing(monkeypatch, mdl, key, verdict)
+    _failing(monkeypatch, mdl, key, lambda ok: False)
     rep = run_campaign_model(square_model, "convexity", trials=3, seed=13)
     assert rep.passes == 0
     for k, f in enumerate(rep.failures):
@@ -343,8 +342,32 @@ def test_convexity_failure_records_replay(square_model, monkeypatch, check, key)
         assert f["expected"] == {"polytope": True, "orbit": True}
         assert f["actual"] == {"polytope": check != "polytope", "orbit": check != "orbit"}
         rng = grng.substream(13, k)
-        mdl.moment_polytope_check(square_model, 32, rng)
+        mdl.moment_polytope_check(square_model, rng)
         assert f["inputs"] == {"point": campaigns._random_point(rng, 4).coords.tolist()}
+
+
+def test_numerics_errors_name_the_trial_not_the_stack_row(monkeypatch):
+    """Trials without a gapped direction join no stack: the first stacked row
+    that fails names its own trial, and, since the campaign sets its own
+    steps, no dt to reduce.  A trial's own checks name it too."""
+    model = mdl.WeightedModel("huge", [[0, 0], [1e150, 0], [0, 1e150], [1e150, 1e150]], np.eye(2))
+    real = campaigns._gapped_direction
+    calls = []
+
+    def none_twice(model, rng):
+        calls.append(None)
+        return None if len(calls) <= 2 else real(model, rng)
+    monkeypatch.setattr(campaigns, "_gapped_direction", none_twice)
+    with pytest.raises(StepTooLarge, match=r"^trial 2: the step is not finite$"):
+        run_campaign_model(model, "numerics", trials=5, seed=0)
+    calls.clear()
+
+    def fd_fails(model, beta, x, h):
+        raise GmlInputError("the finite-difference residual inf is not finite")
+    monkeypatch.setattr(numerics, "gradient_fd_check", fd_fails)
+    with pytest.raises(GmlInputError, match=r"^trial 2: the finite-difference residual inf"):
+        run_campaign_model(mdl.WeightedModel("square", [[0, 0], [1, 0], [0, 1], [1, 1]],
+                                             np.eye(2)), "numerics", trials=5, seed=0)
 
 
 @pytest.mark.parametrize("key", ["monotone", "fd_ratio"])

@@ -198,9 +198,30 @@ def test_missing_model_exits_two(capsys):
 
 
 def test_bad_campaign_exits_two(square_file, capsys):
-    code = main(["run", "--campaign", "bogus", "--model", str(square_file)])
-    capsys.readouterr()
-    assert code == 2
+    code, out, err = run_cli(capsys, "run", "--campaign", "bogus", "--model", str(square_file))
+    assert_input_error(code, err)
+    assert out == "" and "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("limit", "--model", "{model}"), "required: --point, --beta"),
+    (("frobnicate",), "invalid choice: 'frobnicate'"),
+    ((), "required: command"),
+    (("run", "--campaign", "theorem1", "--model", "{model}", "--trials", "abc"),
+     "invalid int value: 'abc'"),
+], ids=["missing-point", "unknown-command", "no-command", "non-integer-trials"])
+def test_usage_errors_exit_two_on_one_line(square_file, capsys, argv, named):
+    """The parser's errors, its subcommands' too, are one 'error:' line, with no
+    usage block."""
+    code, out, err = run_cli(capsys, *(a.format(model=square_file) for a in argv))
+    assert_input_error(code, err)
+    assert out == "" and named in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("run", "--help")])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: gml")
 
 
 def test_malformed_model_exits_two(malformed_file, capsys):
@@ -363,6 +384,36 @@ def test_numerics_on_an_overflowing_speed_spread_exits_two(tmp_path, capsys):
     assert_input_error(code, err)
     assert "speeds -1e+308 to 1e+308" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([[0, 0], [1e150, 0], [0, 1e150], [1e150, 1e150]], "the step is not finite"),
+    ([[1e308], [-1e308], [0], [1]],
+     "speeds -1e+308 to 1e+308 spread beyond the float range: no step resolves them"),
+], ids=["step-not-finite", "spread-overflows"])
+def test_numerics_input_errors_name_the_trial(tmp_path, capsys, weights, message):
+    """The campaign's errors name the trial to replay, and no dt to reduce:
+    no option sets the campaign's steps."""
+    path = tmp_path / "huge.json"
+    save_model(WeightedModel("huge", weights, np.eye(len(weights[0]))), path)
+    code, out, err = run_cli(capsys, "run", "--campaign", "numerics",
+                             "--model", str(path), "--trials", "5")
+    assert_input_error(code, err)
+    assert (out, err) == ("", f"error: trial 0: {message}\n")
+
+
+def test_chain_threshold_of_weights_near_the_float_limit(tmp_path, capsys):
+    """Tail sums past the float range are taken at unit scale: weights near
+    1e308 get the threshold of the same weights divided by 1e308."""
+    thresholds = []
+    for scale in (1e308, 1.0):
+        path = tmp_path / "near-limit.json"
+        save_model(WeightedModel("near-limit", [[scale] * 3, [0, 0, 0], [0, 0, scale / 1e308]],
+                                 np.eye(3)), path)
+        code, out, err = run_cli(capsys, "chain-threshold", "--model", str(path))
+        assert (code, err) == (0, "")
+        thresholds.append(json.loads(out)["chain_threshold"])
+    assert thresholds == [0.5, 0.5]
 
 
 def test_delta_of_a_huge_commuting_pair(capsys):

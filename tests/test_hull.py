@@ -11,7 +11,8 @@ import pytest
 
 import gml
 from gml import WeightedModel
-from gml.hull import Polytope, _dedupe, first_representatives
+from gml import hull
+from gml.hull import HULL_TOL, Polytope, _dedupe, first_representatives
 from gml.model import _level_tol, _vector_labels
 from gml.rng import substream, unit_vector
 from gml.serialization import save_model
@@ -137,11 +138,13 @@ def _segment_offsets(lo, hi, tol, margin, steps):
     return np.concatenate([lo - off, lo + off, hi - off, hi + off])
 
 
-def test_segment_queries_match_the_interval_rule_exactly():
+def test_segment_queries_match_the_interval_rule_exactly(monkeypatch):
     # dyadic ends, tolerances and margins make every offset and frame
     # coordinate exact, so the facet rows and the interval rule are compared
-    # right at their boundaries
+    # right at their boundaries: the queries read the dyadic tolerance as
+    # hull.HULL_TOL
     tol = 2.0 ** -30
+    monkeypatch.setattr(hull, "HULL_TOL", tol)
     for pts, axis in (([[1.0], [3.0]], 0), ([[-0.5], [0.25]], 0),
                       ([[-1.0, 0.5], [2.5, 0.5]], 0), ([[0.0, 0.0, -1.0], [0.0, 0.0, 2.5]], 2)):
         pts = np.array(pts)
@@ -151,8 +154,8 @@ def test_segment_queries_match_the_interval_rule_exactly():
         y = _segment_offsets(lo, hi, tol, margin, [0.0, 0.5, 1.0, 2.0])
         xs = np.repeat(pts[:1], len(y), axis=0)
         xs[:, axis] = y
-        assert (poly.contains_batch(xs, tol) == interval_contains(lo, hi, y, tol)).all()
-        assert (poly.strictly_inside_batch(xs, tol)
+        assert (poly.contains_batch(xs) == interval_contains(lo, hi, y, tol)).all()
+        assert (poly.strictly_inside_batch(xs)
                 == interval_strictly_inside(lo, hi, y, margin)).all()
         # per end, only the point 2 tolerances out is outside, and the 4
         # inward points beyond one margin are strictly inside
@@ -183,9 +186,9 @@ def test_segment_queries_match_the_interval_rule():
         assert (poly.vertices @ ends[0]).argmax() == 0 and (poly.vertices @ ends[1]).argmax() == 1
 
 
-def test_point_hull_answers_by_residual_alone():
+def test_point_hull_answers_by_residual_alone(monkeypatch):
     # a point (or near-duplicates of it) has no facets: every query is the
-    # distance from the point against the tolerance
+    # distance from the point against the tolerance, HULL_TOL and a larger one
     for k in range(50):
         rng = substream(209, k)
         d = int(rng.integers(1, 5))
@@ -194,9 +197,10 @@ def test_point_hull_answers_by_residual_alone():
         assert poly.dim == 0 and poly.vertices.tolist() == [p.tolist()]
         xs = p + 10.0 ** rng.uniform(-11.0, -7.0, size=(40, 1)) * rng.standard_normal((40, d))
         dist = np.linalg.norm(xs - p, axis=1)
-        for tol in (1e-9, 1e-8):
-            assert (poly.contains_batch(xs, tol) == (dist <= tol)).all()
-            assert (poly.strictly_inside_batch(xs, tol) == (dist <= tol)).all()
+        for tol in (HULL_TOL, 1e-8):
+            monkeypatch.setattr(hull, "HULL_TOL", tol)
+            assert (poly.contains_batch(xs) == (dist <= tol)).all()
+            assert (poly.strictly_inside_batch(xs) == (dist <= tol)).all()
         assert np.array_equal(poly.supporting_direction(0), np.zeros(d))
 
 

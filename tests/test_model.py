@@ -36,7 +36,9 @@ from gml.errors import (
     GmlInputError,
     NonPositiveEpsilon,
 )
+from gml.hull import HULL_TOL, Polytope
 from gml.model import (
+    _ORBIT_SAMPLES,
     SUPP_TOL,
     _first_direction,
     _vector_labels,
@@ -176,7 +178,7 @@ def test_gradient_image_lies_in_moment_polytope(model_pool):
         rng = substream(301, model.num_coords * 131 + model.torus_dim)
         for _ in range(10):
             x = ProjPoint(rng.standard_normal(model.num_coords))
-            assert poly.contains(gradient_map(model, x), tol=1e-9)
+            assert poly.contains(gradient_map(model, x))
 
 
 # ---------------------------------------------------------- fundamental field
@@ -893,35 +895,50 @@ def test_unstable_components_partition_points(model_pool):
 
 
 def test_moment_polytope_square(square_model):
-    poly, holds = moment_polytope_check(square_model, 64, substream(3, 0))
-    assert holds
-    assert poly.vertices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert moment_polytope_check(square_model, substream(3, 0))
+    assert square_model.moment_polytope.vertices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_moment_polytope_segment(segment_model):
-    poly, holds = moment_polytope_check(segment_model, 64, substream(3, 0))
-    assert holds
-    assert poly.vertices.tolist() == [[0, 0], [1, 0]]
+    assert moment_polytope_check(segment_model, substream(3, 0))
+    assert segment_model.moment_polytope.vertices.tolist() == [[0, 0], [1, 0]]
 
 
 def test_moment_polytope_single_weight():
     model = WeightedModel(name="point", weights=[[2, 2], [2, 2]],
                           subalgebra=[[1, 0], [0, 1]])
-    poly, holds = moment_polytope_check(model, 16, substream(3, 0))
-    assert holds
-    assert poly.vertices.tolist() == [[2, 2]]
+    assert moment_polytope_check(model, substream(3, 0))
+    assert model.moment_polytope.vertices.tolist() == [[2, 2]]
 
 
 def test_orbit_hull_full_support(square_model):
-    assert orbit_hull_check(square_model, P(0.5, 0.5, 0.5, 0.5), 16, substream(5, 0))
+    assert orbit_hull_check(square_model, P(0.5, 0.5, 0.5, 0.5), substream(5, 0))
 
 
 def test_orbit_hull_fixed_orbit(square_model):
-    assert orbit_hull_check(square_model, P(0, 0, 1, 0), 16, substream(5, 0))
+    assert orbit_hull_check(square_model, P(0, 0, 1, 0), substream(5, 0))
 
 
 def test_orbit_hull_segment_orbit(square_model):
-    assert orbit_hull_check(square_model, P(S2, S2, 0, 0), 16, substream(5, 0))
+    assert orbit_hull_check(square_model, P(S2, S2, 0, 0), substream(5, 0))
+
+
+def test_supporting_directions_attain_their_vertices(model_pool):
+    """The flow limit along each vertex's supporting direction lands on that
+    vertex within HULL_TOL, as orbit_hull_check assumes when it tries that one
+    direction per vertex: on the pool, the bipyramid at 2^-10 to 2^16, and
+    random supports (a one-point hull's zero direction leaves x where it is)."""
+    models = model_pool + [make_bipyramid_model(2.0 ** k) for k in range(-10, 17, 2)]
+    vertices = 0
+    for m, model in enumerate(models):
+        for s in range(4):
+            x = _random_point(substream(820 + s, m), model.num_coords)
+            poly = Polytope(model.projected_weights[x.support_mask])
+            for v, u in zip(poly.vertices, poly.supporting_directions):
+                image = gradient_map(model, flow_limit(model, u @ model.ortho_basis, x))
+                assert np.abs(image - v).max() <= HULL_TOL, (model.name, s, v)
+                vertices += 1
+    assert vertices >= 700
 
 
 def _philox_state(rng) -> dict:
@@ -941,8 +958,8 @@ def test_orbit_hull_check_matches_one_draw_per_sample(model_pool):
             x = _random_point(rng, model.num_coords)
             ref = substream(800 + s, m)
             ref.bit_generator.state = rng.bit_generator.state
-            got = orbit_hull_check(model, x, 16, rng)
-            assert got == orbit_hull_loop(model, x, 16, ref), (model.name, s)
+            got = orbit_hull_check(model, x, rng)
+            assert got == orbit_hull_loop(model, x, _ORBIT_SAMPLES, ref), (model.name, s)
             assert _philox_state(rng) == _philox_state(ref), (model.name, s)
             supports.append(len(x.support) == model.num_coords)
     assert len(supports) >= 300 and any(supports) and not all(supports)
@@ -959,8 +976,8 @@ def test_orbit_hull_check_matches_one_draw_per_sample_at_large_spread():
             x = _random_point(rng, model.num_coords)
             ref = substream(810 + k, s)
             ref.bit_generator.state = rng.bit_generator.state
-            assert orbit_hull_check(model, x, 16, rng), (k, s)
-            assert orbit_hull_loop(model, x, 16, ref), (k, s)
+            assert orbit_hull_check(model, x, rng), (k, s)
+            assert orbit_hull_loop(model, x, _ORBIT_SAMPLES, ref), (k, s)
             assert _philox_state(rng) == _philox_state(ref), (k, s)
 
 

@@ -673,6 +673,15 @@ def test_box_radius_past_the_float_range_is_inf():
     assert delta_threshold(SymMat.diag([0.5, 1e308]), SymMat.diag([1, 0.5])) == math.inf
 
 
+def test_box_radius_sums_an_overflowing_tail_at_unit_scale():
+    # a tail that sums past the float range is summed scaled by a power of
+    # two, with no numpy warning on the way (the suite makes one an error)
+    assert box([[1e308, 1e308, 1e308]]) == box([[1, 1, 1]]) == (0.5, [True], [False])
+    assert box([[1e308, -1e308, -1e308], [1, 2, 0]]) == (0.5, [True, True], [True, False])
+    # a tail that underflows once scaled still bounds nothing
+    assert box([[1e308, -1e-310]]) == (math.inf, [False], [False])
+
+
 def test_chain_threshold_random_families_certified_by_grid():
     checked = 0
     for trial in range(60):
