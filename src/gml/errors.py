@@ -6,6 +6,8 @@ import operator
 
 import numpy as np
 
+_FLOAT64 = np.dtype(float)  # native float64, the dtype object of the float arrays numpy makes
+
 
 class GmlError(Exception):
     """Base class for every error raised by this package."""
@@ -117,14 +119,19 @@ def check_real(value, name: str, bound: str = "") -> float:
 def check_step_sizes(eps, count: int | None = None) -> np.ndarray:
     """eps as a 1-D float array of finite step sizes > 0 (a number is one
     row), of ``count`` rows if given.  NonPositiveEpsilon for a value <= 0
-    or NaN, GmlInputError for any other bad eps; no numpy warning."""
-    try:
-        arr = np.asarray(eps)
-    except ValueError:  # ragged rows
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or arr.ndim > 1:
-        raise GmlInputError(f"eps must be a number or a 1-D array of numbers, got {eps!r}")
-    arr = np.atleast_1d(arr).astype(float, copy=False)
+    or NaN, GmlInputError for any other bad eps; no numpy warning.  A 1-D
+    float64 array (a campaign's draw) is taken as it is, as the conversions
+    below would return it."""
+    if type(eps) is np.ndarray and eps.ndim == 1 and eps.dtype is _FLOAT64:
+        arr = eps
+    else:
+        try:
+            arr = np.asarray(eps)
+        except ValueError:  # ragged rows
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iuf" or arr.ndim > 1:
+            raise GmlInputError(f"eps must be a number or a 1-D array of numbers, got {eps!r}")
+        arr = np.atleast_1d(arr).astype(float, copy=False)
     if count is not None and arr.size != count:
         raise GmlInputError(f"expected {count} step sizes, got {arr.size}")
     values = arr.tolist()  # tested as a list: cheaper than ufuncs on a few values

@@ -21,6 +21,7 @@ round-metric estimates by 2 accordingly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +40,8 @@ from .rng import substream, unit_vector_array
 from .spectral import Subspace, _canonical_sign_columns, box_radius
 
 SUPP_TOL = 1e-13
-_UNSCALED_MAX = 2.0 ** 500  # a direction up to this norm is squared as it is
+_UNSCALED_MAX = 2.0 ** 500  # a direction of smaller norm, a point of smaller entries, is squared as is
+_SPEED_MAX = 2.0 ** 1000  # the overflow-bound rule's limit (WeightedModel._overflow_free)
 _UNSCALED_MIN_NORM = 2.0 ** -480  # a point of smaller norm may have squares below the normal range
 # c of the orbit-hull interior flow time min(1, c / spread): the campaigns plans'
 # sampled speed spreads on a support stay below 8, so their flow time stays 1
@@ -67,11 +69,11 @@ class ProjPoint:
     entry at most ``SUPP_TOL`` that is nonzero or -0.0), and the second
     division only when the norm is not exactly 1.0.
 
-    A vector whose squares leave the normal float range (a norm below
-    ``_UNSCALED_MIN_NORM`` or an overflowed one) is first scaled by an exact
-    power of two that puts its largest entry in [0.5, 1), so ``ProjPoint(2**e
-    * v)`` has the bits of ``ProjPoint(v)``.  The norm test decides it, so an
-    ordinary vector runs no extra operation.
+    A vector whose squares may leave the normal float range (an entry of
+    ``_UNSCALED_MAX`` or more, tested on a list before any square, or a norm
+    below ``_UNSCALED_MIN_NORM``) is first scaled by an exact power of two
+    that puts its largest entry in [0.5, 1), so ``ProjPoint(2**e * v)`` has
+    the bits of ``ProjPoint(v)``, with no numpy warning.
     """
 
     __slots__ = ("coords", "support")
@@ -80,8 +82,13 @@ class ProjPoint:
         x = np.array(vec, dtype=float).ravel()
         if x.size < 2:
             raise GmlInputError("a projective point needs at least two homogeneous coordinates")
-        nrm = math.sqrt(x.dot(x))  # bit for bit np.linalg.norm(x), without its overhead
-        if not _UNSCALED_MIN_NORM < nrm < math.inf:  # zero, non-finite, tiny or overflowed
+        raw = x.tolist()
+        # an entry of 2^500 or more, or an inf, is scaled before a square can overflow
+        if -_UNSCALED_MAX < min(raw) and max(raw) < _UNSCALED_MAX:
+            nrm = math.sqrt(x.dot(x))  # bit for bit np.linalg.norm(x), without its overhead
+        else:
+            nrm = math.inf
+        if not _UNSCALED_MIN_NORM < nrm < math.inf:  # zero, non-finite, tiny or huge
             top = float(np.abs(x).max())
             if not 0.0 < top < math.inf:
                 raise GmlInputError("cannot normalize a zero or non-finite vector")
@@ -224,6 +231,31 @@ class WeightedModel:
         return Polytope(self.projected_weights)
 
     @cached_property
+    def _weight_bound(self) -> float:
+        """max(1, the largest row sum of |weights|), summed on Python floats,
+        which overflow to inf without a warning."""
+        return max(1.0, max(sum(map(abs, row)) for row in self.weights.tolist()))
+
+    @cached_property
+    def _basis_l1(self) -> tuple[float, ...]:
+        """Sum of |entries| of each stored basis row."""
+        return _row_l1(self.subalgebra)
+
+    def _overflow_free(self, l1: float) -> bool:
+        """The overflow-bound rule: a direction whose entries' absolute values sum
+        to at most ``l1`` (times ``max(1, |t|)`` for a flow) has entries and
+        speeds below 2**1000 if ``l1 * _weight_bound < 2**1000``.  Otherwise,
+        NaN and inf included, they are formed under ``np.errstate``, so an
+        overflow is a non-finite speed for the caller's test, not a warning."""
+        return l1 * self._weight_bound < _SPEED_MAX
+
+    @cached_property
+    def _chain_witness(self) -> tuple[float, tuple[tuple[int, int], ...]]:
+        """``model_chain_threshold_witness`` of the stored basis, computed once."""
+        delta, pairs = _chain_threshold_witness(self, self.subalgebra)
+        return delta, tuple(pairs)
+
+    @cached_property
     def _vertices_attained(self) -> bool:
         """Is each moment-polytope vertex a projected weight (max-abs within
         1e-12)?  The image of coordinate point e_i is projected weight i
@@ -260,26 +292,33 @@ class WeightedModel:
             # overflows, and max(1, |s|) = |s| as max(1, |b|) = |b|
             e = math.frexp(max(map(abs, vals)))[1] - 1
             s = np.ldexp(b, -e)
-        ss = s.dot(s)
         q = self.ortho_basis
         r = s - q.T @ (q @ s)
         residual = math.sqrt(r.dot(r))  # np.linalg.norm, without its overhead
-        if not residual <= 1e-9 * max(1.0, math.sqrt(ss)):
+        # residual <= 1e-9 * max(1, |s|), with |s| formed only when the residual is above 1e-9
+        if not (residual <= 1e-9 or residual <= 1e-9 * math.sqrt(s.dot(s))):
             raise BetaOutsideSubalgebra(
                 f"direction lies outside the subalgebra: residual {residual:.3e}"
                 + (f" (direction scaled by 2^{-e})" if e else ""))
         return b
 
     def levels(self, beta) -> np.ndarray:
-        """Speeds <lambda_i, beta> of all homogeneous coordinates."""
-        return self.weights @ self.validate_direction(beta)
+        """Speeds <lambda_i, beta> of all homogeneous coordinates, with no numpy
+        warning: a speed that overflows is not finite."""
+        b = self.validate_direction(beta)
+        return self._speeds(b, _l1(b))
+
+    def _speeds(self, b: np.ndarray, l1: float) -> np.ndarray:
+        """``weights @ b`` for a direction whose entries' absolute values sum to
+        at most ``l1``, under ``np.errstate`` unless ``_overflow_free(l1)``."""
+        if self._overflow_free(l1):
+            return self.weights @ b
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.weights @ b
 
     def finite_levels(self, beta) -> np.ndarray:
-        """``levels(beta)`` under the speeds-finite rule (``finite_speeds``),
-        with no numpy warning on the way."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = self.levels(beta)
-        return finite_speeds(b)
+        """``levels(beta)`` under the speeds-finite rule (``finite_speeds``)."""
+        return finite_speeds(self.levels(beta))
 
     def require_basis(self, alphas=None) -> np.ndarray:
         """Validate an ordered basis of the subalgebra (default: stored rows)."""
@@ -317,6 +356,16 @@ def finite_speeds(levels: np.ndarray, row: str = "row") -> np.ndarray:
         where = f"{row} {int(np.argmin(finite.all(axis=-1)))}: " if levels.ndim == 2 else ""
         raise GmlInputError(f"{where}direction is too large or not finite: a speed is not finite")
     return levels
+
+
+def _l1(b: np.ndarray) -> float:
+    """Sum of |entries| on Python floats: an overflow is inf, with no warning."""
+    return sum(map(abs, b.tolist()))
+
+
+def _row_l1(rows: np.ndarray) -> tuple[float, ...]:
+    """``_l1`` of each row."""
+    return tuple(map(_l1, rows))
 
 
 def _rank(svals: np.ndarray) -> int:
@@ -426,9 +475,15 @@ def fundamental_field(model: WeightedModel, beta, x: ProjPoint) -> np.ndarray:
 def flow(model: WeightedModel, beta, t: float, x: ProjPoint) -> ProjPoint:
     """Normalized linear flow exp(t*B)x, overflow-safe via max-level shift."""
     t = check_real(t, "flow time t")
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
-        b = model.levels(beta)
-        rows = flow_rows(b[None, :], t, model.require_point(x).coords)
+    beta = model.validate_direction(beta)
+    z = model.require_point(x).coords
+    if model._overflow_free(max(1.0, abs(t)) * _l1(beta)):
+        b = model.weights @ beta
+        rows = flow_rows(b[None, :], t, z)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
+            b = model.weights @ beta
+            rows = flow_rows(b[None, :], t, z)
     try:
         return ProjPoint(rows[0])
     except GmlInputError:  # only t * speeds that overflow leave no finite coordinate
@@ -445,10 +500,15 @@ def flow_limit(model: WeightedModel, beta, x: ProjPoint) -> ProjPoint:
     speed over the support, the cut ``top - 1e-12 * max(1, max |speed|)``
     and the comparisons with it are exact float64 operations, so the same
     coordinates are kept, bit for bit."""
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite speeds raise below
-        b = model.levels(beta)
+    b = model.validate_direction(beta)
+    return _flow_limit(model, b, _l1(b), x)
+
+
+def _flow_limit(model: WeightedModel, b: np.ndarray, l1: float, x: ProjPoint) -> ProjPoint:
+    """``flow_limit`` along a validated direction whose entries' absolute
+    values sum to at most ``l1``."""
     model.require_point(x)
-    speeds = b.tolist()
+    speeds = model._speeds(b, l1).tolist()
     if not all(map(math.isfinite, speeds)):
         raise GmlInputError(f"the speeds {speeds} of beta are not finite; use a smaller beta")
     support = x.support
@@ -469,8 +529,8 @@ def composed_limit(model: WeightedModel, alphas, x: ProjPoint) -> ProjPoint:
     """
     a = model.require_basis(alphas)
     out = x
-    for row in a:
-        out = flow_limit(model, row, out)
+    for row, l1 in zip(a, model._basis_l1 if a is model.subalgebra else _row_l1(a)):
+        out = _flow_limit(model, model.validate_direction(row), l1, out)
     return out
 
 
@@ -478,9 +538,14 @@ def perturbed_limit(model: WeightedModel, alphas, eps, x: ProjPoint) -> ProjPoin
     """Flow limit along alphas[0] + sum_k eps[k-1] * alphas[k]."""
     a = model.require_basis(alphas)
     e = check_step_sizes(eps, a.shape[0] - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite direction raises below
+    r = model._basis_l1 if a is model.subalgebra else _row_l1(a)
+    l1 = r[0] + sum(map(operator.mul, e.tolist(), r[1:]))  # at least the direction's _l1
+    if model._overflow_free(l1):
         beta = a[0] + (e @ a[1:] if e.size else 0.0)
-    return flow_limit(model, beta, x)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite direction raises below
+            beta = a[0] + (e @ a[1:] if e.size else 0.0)
+    return _flow_limit(model, model.validate_direction(beta), l1, x)
 
 
 def model_chain_threshold(model: WeightedModel, alphas=None) -> float:
@@ -505,9 +570,16 @@ def model_chain_threshold_witness(model: WeightedModel, alphas=None):
     leading sign, so setting every step size exactly to delta produces an
     exact speed tie between coordinates i and j.  Pair speeds fall under
     the speeds-finite rule: GmlInputError names the first pair whose
-    speeds are not finite.
+    speeds are not finite.  The stored basis's witness is computed once per
+    model; a pair list returned is the caller's own.
     """
     a = model.require_basis(alphas)
+    stored = a is model.subalgebra
+    delta, pairs = model._chain_witness if stored else _chain_threshold_witness(model, a)
+    return delta, list(pairs)
+
+
+def _chain_threshold_witness(model: WeightedModel, a: np.ndarray):
     i, j = np.triu_indices(model.num_coords, k=1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite pair speeds raise below
         speeds = (model.weights[i] - model.weights[j]) @ a.T  # (P, k)

@@ -711,8 +711,10 @@ class ProjPointArray:
 
 def flow_limit_array(model, beta, x):
     """``model.flow_limit`` through the ``limit_support`` kernel on arrays, as
-    it was before the one-row rule moved to Python floats (verbatim)."""
-    b = model.levels(beta)
+    it was before the one-row rule moved to Python floats (verbatim), with the
+    speeds computed as ``levels`` did before the overflow-bound rule: always
+    unguarded, so a caller must silence numpy's warnings."""
+    b = model.weights @ model.validate_direction(beta)
     keep = limit_support(b[None, :], model.require_point(x).support_mask[None, :])[0]
     try:
         return ProjPointArray(np.where(keep, x.coords, 0.0))

@@ -33,8 +33,10 @@ from gml.campaigns import _random_point, run_campaign_model
 from gml.errors import (
     BetaOutsideSubalgebra,
     DependentBasis,
+    GmlError,
     GmlInputError,
     NonPositiveEpsilon,
+    check_step_sizes,
 )
 from gml.hull import HULL_TOL, Polytope
 from gml.model import (
@@ -43,6 +45,8 @@ from gml.model import (
     _first_direction,
     _vector_labels,
     certify_levels,
+    finite_speeds,
+    flow_rows,
     model_chain_threshold_witness,
 )
 from gml.rng import substream
@@ -124,16 +128,18 @@ def test_projpoint_is_the_same_at_every_tiny_scale():
 
 
 def test_projpoint_is_the_same_at_every_huge_scale():
-    """An overflowing sum of squares is scaled away too.  numpy warns of the
-    overflow (an entry above about 1e154) and the point is right."""
+    """A sum of squares that would overflow is scaled away before it is formed:
+    an entry above about 1e154 gives the right point with no numpy warning."""
     v = np.array([2.0, -1.0, 0.0, 0.5])
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert ProjPoint(v * 1e200).coords.tobytes() == ProjPoint(v).coords.tobytes()
-    want = ProjPoint(v)
-    for e in range(1, 1022):
-        with np.errstate(over="ignore"):
-            got = ProjPoint(np.ldexp(v, e))
-        assert got.coords.tobytes() == want.coords.tobytes() and got.support == want.support, e
+        assert ProjPoint([1e308, -1e308]).coords.tobytes() == ProjPoint([1, -1]).coords.tobytes()
+        want = ProjPoint(v)
+        for e in range(1, 1022):
+            for w in (np.ldexp(v, e), np.ldexp(v, e).tolist()):
+                got = ProjPoint(w)
+                assert got.coords.tobytes() == want.coords.tobytes() and got.support == want.support, e
 
 
 def test_projpoint_same_as_requires_equal_support():
@@ -308,6 +314,47 @@ def test_flow_with_overflowing_speeds_raises_without_a_numpy_warning():
         flow(model, [1, 1, 1e308], 1.0, P(1, 1, 1, 1, 1))
 
 
+def _flow_guarded(model, beta, t, x):
+    """``flow`` and ``finite_levels`` as they were before the overflow-bound
+    rule: every speed formed under one ``np.errstate``."""
+    try:
+        beta = model.validate_direction(beta)
+    except BetaOutsideSubalgebra as exc:
+        return ((BetaOutsideSubalgebra, str(exc)),) * 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = model.weights @ beta
+        rows = flow_rows(b[None, :], t, x.coords)
+    try:
+        finite = finite_speeds(b).tobytes(), None
+    except GmlInputError as exc:
+        finite = GmlInputError, str(exc)
+    try:
+        y = ProjPoint(rows[0])
+    except GmlInputError:
+        return finite, (GmlInputError, f"flow time t = {t!r} times the speeds {b.tolist()} is not "
+                                       "finite; use a smaller |t| or beta")
+    return finite, (y.coords.tobytes(), y.support)
+
+
+def test_flow_and_finite_levels_across_the_overflow_bound(model_pool):
+    """Directions scaled by 2**e on both sides of the overflow-bound rule (and
+    past the float range), flow times from 2**-1000 to 2**1000, and NaN and inf
+    entries: ``flow`` and ``finite_levels`` give the bits or the error of the
+    guarded computation, with no numpy warning.  A tiny t does not lift a
+    huge direction's speeds under the bound."""
+    sides = set()
+    for m, model in enumerate([model_pool[0]] + model_pool[2:12]):
+        rng = substream(311, m)
+        x = ProjPoint(rng.standard_normal(model.num_coords))
+        dirs = [rng.standard_normal(model.subalgebra_dim) @ model.ortho_basis]
+        for beta in _edge_directions(model, rng, dirs, sides):
+            for t in (2.0 ** -1000, -0.5, 3.0, 2.0 ** 40, -(2.0 ** 1000)):
+                got = (_outcome(lambda: model.finite_levels(beta), "error"),
+                       _outcome(lambda: flow(model, beta, t, x), "error"))
+                assert got == _flow_guarded(model, beta, t, x), (model.name, beta, t)
+    assert sides == {True, False}
+
+
 def test_flow_group_law(model_pool):
     for model in model_pool[:12]:
         rng = substream(303, model.num_coords * 7 + model.torus_dim)
@@ -460,6 +507,41 @@ def test_perturbed_limit_rejects_bad_eps_without_warning(square_model, eps):
         perturbed_limit(square_model, None, eps, P(1, 1, 1, 1))
 
 
+def _steps_outcome(eps, count):
+    """check_step_sizes' float64 values, or the type and message it raises."""
+    try:
+        arr = check_step_sizes(eps, count)
+    except GmlError as exc:
+        return type(exc), str(exc)
+    assert arr.dtype == np.float64 and arr.ndim == 1
+    return arr.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 0.25], [math.nan, 0.5], [0.5, 0.0], [-0.0, 0.5], [0.5, -0.25], [0.5, math.inf],
+    [math.inf, math.nan], [5e-324, 1e308], [1, 3]],
+    ids=["ok", "nan", "zero", "minus-zero", "negative", "inf", "inf-nan", "extremes", "ints"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_step_sizes_fast_path_agrees_with_the_general_one(values):
+    """A 1-D float64 array is taken as it is, with the outcome of the same
+    values as a list, a tuple, an int array, a big-endian array or one by one
+    as scalars, for the right count and a wrong one."""
+    fast = np.array(values, dtype=float)
+    general = [list(values), tuple(values), np.array(values, dtype=">f8")]
+    if all(float(v).is_integer() for v in values):
+        general.append(np.array(values, dtype=int))
+    for count in (2, 3, None):
+        want = _steps_outcome(fast, count)
+        for eps in general:
+            assert _steps_outcome(eps, count) == want, (eps, count)
+    if isinstance(_steps_outcome(fast, 2), bytes):
+        assert check_step_sizes(fast, 2) is fast
+    for rows in (fast[None, :], [list(values)]):  # 2-D: the message repeats eps as given
+        assert _steps_outcome(rows, None)[0] is GmlInputError
+    for v in values:
+        assert _steps_outcome(v, 1) == _steps_outcome(np.array([v], dtype=float), 1)
+
+
 _BASIS_CALLS = {
     "composed_limit": lambda m, a: composed_limit(m, a, ProjPoint(np.ones(m.num_coords))),
     "perturbed_limit": lambda m, a: perturbed_limit(m, a, [0.5], ProjPoint(np.ones(m.num_coords))),
@@ -508,14 +590,17 @@ def test_composition_identity_on_random_models(model_pool):
 
 
 def _outcome(call, warn: str):
-    """The coords bytes and support of the point ``call`` returns, or the type
-    and message of what it raises, with RuntimeWarnings set to ``warn``."""
+    """The coords bytes and support of the point ``call`` returns (the bytes
+    and None for an array), or the type and message of what it raises, with
+    RuntimeWarnings set to ``warn``."""
     with warnings.catch_warnings():
         warnings.simplefilter(warn, RuntimeWarning)
         try:
             p = call()
         except Exception as exc:  # noqa: BLE001 - the outcome under test
             return type(exc), str(exc)
+    if isinstance(p, np.ndarray):  # speeds
+        return p.tobytes(), None
     return p.coords.tobytes(), p.support
 
 
@@ -579,12 +664,71 @@ def _directions(model, rng, vectors) -> list:
     return dirs + [np.full(model.torus_dim, math.nan), dirs[0] / np.abs(dirs[0]).max() * 1e308]
 
 
+_SPEED_EDGE = 2.0 ** 1000  # speeds are formed unguarded while sum |beta| * bound stays below it
+
+
+def _weight_bound(model) -> float:
+    """The overflow-bound rule's model bound, max(1, largest row sum of |weights|)."""
+    return max(1.0, float(np.abs(model.weights).sum(axis=1).max()))
+
+
+def _scales_across(l1: float) -> list:
+    """Exponents e for which ``2**e * l1`` lies on either side of the bound
+    (two each), and 1023, the largest."""
+    e0 = 1000 - math.frexp(l1)[1]  # 2**e0 * l1 < 2**1000 <= 2**(e0 + 1) * l1
+    return [e0 - 1, e0, e0 + 1, e0 + 2, 1023]
+
+
+def _edge_directions(model, rng, dirs, sides: set) -> list:
+    """``dirs[:2]`` scaled by 2**e across the overflow-bound rule, recording in
+    ``sides`` which side each finite one lies on, plus directions with a NaN,
+    an inf or a -inf entry."""
+    out = []
+    for beta in dirs[:2]:
+        for e in _scales_across(float(np.abs(beta).sum()) * _weight_bound(model)):
+            with np.errstate(over="ignore"):
+                b = np.ldexp(beta, e)
+            if np.isfinite(b).all():
+                sides.add(sum(map(abs, b.tolist())) * _weight_bound(model) < _SPEED_EDGE)
+            out.append(b)
+    for bad in (math.nan, math.inf, -math.inf):
+        b = dirs[0].copy()
+        b[int(rng.integers(b.size))] = bad
+        out.append(b)
+    return out
+
+
+def _edge_steps(model, rng, sides: set) -> list:
+    """Step sizes scaled by 2**e across the overflow-bound rule on the stored
+    basis, recording in ``sides`` which side each lies on, plus rows with a
+    NaN or an inf entry."""
+    k = model.subalgebra_dim
+    if k == 1:
+        return []
+    r = np.abs(model.subalgebra).sum(axis=1)
+    u = rng.uniform(0.5, 1.0, k - 1)
+    wb = _weight_bound(model)
+    out = []
+    for e in _scales_across(float(u @ r[1:]) * wb):
+        eps = np.ldexp(u, e)
+        with np.errstate(over="ignore"):
+            sides.add(float(r[0] + eps @ r[1:]) * wb < _SPEED_EDGE)
+        out.append(eps)
+    for bad in (math.nan, math.inf):
+        eps = u.copy()
+        eps[int(rng.integers(k - 1))] = bad
+        out.append(eps)
+    return out
+
+
 def test_scalar_limit_path_matches_its_array_form_bit_for_bit(model_pool):
     """ProjPoint, flow_limit, composed_limit and perturbed_limit give the coords
     bytes, support, or exception type and message of their array forms, with
     no RuntimeWarning.  The one exception: where non-finite speeds leave some
     coordinate above the array rule's cut, the array form returns a point and
-    the one-row form raises the speeds error."""
+    the one-row form raises the speeds error.  Directions, bases and step
+    sizes run across the overflow-bound rule's edge (speeds formed without a
+    guard below it) up to the float range, and with NaN and inf entries."""
     extra = [WeightedModel("proper-3", [[0, 0, 0, 0], [1, 0, 2, 0], [0, 1, 0, 1], [2, 1, 1, 3],
                                         [1, 1, 0, 2], [3, 0, 1, 1]],
                            [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 2]]),
@@ -596,6 +740,7 @@ def test_scalar_limit_path_matches_its_array_form_bit_for_bit(model_pool):
     speeds_error = r"the speeds \[.*\b(inf|nan)\b.*\] of beta are not finite; use a smaller beta"
     compared = 0
     edge_hits = set()
+    dir_sides, step_sides = set(), set()
 
     def check(new, old):
         nonlocal compared
@@ -615,21 +760,33 @@ def test_scalar_limit_path_matches_its_array_form_bit_for_bit(model_pool):
             edge_hits.update(abs(e) for e in first.tolist() if abs(e) in _TOL_EDGES)
             check(lambda: ProjPoint(v), lambda: ProjPointArray(v))
         points = [ProjPoint(v) for v in vectors]
-        for beta in dirs:
-            for x in points:
+        # the bound rule decides on the direction alone, so a few points suffice at its edge
+        for beta, xs in ([(b, points) for b in dirs]
+                         + [(b, points[:4]) for b in _edge_directions(model, rng, dirs, dir_sides)]):
+            for x in xs:
                 check(lambda: flow_limit(model, beta, x), lambda: flow_limit_array(model, beta, x))
         delta = model_chain_threshold(model)
         steps = [rng.uniform(0.0, min(delta, 1.0), k - 1), np.full(k - 1, 1e-14),
                  np.full(k - 1, 1e308)] + ([np.full(k - 1, delta)] if math.isfinite(delta) else [])
-        for x in points:
-            for alphas in (None, model.subalgebra[::-1]):
+        edge = _edge_steps(model, rng, step_sides)
+        # finite speeds only: where a row's speeds overflow, the array form passes
+        # that row and raises the next row's speeds error
+        rows_l1 = float(np.abs(model.subalgebra).sum(axis=1).max()) * _weight_bound(model)
+        edge_bases = [np.ldexp(model.subalgebra, e) for e in _scales_across(rows_l1)[:4]]
+        for j, x in enumerate(points):
+            for alphas in [None, model.subalgebra[::-1]] + (edge_bases if j < 4 else []):
                 check(lambda: composed_limit(model, alphas, x),
                       lambda: composed_limit_array(model, alphas, x))
-            for eps in steps:
-                check(lambda: perturbed_limit(model, None, eps, x),
-                      lambda: perturbed_limit_array(model, None, eps, x))
-    assert compared >= 2000
+            # as for the directions, a few points suffice at the edge; a given
+            # basis bounds its direction from its own rows
+            at_edge = edge if j < 4 else []
+            for alphas, rows in ((None, steps + at_edge), (model.subalgebra[::-1], at_edge)):
+                for eps in rows:
+                    check(lambda: perturbed_limit(model, alphas, eps, x),
+                          lambda: perturbed_limit_array(model, alphas, eps, x))
+    assert compared >= 18000
     assert edge_hits == set(_TOL_EDGES)
+    assert dir_sides == step_sides == {True, False}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -637,7 +794,10 @@ def test_scalar_limit_path_matches_its_array_form_bit_for_bit(model_pool):
     lambda m, x: perturbed_limit(m, None, [0.5, 1e308], x),
     lambda m, x: flow_limit(m, [1, 1, 1e308], x),
     lambda m, x: flow_limit(m, [1e308, 1e308, 0], x),
-], ids=["perturbed", "flow-limit-one-speed", "flow-limit-two-speeds"])
+    lambda m, x: composed_limit(m, [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]], x),
+    lambda m, x: perturbed_limit(m, [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]], [0.5, 0.5], x),
+], ids=["perturbed", "flow-limit-one-speed", "flow-limit-two-speeds", "composed-given-basis",
+        "perturbed-given-basis"])
 def test_limits_with_overflowing_speeds_raise_without_a_numpy_warning(call):
     model = WeightedModel(name="cube-corner", weights=[[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2],
                                                        [2, 2, 2]], subalgebra=np.eye(3))
@@ -653,6 +813,36 @@ def test_model_chain_threshold_square_is_one(square_model):
     delta, pairs = model_chain_threshold_witness(square_model)
     assert delta == pytest.approx(1.0, abs=1e-12)
     assert (1, 2) in pairs
+
+
+def test_stored_basis_witness_is_cached_and_equals_a_fresh_one(model_pool):
+    """``random_weighted_model``'s acceptance test fills the stored basis's
+    witness; it equals one computed afresh on a copy of the basis (the same
+    delta and probe pairs), and a returned pair list is the caller's own."""
+    for model in model_pool:
+        if model.name.startswith("random"):
+            assert "_chain_witness" in vars(model), model.name
+        fresh = model_chain_threshold_witness(model, model.subalgebra.copy())
+        for alphas in (None, model.subalgebra):
+            got = model_chain_threshold_witness(model, alphas)
+            assert got == fresh and type(got[1]) is list, model.name
+            got[1].append((-1, -1))
+            got[1].clear()
+        assert model_chain_threshold_witness(model) == fresh
+
+
+def test_only_the_stored_basis_comes_from_the_cache():
+    model = WeightedModel("proper-3", [[0, 0, 0, 0], [1, 0, 2, 0], [0, 1, 0, 1], [2, 1, 1, 3]],
+                          [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 2]])
+    want = model_chain_threshold_witness(model)
+    vars(model)["_chain_witness"] = (-1.0, ((7, 8),))  # a marker no computation returns
+    for alphas in (None, model.subalgebra):
+        assert model_chain_threshold_witness(model, alphas) == (-1.0, [(7, 8)])
+    for alphas in (model.subalgebra.copy(), model.subalgebra.tolist(), model.subalgebra[::-1],
+                   model.subalgebra * 2.0):
+        got = model_chain_threshold_witness(model, alphas)
+        assert got[0] != -1.0 and (7, 8) not in got[1]
+    assert model_chain_threshold_witness(model, model.subalgebra.copy()) == want
 
 
 def test_model_chain_threshold_applies_the_speeds_finite_rule():
